@@ -4,10 +4,18 @@
 //! does clearing every freed page add to the allocator's free path? The
 //! paper's answer at system level is "nothing measurable"; the microbench
 //! shows the raw per-page cost that gets amortized away.
+//!
+//! `kernel_clone` is the per-cell cost of the fault and rotation sweeps:
+//! a fresh 64 MB clone of the boot image against restoring a spare that
+//! just ran one fault-sweep cell's workload.
 
-use bench::{BenchmarkId, Criterion};
+use bench::{BatchSize, BenchmarkId, Criterion};
+use harness::ExperimentConfig;
+use keyguard::ProtectionLevel;
 use memsim::{Kernel, KernelPolicy, MachineConfig, PAGE_SIZE};
+use servers::{SecureServer, ServerConfig, SshServer};
 use simrng::Rng64;
+use std::cell::RefCell;
 
 fn machine(policy: KernelPolicy) -> Kernel {
     Kernel::new(
@@ -88,10 +96,49 @@ fn bench_aging(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fault-sweep cell's unfaulted workload: start, two standing
+/// connections, four transfer cycles, drain, stop.
+fn sweep_cell_workload(kernel: &mut Kernel, server_cfg: ServerConfig) {
+    let mut server = SshServer::start(kernel, server_cfg).unwrap();
+    server.set_concurrency(kernel, 2).unwrap();
+    server.pump(kernel, 4).unwrap();
+    server.set_concurrency(kernel, 0).unwrap();
+    server.stop(kernel).unwrap();
+}
+
+fn bench_kernel_clone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_clone");
+    // The fault sweeps' 64 MB, RSA-512 scale, booted at the kernel level.
+    let cfg = ExperimentConfig::quick();
+    let level = ProtectionLevel::Kernel;
+    let template = cfg.boot_machine(level, &mut Rng64::new(cfg.seed));
+    let server_cfg = ServerConfig::new(level).with_key_bits(cfg.key_bits);
+    group.bench_function("fresh_clone", |b| b.iter(|| template.clone()));
+    // The spare lives in the slot between samples, so neither the workload
+    // nor a drop lands inside the timed restore.
+    let slot = RefCell::new(Some(template.clone()));
+    group.bench_function("restore_spare", |b| {
+        b.iter_batched(
+            || {
+                let mut spare = slot.borrow_mut().take().unwrap();
+                sweep_cell_workload(&mut spare, server_cfg);
+                spare
+            },
+            |mut spare| {
+                spare.clone_from(&template);
+                *slot.borrow_mut() = Some(spare);
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::from_args();
     bench_page_free_policy(&mut c);
     bench_fork_and_cow(&mut c);
     bench_heap_churn(&mut c);
     bench_aging(&mut c);
+    bench_kernel_clone(&mut c);
 }

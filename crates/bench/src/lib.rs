@@ -41,6 +41,7 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             group: name.to_string(),
+            throughput: None,
         }
     }
 
@@ -96,15 +97,18 @@ pub enum Throughput {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a Criterion,
     group: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Source-compatibility no-op (sampling is fixed in the facade).
     pub fn sample_size(&mut self, _n: usize) {}
 
-    /// Declares throughput for subsequent benches (reported per-bench when
-    /// the measured iteration time is known).
-    pub fn throughput(&mut self, _t: Throughput) {}
+    /// Declares throughput for subsequent benches of the group, reported as
+    /// MB/s beside the per-iteration time.
+    pub fn throughput(&mut self, t: Throughput) {
+        self.throughput = Some(t);
+    }
 
     /// Runs one benchmark.
     pub fn bench_function(&mut self, name: impl BenchName, mut f: impl FnMut(&mut Bencher)) {
@@ -116,7 +120,7 @@ impl BenchmarkGroup<'_> {
             median_ns: None,
         };
         f(&mut b);
-        report(&full, b.median_ns);
+        println!("{}", report_line(&full, b.median_ns, self.throughput));
     }
 
     /// Runs one benchmark that takes an input by reference.
@@ -134,7 +138,7 @@ impl BenchmarkGroup<'_> {
             median_ns: None,
         };
         f(&mut b, input);
-        report(&full, b.median_ns);
+        println!("{}", report_line(&full, b.median_ns, self.throughput));
     }
 
     /// Ends the group (report lines are emitted eagerly; this is a no-op).
@@ -210,16 +214,23 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn report(name: &str, median_ns: Option<f64>) {
-    match median_ns {
-        Some(ns) if ns >= 1_000_000.0 => {
-            println!("{name:<50} {:>12.3} ms/iter", ns / 1_000_000.0);
+fn report_line(name: &str, median_ns: Option<f64>, throughput: Option<Throughput>) -> String {
+    let Some(ns) = median_ns else {
+        return format!("{name:<50}       (no measurement recorded)");
+    };
+    let time = if ns >= 1_000_000.0 {
+        format!("{:>12.3} ms/iter", ns / 1_000_000.0)
+    } else if ns >= 1_000.0 {
+        format!("{:>12.3} µs/iter", ns / 1_000.0)
+    } else {
+        format!("{ns:>12.1} ns/iter")
+    };
+    match throughput {
+        // Bytes per nanosecond times 1e3 is decimal megabytes per second.
+        Some(Throughput::Bytes(bytes)) => {
+            format!("{name:<50} {time} {:>12.1} MB/s", bytes as f64 / ns * 1e3)
         }
-        Some(ns) if ns >= 1_000.0 => {
-            println!("{name:<50} {:>12.3} µs/iter", ns / 1_000.0);
-        }
-        Some(ns) => println!("{name:<50} {ns:>12.1} ns/iter"),
-        None => println!("{name:<50}       (no measurement recorded)"),
+        None => format!("{name:<50} {time}"),
     }
 }
 
@@ -261,6 +272,20 @@ mod tests {
             );
         });
         assert_eq!(setups, SAMPLES as u64);
+    }
+
+    #[test]
+    fn throughput_is_stored_per_group_and_reported_in_mb_per_s() {
+        let mut c = Criterion { filter: None };
+        let mut g = c.benchmark_group("t");
+        assert!(g.throughput.is_none());
+        g.throughput(Throughput::Bytes(4_000_000));
+        assert!(matches!(g.throughput, Some(Throughput::Bytes(4_000_000))));
+        // 4 MB in 2 ms is 2000 MB/s.
+        let line = report_line("t/scan", Some(2_000_000.0), g.throughput);
+        assert!(line.contains("2.000 ms/iter"), "{line}");
+        assert!(line.contains("2000.0 MB/s"), "{line}");
+        assert!(!report_line("t/scan", Some(2_000_000.0), None).contains("MB/s"));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //!    index stream (a faulted operation burns its index just like a
 //!    successful one), this interval addresses every fallible step of the
 //!    faulted runs too.
-//! 2. **Sweep** — for every `k` in the interval (optionally strided), boot an
-//!    identical machine, install a plan that fails (or kills) the operation
-//!    at index `k`, drive the identical workload, and let the servers shed
-//!    whatever the fault costs them.
+//! 2. **Sweep** — for every `k` in the interval (optionally strided), restore
+//!    a machine identical to the sweep's one boot image, install a plan that
+//!    fails (or kills) the operation at index `k`, drive the identical
+//!    workload, and let the servers shed whatever the fault costs them.
 //! 3. **Scan** — run [`keyscan`] over physical memory afterwards. At the
 //!    kernel and integrated levels the no-leak invariant must hold: zero key
 //!    bytes in unallocated frames, *no matter which step failed*.
@@ -35,6 +35,7 @@ use memsim::{FaultPlan, Kernel};
 use rsa_repro::material::KeyMaterial;
 use servers::{ApacheServer, SecureServer, ServerConfig, SheddingStats, SshServer};
 use simrng::Rng64;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Standing connections the fault workload keeps open.
@@ -66,6 +67,14 @@ impl FaultMode {
         match self {
             Self::Fail => "fail",
             Self::Kill => "kill",
+        }
+    }
+
+    /// A plan that applies this mode to the operation at index `k`.
+    pub(crate) fn plan_at(self, k: u64) -> FaultPlan {
+        match self {
+            Self::Fail => FaultPlan::new().fail_at_index(k),
+            Self::Kill => FaultPlan::new().kill_at_index(k),
         }
     }
 }
@@ -231,15 +240,72 @@ fn drive_workload<S: SecureServer>(
     }
 }
 
-/// Read-only template every cell of one `(kind, level)` sweep starts from:
-/// the deterministic boot image plus an incremental scanner whose cache is
-/// already warm on that image. Each cell clones the kernel and forks the
-/// scanner, so the post-fault scan re-reads only the frames that cell's own
-/// workload dirtied — bit-identical to a full `scan_kernel`, by the
-/// differential suites.
-struct SweepTemplate {
-    kernel: Kernel,
-    scanner: IncrementalScanner,
+/// What every cell of one `(kind, level)` sweep starts from: the
+/// deterministic boot image, an incremental scanner whose cache is already
+/// warm on that image, and a pool of spare machines. Each cell restores a
+/// spare from the boot image with [`Kernel::clone_from`], which copies only
+/// the frames the spare's previous cell changed, and forks the scanner, so
+/// the post-fault scan re-reads only the frames that cell's own workload
+/// dirtied — bit-identical to a full `scan_kernel`, by the differential
+/// suites. Shared by the fault and rotation sweeps.
+pub(crate) struct SweepTemplate {
+    pub(crate) kernel: Kernel,
+    pub(crate) scanner: IncrementalScanner,
+    spares: SparePool,
+}
+
+/// Machines a sweep's cells run on, each returned after its cell. They
+/// hold simulated memory, the very thing the experiments measure, and are
+/// restored from the boot image before every reuse.
+struct SparePool(Mutex<Vec<Kernel>>);
+
+impl SparePool {
+    fn take(&self) -> Option<Kernel> {
+        self.0.lock().expect("spare pool poisoned").pop()
+    }
+
+    fn put(&self, kernel: Kernel) {
+        self.0.lock().expect("spare pool poisoned").push(kernel);
+    }
+}
+
+impl SweepTemplate {
+    /// Warms `scanner` on the boot image `kernel`.
+    pub(crate) fn new(kernel: Kernel, mut scanner: IncrementalScanner) -> Self {
+        // Forks inherit the warm cache for free.
+        let _ = scanner.scan(&kernel);
+        Self {
+            kernel,
+            scanner,
+            spares: SparePool(Mutex::new(Vec::new())),
+        }
+    }
+
+    /// Runs the sweep's unfaulted probe on a copy of the boot image, then
+    /// keeps that copy as the first spare: a sweep boots only once.
+    pub(crate) fn probe<T>(&self, probe: impl FnOnce(&mut Kernel) -> T) -> T {
+        let mut kernel = self.kernel.clone();
+        let out = probe(&mut kernel);
+        self.spares.put(kernel);
+        out
+    }
+
+    /// Runs one cell on a machine identical to the boot image: a spare
+    /// restored by delta copy, or a fresh clone when every spare is taken.
+    /// The machine returns to the pool afterwards, whatever the cell left
+    /// running on it.
+    pub(crate) fn with_machine<T>(&self, cell: impl FnOnce(&mut Kernel) -> T) -> T {
+        let mut kernel = match self.spares.take() {
+            Some(mut kernel) => {
+                kernel.clone_from(&self.kernel);
+                kernel
+            }
+            None => self.kernel.clone(),
+        };
+        let out = cell(&mut kernel);
+        self.spares.put(kernel);
+        out
+    }
 }
 
 fn sweep_template(
@@ -250,31 +316,26 @@ fn sweep_template(
     let server_cfg = server_config(level, cfg);
     // The scanner is built from the derived key *before* any server exists,
     // so it works even when a fault aborts server startup.
-    let mut scanner = IncrementalScanner::new(Scanner::from_material(&KeyMaterial::from_key(
+    let scanner = IncrementalScanner::new(Scanner::from_material(&KeyMaterial::from_key(
         &server_cfg.derive_key(kind_label),
     )))
     .with_threads(cfg.scan_threads);
-    let kernel = boot(level, cfg);
-    // Warm the cache on the boot image; forks inherit it for free.
-    let _ = scanner.scan(&kernel);
-    SweepTemplate { kernel, scanner }
+    SweepTemplate::new(boot(level, cfg), scanner)
 }
 
 fn run_one<S: SecureServer>(
     template: &SweepTemplate,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
+    kernel: &mut Kernel,
+    server_cfg: ServerConfig,
     plan: FaultPlan,
     k: u64,
 ) -> (FaultCell, ScanStats, Duration) {
-    let server_cfg = server_config(level, cfg);
-    let mut kernel = template.kernel.clone();
     let mut scanner = template.scanner.fork();
     kernel.install_fault_plan(plan);
-    let (error, handshakes, shed) = drive_workload::<S>(&mut kernel, server_cfg);
+    let (error, handshakes, shed) = drive_workload::<S>(kernel, server_cfg);
     kernel.clear_fault_plan();
     let stats = kernel.stats();
-    let report = scanner.scan(&kernel);
+    let report = scanner.scan(kernel);
     let cell = FaultCell {
         k,
         injected: stats.faults_injected,
@@ -291,14 +352,14 @@ fn run_one<S: SecureServer>(
 fn run_kind(
     kind: ServerKind,
     template: &SweepTemplate,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
+    kernel: &mut Kernel,
+    server_cfg: ServerConfig,
     plan: FaultPlan,
     k: u64,
 ) -> (FaultCell, ScanStats, Duration) {
     match kind {
-        ServerKind::Ssh => run_one::<SshServer>(template, level, cfg, plan, k),
-        ServerKind::Apache => run_one::<ApacheServer>(template, level, cfg, plan, k),
+        ServerKind::Ssh => run_one::<SshServer>(template, kernel, server_cfg, plan, k),
+        ServerKind::Apache => run_one::<ApacheServer>(template, kernel, server_cfg, plan, k),
     }
 }
 
@@ -333,12 +394,21 @@ pub fn probe_index_space(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> Result<(u64, u64), String> {
-    let mut kernel = boot(level, cfg);
+    probe_on(&mut boot(level, cfg), kind, level, cfg)
+}
+
+/// [`probe_index_space`] on an already-booted machine.
+fn probe_on(
+    kernel: &mut Kernel,
+    kind: ServerKind,
+    level: ProtectionLevel,
+    cfg: &ExperimentConfig,
+) -> Result<(u64, u64), String> {
     let start = kernel.op_index();
     let server_cfg = server_config(level, cfg);
     let (error, _, _) = match kind {
-        ServerKind::Ssh => drive_workload::<SshServer>(&mut kernel, server_cfg),
-        ServerKind::Apache => drive_workload::<ApacheServer>(&mut kernel, server_cfg),
+        ServerKind::Ssh => drive_workload::<SshServer>(kernel, server_cfg),
+        ServerKind::Apache => drive_workload::<ApacheServer>(kernel, server_cfg),
     };
     if let Some(e) = error {
         return Err(format!("unfaulted probe run failed: {e}"));
@@ -405,15 +475,14 @@ pub fn fault_sweep_timed_on(
     cfg: &ExperimentConfig,
 ) -> Result<(FaultSweepReport, ExecReport), String> {
     assert!(stride > 0, "stride must be at least 1");
-    let (start, end) = probe_index_space(kind, level, cfg)?;
     let template = sweep_template(kind.label(), level, cfg);
+    let (start, end) = template.probe(|kernel| probe_on(kernel, kind, level, cfg))?;
+    let server_cfg = server_config(level, cfg);
     let ks: Vec<u64> = (start..end).step_by(stride as usize).collect();
     let (outs, exec_report) = exec.run_timed(ks, |_, k| {
-        let plan = match mode {
-            FaultMode::Fail => FaultPlan::new().fail_at_index(k),
-            FaultMode::Kill => FaultPlan::new().kill_at_index(k),
-        };
-        run_kind(kind, &template, level, cfg, plan, k)
+        template.with_machine(|kernel| {
+            run_kind(kind, &template, kernel, server_cfg, mode.plan_at(k), k)
+        })
     });
     let (cells, scan, scan_wall) = fold_cells(outs);
     let report = FaultSweepReport {
@@ -476,11 +545,12 @@ pub fn fault_sweep_seeded_timed_on(
     cfg: &ExperimentConfig,
 ) -> Result<(FaultSweepReport, ExecReport), String> {
     assert!(denom > 0, "denom must be at least 1");
-    let (start, end) = probe_index_space(kind, level, cfg)?;
     let template = sweep_template(kind.label(), level, cfg);
+    let (start, end) = template.probe(|kernel| probe_on(kernel, kind, level, cfg))?;
+    let server_cfg = server_config(level, cfg);
     let (outs, exec_report) = exec.run_timed((0..reps).collect(), |_, rep| {
         let plan = FaultPlan::new().seeded(fault_seed.wrapping_add(rep), denom);
-        run_kind(kind, &template, level, cfg, plan, rep)
+        template.with_machine(|kernel| run_kind(kind, &template, kernel, server_cfg, plan, rep))
     });
     let (cells, scan, scan_wall) = fold_cells(outs);
     let report = FaultSweepReport {
@@ -566,6 +636,54 @@ mod tests {
         let s = report.summary();
         assert!(s.contains("apache/integrated/fail"), "{s}");
         assert!(s.contains("violations"), "{s}");
+    }
+
+    /// The spare pool changes no result: every cell of a pooled sweep equals
+    /// the same cell run on a fresh clone of the boot image, under fail plans
+    /// and under kill plans (a kill leaves the dead daemon's state behind in
+    /// the spare), with one spare (1 thread) and with two. The public probe
+    /// finds the interval the sweep's own probe found.
+    #[test]
+    fn pooled_cells_equal_clone_per_cell() {
+        let cfg = cfg();
+        for (kind, level, mode) in [
+            (ServerKind::Ssh, ProtectionLevel::Kernel, FaultMode::Kill),
+            (
+                ServerKind::Apache,
+                ProtectionLevel::Integrated,
+                FaultMode::Fail,
+            ),
+        ] {
+            let template: SweepTemplate = sweep_template(kind.label(), level, &cfg);
+            let server_cfg = server_config(level, &cfg);
+            for threads in [1, 2] {
+                let exec = Executor::new(threads);
+                let report = fault_sweep_on(&exec, kind, level, mode, 13, &cfg).unwrap();
+                assert_eq!(
+                    probe_index_space(kind, level, &cfg),
+                    Ok((report.start, report.end))
+                );
+                let fresh = report.cells.iter().map(|c| {
+                    let mut kernel = template.kernel.clone();
+                    let plan = mode.plan_at(c.k);
+                    run_kind(kind, &template, &mut kernel, server_cfg, plan, c.k)
+                });
+                let (cells, scan, _) = fold_cells(fresh.collect());
+                assert_eq!(
+                    report.cells, cells,
+                    "{kind}/{level}/{mode}, {threads} threads"
+                );
+                assert_eq!(report.scan, scan);
+                assert!(report.injected_cells() > 0, "{}", report.summary());
+                if mode == FaultMode::Kill {
+                    assert!(
+                        report.cells.iter().any(|c| c.kills > 0),
+                        "{}",
+                        report.summary()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!    Install → Activate → Drain → Retire` lifecycle. Plans never perturb
 //!    the index stream, so this interval addresses the faulted runs too.
 //! 2. **Sweep** — for every targeted index (or `(j, k)` pair, second
-//!    order), boot an identical machine, install the plan, drive the
-//!    identical workload, and let the server recover however it can.
+//!    order), restore a machine identical to the sweep's one boot image,
+//!    install the plan, drive the identical workload, and let the server
+//!    recover however it can.
 //! 3. **Judge** — after quiescing, scan for *both* epochs' key patterns.
 //!    Recovery must have landed in exactly one of {old key live, new key
 //!    live}: whichever epoch the server reports is the **winner**; the
@@ -37,7 +38,7 @@
 //! memory.
 
 use crate::exec::{ExecReport, Executor};
-use crate::faultsweep::FaultMode;
+use crate::faultsweep::{FaultMode, SweepTemplate};
 use crate::{ExperimentConfig, ServerKind};
 use keyguard::ProtectionLevel;
 use keyscan::reconstruct::{reconstruct, ReconstructConfig};
@@ -268,15 +269,14 @@ fn drive_rotation<S: SecureServer>(
     }
 }
 
-/// Read-only template every cell of one `(kind, level)` sweep starts from:
-/// the deterministic boot image plus a dual-epoch incremental scanner
-/// (old-key patterns first, new-key patterns after) whose cache is warm on
-/// that image. Both epochs' keys are pure functions of the configuration
+/// What every cell of one `(kind, level)` sweep starts from: the shared
+/// [`SweepTemplate`] (boot image, spare pool) with a dual-epoch incremental
+/// scanner (old-key patterns first, new-key patterns after) warm on the
+/// image. Both epochs' keys are pure functions of the configuration
 /// ([`ServerConfig::derive_rotated_key`]), so the scanner exists before any
 /// server does.
 struct RotTemplate {
-    kernel: Kernel,
-    scanner: IncrementalScanner,
+    sweep: SweepTemplate,
     old_patterns: usize,
 }
 
@@ -292,30 +292,24 @@ fn rot_template(
         old.patterns().iter().map(Pattern::clone_secret).collect();
     let old_patterns = patterns.len();
     patterns.extend(new.patterns().iter().map(Pattern::clone_secret));
-    let mut scanner =
-        IncrementalScanner::new(Scanner::new(patterns)).with_threads(cfg.scan_threads);
-    let kernel = boot(level, cfg);
-    let _ = scanner.scan(&kernel);
+    let scanner = IncrementalScanner::new(Scanner::new(patterns)).with_threads(cfg.scan_threads);
     RotTemplate {
-        kernel,
-        scanner,
+        sweep: SweepTemplate::new(boot(level, cfg), scanner),
         old_patterns,
     }
 }
 
 fn run_one<S: SecureServer>(
     template: &RotTemplate,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
+    kernel: &mut Kernel,
+    server_cfg: ServerConfig,
     plan: FaultPlan,
     k: u64,
     k2: Option<u64>,
 ) -> (RotationCell, ScanStats, Duration) {
-    let server_cfg = server_config(level, cfg);
-    let mut kernel = template.kernel.clone();
-    let mut scanner = template.scanner.fork();
+    let mut scanner = template.sweep.scanner.fork();
     kernel.install_fault_plan(plan);
-    let (mut server, mut error, _) = drive_rotation::<S>(&mut kernel, server_cfg);
+    let (mut server, mut error, _) = drive_rotation::<S>(kernel, server_cfg);
     // The plan has done its worst inside the lifecycle. Recovery is part of
     // the contract under judgment — retirement is *retryable*, completing
     // at the next quiesce after the faults stop — so the server gets
@@ -327,12 +321,12 @@ fn run_one<S: SecureServer>(
     let stats = kernel.stats();
     if let Some(s) = server.as_mut() {
         if s.is_running() {
-            if let Err(e) = s.set_concurrency(&mut kernel, 0) {
+            if let Err(e) = s.set_concurrency(kernel, 0) {
                 error.get_or_insert_with(|| e.to_string());
             }
         }
     }
-    let report = scanner.scan(&kernel);
+    let report = scanner.scan(kernel);
     let counts = report.by_pattern();
     let old_total: usize = counts[..template.old_patterns].iter().sum();
     let new_total: usize = counts[template.old_patterns..].iter().sum();
@@ -346,7 +340,7 @@ fn run_one<S: SecureServer>(
         (new_total, old_total)
     };
     if let Some(mut s) = server {
-        if let Err(e) = s.stop(&mut kernel) {
+        if let Err(e) = s.stop(kernel) {
             error.get_or_insert_with(|| e.to_string());
         }
     }
@@ -368,15 +362,15 @@ fn run_one<S: SecureServer>(
 fn run_kind(
     kind: ServerKind,
     template: &RotTemplate,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
+    kernel: &mut Kernel,
+    server_cfg: ServerConfig,
     plan: FaultPlan,
     k: u64,
     k2: Option<u64>,
 ) -> (RotationCell, ScanStats, Duration) {
     match kind {
-        ServerKind::Ssh => run_one::<SshServer>(template, level, cfg, plan, k, k2),
-        ServerKind::Apache => run_one::<ApacheServer>(template, level, cfg, plan, k, k2),
+        ServerKind::Ssh => run_one::<SshServer>(template, kernel, server_cfg, plan, k, k2),
+        ServerKind::Apache => run_one::<ApacheServer>(template, kernel, server_cfg, plan, k, k2),
     }
 }
 
@@ -395,13 +389,13 @@ fn fold_cells(
 }
 
 fn probe_one<S: SecureServer>(
+    kernel: &mut Kernel,
     kind_label: &'static str,
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> Result<(u64, u64), String> {
-    let mut kernel = boot(level, cfg);
     let server_cfg = server_config(level, cfg);
-    let (server, error, span) = drive_rotation::<S>(&mut kernel, server_cfg);
+    let (server, error, span) = drive_rotation::<S>(kernel, server_cfg);
     if let Some(e) = error {
         return Err(format!("unfaulted rotation probe failed: {e}"));
     }
@@ -421,6 +415,19 @@ fn probe_one<S: SecureServer>(
     Ok(span)
 }
 
+/// [`probe_rotation_space`] on an already-booted machine.
+fn probe_on(
+    kernel: &mut Kernel,
+    kind: ServerKind,
+    level: ProtectionLevel,
+    cfg: &ExperimentConfig,
+) -> Result<(u64, u64), String> {
+    match kind {
+        ServerKind::Ssh => probe_one::<SshServer>(kernel, kind.label(), level, cfg),
+        ServerKind::Apache => probe_one::<ApacheServer>(kernel, kind.label(), level, cfg),
+    }
+}
+
 /// Runs the rotation workload once with an empty plan and returns the
 /// operation-index interval `[start, end)` of the rotation lifecycle —
 /// from the first operation of `rotate_key` through the quiesce that
@@ -436,10 +443,7 @@ pub fn probe_rotation_space(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> Result<(u64, u64), String> {
-    match kind {
-        ServerKind::Ssh => probe_one::<SshServer>(kind.label(), level, cfg),
-        ServerKind::Apache => probe_one::<ApacheServer>(kind.label(), level, cfg),
-    }
+    probe_on(&mut boot(level, cfg), kind, level, cfg)
 }
 
 /// First-order rotation sweep on the default executor. See
@@ -500,15 +504,17 @@ pub fn rotation_sweep_timed_on(
     cfg: &ExperimentConfig,
 ) -> Result<(RotationSweepReport, ExecReport), String> {
     assert!(stride > 0, "stride must be at least 1");
-    let (start, end) = probe_rotation_space(kind, level, cfg)?;
     let template = rot_template(kind.label(), level, cfg);
+    let (start, end) = template
+        .sweep
+        .probe(|kernel| probe_on(kernel, kind, level, cfg))?;
+    let server_cfg = server_config(level, cfg);
     let ks: Vec<u64> = (start..end).step_by(stride as usize).collect();
     let (outs, exec_report) = exec.run_timed(ks, |_, k| {
-        let plan = match mode {
-            FaultMode::Fail => FaultPlan::new().fail_at_index(k),
-            FaultMode::Kill => FaultPlan::new().kill_at_index(k),
-        };
-        run_kind(kind, &template, level, cfg, plan, k, None)
+        let plan = mode.plan_at(k);
+        template
+            .sweep
+            .with_machine(|kernel| run_kind(kind, &template, kernel, server_cfg, plan, k, None))
     });
     let (cells, scan, scan_wall) = fold_cells(outs);
     let report = RotationSweepReport {
@@ -569,8 +575,11 @@ pub fn rotation_sweep_pairs_timed_on(
     cfg: &ExperimentConfig,
 ) -> Result<(RotationSweepReport, ExecReport), String> {
     assert!(stride > 0, "stride must be at least 1");
-    let (start, end) = probe_rotation_space(kind, level, cfg)?;
     let template = rot_template(kind.label(), level, cfg);
+    let (start, end) = template
+        .sweep
+        .probe(|kernel| probe_on(kernel, kind, level, cfg))?;
+    let server_cfg = server_config(level, cfg);
     let idx: Vec<u64> = (start..end).step_by(stride as usize).collect();
     let mut pairs = Vec::new();
     for (i, &j) in idx.iter().enumerate() {
@@ -583,7 +592,9 @@ pub fn rotation_sweep_pairs_timed_on(
             FaultMode::Fail => FaultPlan::new().fail_at_indices(j, k2),
             FaultMode::Kill => FaultPlan::new().fail_then_kill(j, k2),
         };
-        run_kind(kind, &template, level, cfg, plan, j, Some(k2))
+        template
+            .sweep
+            .with_machine(|kernel| run_kind(kind, &template, kernel, server_cfg, plan, j, Some(k2)))
     });
     let (cells, scan, scan_wall) = fold_cells(outs);
     let report = RotationSweepReport {
@@ -726,6 +737,49 @@ mod tests {
             report.summary()
         );
         assert!(report.violations().is_empty(), "{}", report.summary());
+    }
+
+    /// The spare pool changes no result: every cell of a pooled rotation
+    /// sweep equals the same cell run on a fresh clone of the boot image,
+    /// under fail and kill plans, at 1 and 2 threads. The public probe
+    /// finds the interval the sweep's own probe found.
+    #[test]
+    fn pooled_cells_equal_clone_per_cell() {
+        let cfg = cfg();
+        for (kind, level, mode) in [
+            (ServerKind::Apache, ProtectionLevel::Kernel, FaultMode::Kill),
+            (ServerKind::Ssh, ProtectionLevel::Shielded, FaultMode::Fail),
+        ] {
+            let template: RotTemplate = rot_template(kind.label(), level, &cfg);
+            let server_cfg = server_config(level, &cfg);
+            for threads in [1, 2] {
+                let exec = Executor::new(threads);
+                let report = rotation_sweep_on(&exec, kind, level, mode, 5, &cfg).unwrap();
+                assert_eq!(
+                    probe_rotation_space(kind, level, &cfg),
+                    Ok((report.start, report.end))
+                );
+                let fresh = report.cells.iter().map(|c| {
+                    let mut kernel = template.sweep.kernel.clone();
+                    let plan = mode.plan_at(c.k);
+                    run_kind(kind, &template, &mut kernel, server_cfg, plan, c.k, None)
+                });
+                let (cells, scan, _) = fold_cells(fresh.collect());
+                assert_eq!(
+                    report.cells, cells,
+                    "{kind}/{level}/{mode}, {threads} threads"
+                );
+                assert_eq!(report.scan, scan);
+                assert!(report.injected_cells() > 0, "{}", report.summary());
+                if mode == FaultMode::Kill {
+                    assert!(
+                        report.cells.iter().any(|c| c.kills > 0),
+                        "{}",
+                        report.summary()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::{
 };
 use simrng::Rng64;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-frame metadata (the simulated `struct page`).
 #[derive(Debug, Clone)]
@@ -165,8 +166,53 @@ pub struct KernelStats {
     pub fault_kills: u64,
 }
 
+/// Source of machine-image ids for [`Lineage`]. The id only selects between
+/// two copy paths that produce the same machine, so the order in which
+/// threads draw ids never reaches a simulated result.
+static NEXT_IMAGE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Which image a machine was last copied from: what lets
+/// [`Kernel::clone_from`] copy only the frames that diverged since.
+#[derive(Debug)]
+struct Lineage {
+    /// Fresh at boot and at every `clone` / `clone_from`, so `(id, clock)`
+    /// names exactly one machine image: while a machine keeps its id, every
+    /// change to its frame bytes or metadata advances its generation clock.
+    id: u64,
+    /// `(id, generation clock)` of the image this machine was copied from.
+    source: Option<(u64, u64)>,
+}
+
+impl Lineage {
+    fn fresh_id() -> u64 {
+        // Relaxed: the counter publishes no other data; uniqueness is all
+        // an atomic increment has to give.
+        NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn boot() -> Self {
+        Self {
+            id: Self::fresh_id(),
+            source: None,
+        }
+    }
+
+    fn copy_of(src: &Kernel) -> Self {
+        Self {
+            id: Self::fresh_id(),
+            source: Some((src.lineage.id, src.gen_clock)),
+        }
+    }
+}
+
 /// The simulated machine. See the crate docs for an overview.
-#[derive(Debug, Clone)]
+///
+/// `clone` copies everything. `clone_from` restores a machine from `src`
+/// by copying only the frames whose write or state generation differs,
+/// when `self` was last copied from this same `src` and `src`'s generation
+/// clock has not moved since; otherwise it does a full copy into `self`'s
+/// existing buffers. Either way the result equals `src.clone()`.
+#[derive(Debug)]
 pub struct Kernel {
     config: MachineConfig,
     phys: Vec<u8>,
@@ -208,6 +254,120 @@ pub struct Kernel {
     /// lock bit, mappings, cache key) — tracked separately so attribution can
     /// be refreshed without rescanning unchanged bytes.
     state_gens: Vec<u64>,
+    /// Identity for `clone_from`'s delta copy; never part of the image.
+    lineage: Lineage,
+}
+
+impl Clone for Kernel {
+    fn clone(&self) -> Self {
+        let Self {
+            config,
+            phys,
+            frames,
+            free,
+            procs,
+            next_pid,
+            vfs,
+            page_cache,
+            dirty_cache,
+            swap,
+            swap_slots,
+            slab,
+            stats,
+            fault_plan,
+            op_index,
+            op_counts,
+            gen_clock,
+            write_gens,
+            state_gens,
+            lineage: _,
+        } = self;
+        Self {
+            config: *config,
+            phys: phys.clone(),
+            frames: frames.clone(),
+            free: free.clone(),
+            procs: procs.clone(),
+            next_pid: *next_pid,
+            vfs: vfs.clone(),
+            page_cache: page_cache.clone(),
+            dirty_cache: dirty_cache.clone(),
+            swap: swap.clone(),
+            swap_slots: swap_slots.clone(),
+            slab: slab.clone(),
+            stats: *stats,
+            fault_plan: fault_plan.clone(),
+            op_index: *op_index,
+            op_counts: *op_counts,
+            gen_clock: *gen_clock,
+            write_gens: write_gens.clone(),
+            state_gens: state_gens.clone(),
+            lineage: Lineage::copy_of(self),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let delta = self.is_copy_of(src);
+        let Self {
+            config,
+            phys,
+            frames,
+            free,
+            procs,
+            next_pid,
+            vfs,
+            page_cache,
+            dirty_cache,
+            swap,
+            swap_slots,
+            slab,
+            stats,
+            fault_plan,
+            op_index,
+            op_counts,
+            gen_clock,
+            write_gens,
+            state_gens,
+            lineage: _,
+        } = src;
+        if delta {
+            // Every frame `self` touched since the copy carries a stamp
+            // above `src`'s unmoved clock; every other frame still carries
+            // the stamp it was copied with.
+            for f in 0..frames.len() {
+                if self.write_gens[f] != write_gens[f] {
+                    let bytes = f * PAGE_SIZE..(f + 1) * PAGE_SIZE;
+                    self.phys[bytes.clone()].copy_from_slice(&phys[bytes]);
+                    self.write_gens[f] = write_gens[f];
+                }
+                if self.state_gens[f] != state_gens[f] {
+                    self.frames[f].clone_from(&frames[f]);
+                    self.state_gens[f] = state_gens[f];
+                }
+            }
+        } else {
+            self.phys.clone_from(phys);
+            self.frames.clone_from(frames);
+            self.write_gens.clone_from(write_gens);
+            self.state_gens.clone_from(state_gens);
+        }
+        self.config = *config;
+        self.free.clone_from(free);
+        self.procs.clone_from(procs);
+        self.next_pid = *next_pid;
+        self.vfs.clone_from(vfs);
+        self.page_cache.clone_from(page_cache);
+        self.dirty_cache.clone_from(dirty_cache);
+        self.swap.clone_from(swap);
+        self.swap_slots.clone_from(swap_slots);
+        self.slab.clone_from(slab);
+        self.stats = *stats;
+        self.fault_plan.clone_from(fault_plan);
+        self.op_index = *op_index;
+        self.op_counts = *op_counts;
+        self.gen_clock = *gen_clock;
+        self.lineage = Lineage::copy_of(src);
+    }
 }
 
 impl Kernel {
@@ -235,7 +395,15 @@ impl Kernel {
             gen_clock: 0,
             write_gens: vec![0; num_frames],
             state_gens: vec![0; num_frames],
+            lineage: Lineage::boot(),
         }
+    }
+
+    /// Whether `self` was last copied from `src` and `src` has not changed
+    /// since: the condition under which `clone_from(src)` may copy only the
+    /// frames whose generations differ.
+    fn is_copy_of(&self, src: &Self) -> bool {
+        self.lineage.source == Some((src.lineage.id, src.gen_clock))
     }
 
     // ------------------------------------------------------------------
@@ -1948,4 +2116,91 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn booted(mem_bytes: usize) -> Kernel {
+        let mut k = Kernel::new(MachineConfig::small().with_mem_bytes(mem_bytes));
+        k.age_memory(&mut Rng64::new(7), 1.0);
+        k
+    }
+
+    fn dirty(k: &mut Kernel) {
+        let pid = k.spawn();
+        let buf = k.heap_alloc(pid, 3 * PAGE_SIZE).expect("heap alloc");
+        k.write_bytes(pid, buf, &[0x5A; 3 * PAGE_SIZE])
+            .expect("write");
+        k.fork(pid).expect("fork");
+    }
+
+    /// The delta path runs exactly when `self` was last copied from this
+    /// same `src` object and `src`'s clock has not moved since.
+    #[test]
+    fn delta_copy_is_taken_only_from_the_unchanged_source() {
+        let mut template = booted(1 << 20);
+        let mut spare = template.clone();
+        assert!(spare.is_copy_of(&template), "a fresh clone");
+        assert!(!template.is_copy_of(&spare), "copies are directed");
+
+        // The spare's own divergence never invalidates the delta.
+        dirty(&mut spare);
+        assert!(spare.is_copy_of(&template), "spare ran a workload");
+        spare.clone_from(&template);
+        assert!(spare.is_copy_of(&template), "a delta restore");
+
+        // A clone of the spare descends from the spare, not the template.
+        let grandchild = spare.clone();
+        assert!(!grandchild.is_copy_of(&template));
+        assert!(grandchild.is_copy_of(&spare));
+
+        // The template moved: full copy, after which the delta is valid again.
+        dirty(&mut template);
+        assert!(!spare.is_copy_of(&template), "template clock moved");
+        spare.clone_from(&template);
+        assert!(spare.is_copy_of(&template), "after the full copy");
+
+        // Another boot reaches the same clock but is another image.
+        let mut other = booted(1 << 20);
+        dirty(&mut other);
+        assert_eq!(other.generation_clock(), template.generation_clock());
+        assert!(!spare.is_copy_of(&other), "same clock, other boot");
+
+        // The template overwritten in place gets a new identity even when
+        // its clock lands where it was.
+        template.clone_from(&other);
+        assert_eq!(template.generation_clock(), other.generation_clock());
+        assert!(
+            !spare.is_copy_of(&template),
+            "template replaced by clone_from"
+        );
+
+        // A different machine size is another image too.
+        let small = booted(1 << 19);
+        assert!(!spare.is_copy_of(&small));
+        spare.clone_from(&small);
+        assert_eq!(spare.num_frames(), small.num_frames());
+        assert!(spare.is_copy_of(&small));
+    }
+
+    /// Why the source's clock must not have moved: once both sides write,
+    /// equal generations no longer mean equal bytes.
+    #[test]
+    fn a_moved_template_is_copied_in_full() {
+        let mut template = booted(1 << 20);
+        let pid = template.spawn();
+        let buf = template.heap_alloc(pid, 64).expect("heap alloc");
+        let frame = template.translate(pid, buf).expect("mapped");
+        let mut spare = template.clone();
+        spare.write_bytes(pid, buf, b"spare").expect("write");
+        template.write_bytes(pid, buf, b"templ").expect("write");
+        assert_eq!(
+            spare.write_generation(frame),
+            template.write_generation(frame)
+        );
+        spare.clone_from(&template);
+        assert_eq!(spare.read_bytes(pid, buf, 5).expect("read"), b"templ");
+    }
 }

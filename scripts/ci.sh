@@ -27,12 +27,18 @@ echo "== scan-path equivalence (release) =="
 # bit-identical to their naive full-scan oracles: differential fuzzing at
 # the keyscan layer, the generation-counter contract at the memsim layer,
 # then the harness wiring (timelines, fault sweeps, executor cells) at
-# 2/4/8 worker threads.
+# 2/4/8 worker threads. Sweep cells restore pooled spare machines by
+# copying only the frames whose generations moved, so the pooled sweeps
+# are checked against clone-per-cell runs: the harness unit tests, and the
+# benchmark's replica suite, a clone-per-cell program built from public
+# calls that must reproduce the harness sweeps result for result.
 cargo test --release -p memsim --test generations
 cargo test --release -p memsim --test frame_runs
 cargo test --release -p keyscan --test differential
 cargo test --release -p keyscan --test incremental
 cargo test --release -p harness --test scan_equivalence
+cargo test --release -p harness --lib faultsweep
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --test replica
 
 echo "== scan bench smoke (BENCH_scan.json) =="
 # Machine-readable scan throughput: full-scan bytes/sec, SWAR-vs-Horspool
