@@ -78,7 +78,8 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     let cfg = ExperimentConfig::test().with_repetitions(1);
     group.bench_function("ssh_ext2_one_rep", |b| {
         b.iter(|| {
-            harness::attack_sweep::ext2_sweep(
+            harness::attack_sweep::ext2_sweep_on(
+                &harness::exec::Executor::from_env(),
                 ServerKind::Ssh,
                 ProtectionLevel::None,
                 &[20],

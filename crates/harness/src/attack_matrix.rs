@@ -331,20 +331,6 @@ fn run_one_cell<S: SecureServer>(
     Ok(compromised)
 }
 
-/// Runs the full `level × attacker` matrix for one server kind on the
-/// default executor. See [`attacker_matrix_on`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn attacker_matrix(
-    kind: ServerKind,
-    cfg: &ExperimentConfig,
-    decay_rate: f64,
-) -> SimResult<AttackerMatrixReport> {
-    attacker_matrix_on(&Executor::from_env(), kind, cfg, decay_rate)
-}
-
 /// Runs the full `level × attacker` matrix for one server kind on an
 /// explicit executor. Each `(level, attacker, repetition)` is one cell.
 ///

@@ -8,7 +8,7 @@
 //! thread count — and a sub-grid run reproduces the full-grid values at the
 //! shared points.
 
-use crate::exec::Executor;
+use crate::exec::{ExecReport, Executor};
 use crate::{ExperimentConfig, ServerKind};
 use exploits::{Ext2DirentLeak, TtyMemoryDump};
 use keyguard::ProtectionLevel;
@@ -119,12 +119,25 @@ pub(crate) fn drive_workload<S: SecureServer>(
 /// bytes disclosed)`.
 type RepOutcome = (usize, bool, usize);
 
-fn run_one_ext2<S: SecureServer>(
+/// The disclosure attack a sweep's cells run once the workload is done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attack {
+    /// Close every connection, remix the free lists, then create the grid
+    /// point's directories and search the leaked dirent bytes (Figures 1–2).
+    Ext2,
+    /// Dump the n_tty buffer while the connections stay open (Figures 3–4,
+    /// 7, 17–18).
+    Tty,
+}
+
+/// One repetition: boot, drive `connections` through the server with
+/// `plan` active, then run `attack` unfaulted and search what it disclosed.
+fn run_one<S: SecureServer>(
+    attack: Attack,
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
     rep_seed: u64,
-    connections: usize,
-    directories: usize,
+    (connections, directories): (usize, usize),
     plan: Option<&FaultPlan>,
 ) -> SimResult<RepOutcome> {
     let mut rng = Rng64::new(rep_seed);
@@ -132,12 +145,16 @@ fn run_one_ext2<S: SecureServer>(
     if let Some(p) = plan {
         kernel.install_fault_plan(p.clone());
     }
+    let close_all = attack == Attack::Ext2;
     let (_server, scanner) =
-        drive_workload::<S>(&mut kernel, level, cfg, rep_seed, connections, true)?;
+        drive_workload::<S>(&mut kernel, level, cfg, rep_seed, connections, close_all)?;
     // The plan perturbs the *defender's* workload; the attack itself is the
     // measurement and always runs unfaulted.
     kernel.clear_fault_plan();
-    let capture = Ext2DirentLeak::new(directories).run(&mut kernel)?;
+    let capture = match attack {
+        Attack::Ext2 => Ext2DirentLeak::new(directories).run(&mut kernel)?,
+        Attack::Tty => TtyMemoryDump::paper().run(&kernel, &mut rng),
+    };
     Ok((
         capture.keys_found_sharded(&scanner, cfg.scan_threads),
         capture.succeeded(&scanner),
@@ -145,27 +162,38 @@ fn run_one_ext2<S: SecureServer>(
     ))
 }
 
-fn run_one_tty<S: SecureServer>(
+/// The grid loop of both attack sweeps: `cfg.repetitions` executor cells
+/// per `(connections, directories)` grid point, each seeded from its own
+/// coordinates, folded back into one [`SweepPoint`] per grid point.
+fn sweep(
+    exec: &Executor,
+    kind: ServerKind,
     level: ProtectionLevel,
+    attack: Attack,
+    grid: Vec<(usize, usize)>,
     cfg: &ExperimentConfig,
-    rep_seed: u64,
-    connections: usize,
     plan: Option<&FaultPlan>,
-) -> SimResult<RepOutcome> {
-    let mut rng = Rng64::new(rep_seed);
-    let mut kernel = cfg.boot_machine(level, &mut rng);
-    if let Some(p) = plan {
-        kernel.install_fault_plan(p.clone());
+) -> SimResult<(Vec<SweepPoint>, ExecReport)> {
+    let mut cells = Vec::with_capacity(grid.len() * cfg.repetitions);
+    for &point in &grid {
+        for rep in 0..cfg.repetitions {
+            cells.push((point, rep));
+        }
     }
-    let (_server, scanner) =
-        drive_workload::<S>(&mut kernel, level, cfg, rep_seed, connections, false)?;
-    kernel.clear_fault_plan();
-    let capture = TtyMemoryDump::paper().run(&kernel, &mut rng);
-    Ok((
-        capture.keys_found_sharded(&scanner, cfg.scan_threads),
-        capture.succeeded(&scanner),
-        capture.disclosed_bytes(),
-    ))
+    let (raw, report) = exec.run_timed(cells, |_, (point, rep)| {
+        let (conns, dirs) = point;
+        let rep_seed = match attack {
+            Attack::Ext2 => ext2_cell_seed(cfg.seed, conns, dirs, rep),
+            Attack::Tty => tty_cell_seed(cfg.seed, conns, rep),
+        };
+        match kind {
+            ServerKind::Ssh => run_one::<SshServer>(attack, level, cfg, rep_seed, point, plan),
+            ServerKind::Apache => {
+                run_one::<ApacheServer>(attack, level, cfg, rep_seed, point, plan)
+            }
+        }
+    });
+    Ok((fold_points(&grid, cfg.repetitions, raw)?, report))
 }
 
 /// Folds per-repetition outcomes — already in deterministic cell order —
@@ -200,24 +228,8 @@ fn fold_points(
     Ok(out)
 }
 
-/// The ext2 dirent-leak sweep (Figures 1 and 2; Section 5.2/6.2 re-runs),
-/// executed on the default executor (`HARNESS_THREADS` / available
-/// parallelism). See [`ext2_sweep_on`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn ext2_sweep(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    connections: &[usize],
-    directories: &[usize],
-    cfg: &ExperimentConfig,
-) -> SimResult<Vec<SweepPoint>> {
-    ext2_sweep_on(&Executor::from_env(), kind, level, connections, directories, cfg)
-}
-
-/// The ext2 dirent-leak sweep on an explicit executor.
+/// The ext2 dirent-leak sweep (Figures 1 and 2; Section 5.2/6.2 re-runs)
+/// on an explicit executor.
 ///
 /// For every `(connections, directories)` grid point: boot an aged machine,
 /// drive `connections` total connections through the server, close them all,
@@ -236,13 +248,15 @@ pub fn ext2_sweep_on(
     cfg: &ExperimentConfig,
 ) -> SimResult<Vec<SweepPoint>> {
     ext2_sweep_with_plan_on(exec, kind, level, connections, directories, cfg, None)
+        .map(|(points, _)| points)
 }
 
 /// [`ext2_sweep_on`] with an optional [`FaultPlan`] active during each
-/// cell's *workload* (the ROADMAP's "faults during attacks" wiring). Every
-/// cell installs its own copy of the plan on its own kernel, and the plan is
-/// cleared before the attack runs — faults stress the defender's error
-/// paths, then the unfaulted attacker measures what leaked.
+/// cell's *workload* (the ROADMAP's "faults during attacks" wiring), and the
+/// batch's [`ExecReport`] returned alongside. Every cell installs its own
+/// copy of the plan on its own kernel, and the plan is cleared before the
+/// attack runs — faults stress the defender's error paths, then the
+/// unfaulted attacker measures what leaked.
 ///
 /// # Errors
 ///
@@ -256,49 +270,18 @@ pub fn ext2_sweep_with_plan_on(
     directories: &[usize],
     cfg: &ExperimentConfig,
     plan: Option<&FaultPlan>,
-) -> SimResult<Vec<SweepPoint>> {
+) -> SimResult<(Vec<SweepPoint>, ExecReport)> {
     let mut grid = Vec::with_capacity(connections.len() * directories.len());
     for &conns in connections {
         for &dirs in directories {
             grid.push((conns, dirs));
         }
     }
-    let mut cells = Vec::with_capacity(grid.len() * cfg.repetitions);
-    for &(conns, dirs) in &grid {
-        for rep in 0..cfg.repetitions {
-            cells.push((conns, dirs, rep));
-        }
-    }
-    let raw = exec.run(cells, |_, (conns, dirs, rep)| {
-        let rep_seed = ext2_cell_seed(cfg.seed, conns, dirs, rep);
-        match kind {
-            ServerKind::Ssh => {
-                run_one_ext2::<SshServer>(level, cfg, rep_seed, conns, dirs, plan)
-            }
-            ServerKind::Apache => {
-                run_one_ext2::<ApacheServer>(level, cfg, rep_seed, conns, dirs, plan)
-            }
-        }
-    });
-    fold_points(&grid, cfg.repetitions, raw)
+    sweep(exec, kind, level, Attack::Ext2, grid, cfg, plan)
 }
 
-/// The n_tty memory-dump sweep (Figures 3, 4, 7, 17, 18) on the default
-/// executor. See [`tty_sweep_on`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn tty_sweep(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    connections: &[usize],
-    cfg: &ExperimentConfig,
-) -> SimResult<Vec<SweepPoint>> {
-    tty_sweep_on(&Executor::from_env(), kind, level, connections, cfg)
-}
-
-/// The n_tty memory-dump sweep on an explicit executor.
+/// The n_tty memory-dump sweep (Figures 3, 4, 7, 17, 18) on an explicit
+/// executor, with the batch's [`ExecReport`] returned alongside.
 ///
 /// For every connection count: boot, drive the workload (connections stay
 /// open — the dump races the live server), then dump and search. Each of the
@@ -314,43 +297,9 @@ pub fn tty_sweep_on(
     level: ProtectionLevel,
     connections: &[usize],
     cfg: &ExperimentConfig,
-) -> SimResult<Vec<SweepPoint>> {
-    tty_sweep_with_plan_on(exec, kind, level, connections, cfg, None)
-}
-
-/// [`tty_sweep_on`] with an optional [`FaultPlan`] active during each cell's
-/// workload, cleared before the dump — the tty twin of
-/// [`ext2_sweep_with_plan_on`].
-///
-/// # Errors
-///
-/// Propagates simulator errors, including injected faults the server's
-/// shedding machinery could not absorb.
-pub fn tty_sweep_with_plan_on(
-    exec: &Executor,
-    kind: ServerKind,
-    level: ProtectionLevel,
-    connections: &[usize],
-    cfg: &ExperimentConfig,
-    plan: Option<&FaultPlan>,
-) -> SimResult<Vec<SweepPoint>> {
-    let grid: Vec<(usize, usize)> = connections.iter().map(|&c| (c, 0)).collect();
-    let mut cells = Vec::with_capacity(grid.len() * cfg.repetitions);
-    for &(conns, _) in &grid {
-        for rep in 0..cfg.repetitions {
-            cells.push((conns, rep));
-        }
-    }
-    let raw = exec.run(cells, |_, (conns, rep)| {
-        let rep_seed = tty_cell_seed(cfg.seed, conns, rep);
-        match kind {
-            ServerKind::Ssh => run_one_tty::<SshServer>(level, cfg, rep_seed, conns, plan),
-            ServerKind::Apache => {
-                run_one_tty::<ApacheServer>(level, cfg, rep_seed, conns, plan)
-            }
-        }
-    });
-    fold_points(&grid, cfg.repetitions, raw)
+) -> SimResult<(Vec<SweepPoint>, ExecReport)> {
+    let grid = connections.iter().map(|&c| (c, 0)).collect();
+    sweep(exec, kind, level, Attack::Tty, grid, cfg, None)
 }
 
 #[cfg(test)]
@@ -368,7 +317,8 @@ mod tests {
     #[test]
     fn ext2_point_unprotected_vs_kernel_level() {
         let cfg = ExperimentConfig::test();
-        let hits = ext2_sweep(
+        let hits = ext2_sweep_on(
+            &Executor::from_env(),
             ServerKind::Ssh,
             ProtectionLevel::None,
             &[30],
@@ -379,7 +329,8 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert!(hits[0].success_rate > 0.5, "unprotected: {hits:?}");
 
-        let none = ext2_sweep(
+        let none = ext2_sweep_on(
+            &Executor::from_env(),
             ServerKind::Ssh,
             ProtectionLevel::Kernel,
             &[30],
@@ -394,10 +345,12 @@ mod tests {
     #[test]
     fn tty_point_shows_protection_gap() {
         let cfg = ExperimentConfig::test().with_repetitions(10);
-        let unprotected =
-            tty_sweep(ServerKind::Ssh, ProtectionLevel::None, &[20], &cfg).unwrap();
-        let integrated =
-            tty_sweep(ServerKind::Ssh, ProtectionLevel::Integrated, &[20], &cfg).unwrap();
+        let exec = Executor::from_env();
+        let (unprotected, _) =
+            tty_sweep_on(&exec, ServerKind::Ssh, ProtectionLevel::None, &[20], &cfg).unwrap();
+        let (integrated, _) =
+            tty_sweep_on(&exec, ServerKind::Ssh, ProtectionLevel::Integrated, &[20], &cfg)
+                .unwrap();
         assert!(
             unprotected[0].avg_keys_found > integrated[0].avg_keys_found,
             "unprotected {unprotected:?} vs integrated {integrated:?}"
@@ -433,15 +386,23 @@ mod tests {
                 Some(&plan),
             )
             .unwrap()
+            .0
         };
         let a = run();
         assert_eq!(a, run(), "faulted sweep must be bit-identical");
         assert_eq!(a[0].success_rate, 0.0, "kernel level under faults: {a:?}");
 
         // And the unfaulted entry point is the plan=None special case.
-        let plain = ext2_sweep(ServerKind::Ssh, ProtectionLevel::Kernel, &[30], &[400], &cfg)
-            .unwrap();
-        let none = ext2_sweep_with_plan_on(
+        let plain = ext2_sweep_on(
+            &Executor::from_env(),
+            ServerKind::Ssh,
+            ProtectionLevel::Kernel,
+            &[30],
+            &[400],
+            &cfg,
+        )
+        .unwrap();
+        let (none, _) = ext2_sweep_with_plan_on(
             &Executor::serial(),
             ServerKind::Ssh,
             ProtectionLevel::Kernel,
@@ -459,7 +420,8 @@ mod tests {
         // Because cells seed from coordinates, dropping grid points (or
         // reordering them) cannot change any shared point's result.
         let cfg = ExperimentConfig::test();
-        let full = ext2_sweep(
+        let full = ext2_sweep_on(
+            &Executor::from_env(),
             ServerKind::Ssh,
             ProtectionLevel::None,
             &[20, 40],
@@ -467,8 +429,15 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        let single = ext2_sweep(ServerKind::Ssh, ProtectionLevel::None, &[40], &[200], &cfg)
-            .unwrap();
+        let single = ext2_sweep_on(
+            &Executor::from_env(),
+            ServerKind::Ssh,
+            ProtectionLevel::None,
+            &[40],
+            &[200],
+            &cfg,
+        )
+        .unwrap();
         let shared = full
             .iter()
             .find(|p| p.connections == 40 && p.directories == 200)

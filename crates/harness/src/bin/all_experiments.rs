@@ -14,10 +14,10 @@
 //! probe re-runs one representative sweep serially and in parallel and
 //! prints the measured speedup (skip with `--no-speedup-probe`).
 
-use harness::attack_sweep::{ext2_sweep_on, tty_sweep_on};
+use harness::attack_sweep::{ext2_sweep_with_plan_on, tty_sweep_on};
 use harness::baselines::{compare_strategies, render_table};
 use harness::cli::Args;
-use harness::exec::{ExecReport, Executor};
+use harness::exec::Executor;
 use harness::plot::{sweep_lines_svg, timeline_counts_svg, timeline_locations_svg};
 use harness::perf::{overhead_percent, run_perf, PerfConfig};
 use harness::report::{
@@ -60,15 +60,6 @@ fn main() {
     }
 }
 
-/// Times one sweep call and prints its executor throughput line.
-fn timed<T>(exec: &Executor, cells: usize, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let result = f();
-    let report = ExecReport::new(cells, exec.threads(), start.elapsed());
-    println!("  {report}");
-    result
-}
-
 fn run_attack_figures(exec: &Executor, cfg: &ExperimentConfig, out: &Path, paper_scale: bool) {
     let (conn_grid, dir_grid) = if paper_scale {
         (
@@ -89,27 +80,34 @@ fn run_attack_figures(exec: &Executor, cfg: &ExperimentConfig, out: &Path, paper
         // Figures 1–2: ext2 sweep, unprotected.
         let fig = if kind == ServerKind::Ssh { "fig1" } else { "fig2" };
         println!("\n[{fig}] ext2 sweep / {kind} / unprotected");
-        let pts = timed(exec, conn_grid.len() * dir_grid.len() * cfg.repetitions, || {
-            ext2_sweep_on(exec, kind, ProtectionLevel::None, &conn_grid, &dir_grid, cfg)
-                .expect("ext2 sweep")
-        });
+        let (pts, report) = ext2_sweep_with_plan_on(
+            exec,
+            kind,
+            ProtectionLevel::None,
+            &conn_grid,
+            &dir_grid,
+            cfg,
+            None,
+        )
+        .expect("ext2 sweep");
+        println!("  {report}");
         summarize_sweep(&pts);
         write_dat(out, &format!("{fig}_{}_none_ext2.dat", kind.label()), &sweep_grid_dat(&pts))
             .expect("write");
 
         // §5.2/6.2 re-exam: ext2 after kernel-level protection (expect zero).
         println!("[{fig}-reexam] ext2 sweep / {kind} / kernel level");
-        let pts = timed(exec, cfg.repetitions, || {
-            ext2_sweep_on(
-                exec,
-                kind,
-                ProtectionLevel::Kernel,
-                &[*conn_grid.last().unwrap()],
-                &[*dir_grid.last().unwrap()],
-                cfg,
-            )
-            .expect("ext2 reexam")
-        });
+        let (pts, report) = ext2_sweep_with_plan_on(
+            exec,
+            kind,
+            ProtectionLevel::Kernel,
+            &[*conn_grid.last().unwrap()],
+            &[*dir_grid.last().unwrap()],
+            cfg,
+            None,
+        )
+        .expect("ext2 reexam");
+        println!("  {report}");
         summarize_sweep(&pts);
         write_dat(
             out,
@@ -121,9 +119,9 @@ fn run_attack_figures(exec: &Executor, cfg: &ExperimentConfig, out: &Path, paper
         // Figures 3–4: tty sweep, unprotected.
         let fig = if kind == ServerKind::Ssh { "fig3" } else { "fig4" };
         println!("[{fig}] tty sweep / {kind} / unprotected");
-        let before = timed(exec, tty_grid.len() * tty_cfg.repetitions, || {
-            tty_sweep_on(exec, kind, ProtectionLevel::None, &tty_grid, &tty_cfg).expect("tty")
-        });
+        let (before, report) =
+            tty_sweep_on(exec, kind, ProtectionLevel::None, &tty_grid, &tty_cfg).expect("tty");
+        println!("  {report}");
         summarize_sweep(&before);
         write_dat(out, &format!("{fig}_{}_none_tty.dat", kind.label()), &sweep_line_dat(&before))
             .expect("write");
@@ -131,10 +129,10 @@ fn run_attack_figures(exec: &Executor, cfg: &ExperimentConfig, out: &Path, paper
         // Figures 7 / 17–18: tty sweep, integrated.
         let fig = if kind == ServerKind::Ssh { "fig7" } else { "fig17_18" };
         println!("[{fig}] tty sweep / {kind} / integrated");
-        let after = timed(exec, tty_grid.len() * tty_cfg.repetitions, || {
+        let (after, report) =
             tty_sweep_on(exec, kind, ProtectionLevel::Integrated, &tty_grid, &tty_cfg)
-                .expect("tty")
-        });
+                .expect("tty");
+        println!("  {report}");
         summarize_sweep(&after);
         write_dat(out, &format!("{fig}_{}_all_tty.dat", kind.label()), &sweep_line_dat(&after))
             .expect("write");
@@ -263,19 +261,14 @@ fn summarize_sweep(points: &[harness::attack_sweep::SweepPoint]) {
 fn speedup_probe(exec: &Executor, cfg: &ExperimentConfig) {
     let grid = vec![0, 20, 60, 120];
     let probe_cfg = cfg.with_repetitions(cfg.repetitions.max(10));
-    let cells = grid.len() * probe_cfg.repetitions;
     println!("\n[speedup probe] fig3 tty sweep, serial vs {} threads", exec.threads());
-
-    let start = Instant::now();
-    let serial = tty_sweep_on(&Executor::serial(), ServerKind::Ssh, ProtectionLevel::None, &grid, &probe_cfg)
-        .expect("serial probe");
-    let serial_report = ExecReport::new(cells, 1, start.elapsed());
+    let probe = |exec: &Executor| {
+        tty_sweep_on(exec, ServerKind::Ssh, ProtectionLevel::None, &grid, &probe_cfg)
+            .expect("speedup probe")
+    };
+    let (serial, serial_report) = probe(&Executor::serial());
     println!("  serial:   {serial_report}");
-
-    let start = Instant::now();
-    let parallel = tty_sweep_on(exec, ServerKind::Ssh, ProtectionLevel::None, &grid, &probe_cfg)
-        .expect("parallel probe");
-    let parallel_report = ExecReport::new(cells, exec.threads(), start.elapsed());
+    let (parallel, parallel_report) = probe(exec);
     println!("  parallel: {parallel_report}");
 
     assert_eq!(serial, parallel, "parallel sweep must be bit-identical to serial");

@@ -15,9 +15,8 @@
 //! attacker — so the matrix doubles as a CI gate on the shielded tier.
 
 use harness::attack_matrix::{attacker_matrix_on, DEFAULT_DECAY_RATE};
-use harness::cli::Args;
+use harness::cli::{exit_on_violations, Args};
 use harness::report::{attacker_matrix_dat, write_dat};
-use harness::ServerKind;
 
 fn main() {
     let args = Args::parse();
@@ -33,10 +32,7 @@ fn main() {
         .map(|v| v.parse().unwrap_or_else(|_| panic!("--decay expects a rate, got {v:?}")))
         .unwrap_or(DEFAULT_DECAY_RATE);
 
-    let kinds: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).unwrap_or_else(|| panic!("unknown server {s:?}"))],
-    };
+    let kinds = args.servers();
 
     println!(
         "attacker_matrix: {} MB RAM, RSA-{}, {} reps/cell, decay {:.3}, {} threads -> {}/",
@@ -48,7 +44,7 @@ fn main() {
         out.display()
     );
 
-    let mut violations = 0usize;
+    let mut violations = Vec::new();
     for &kind in &kinds {
         println!("[attacker_matrix] {kind}");
         let report = attacker_matrix_on(&exec, kind, &cfg, decay)
@@ -66,28 +62,23 @@ fn main() {
         }
         let name = format!("attacker_matrix_{}.dat", report.kind_label);
         write_dat(&out, &name, &attacker_matrix_dat(&report)).expect("write");
+        let verdict = |defeated| if defeated { "defeated" } else { "survived" };
         for cell in report.violations() {
-            eprintln!(
-                "VIOLATION: {}/{} under {}: {} (expected {})",
+            violations.push(format!(
+                "{}/{} under {}: {} (expected {})",
                 report.kind_label,
                 cell.level.label(),
                 cell.attacker.label(),
-                if cell.defeated() { "defeated" } else { "survived" },
-                if cell.attacker.expected_to_defeat(cell.level) {
-                    "defeated"
-                } else {
-                    "survived"
-                }
-            );
-            violations += 1;
+                verdict(cell.defeated()),
+                verdict(cell.attacker.expected_to_defeat(cell.level))
+            ));
         }
     }
 
-    if violations > 0 {
-        eprintln!("attacker_matrix: {violations} expectation violations");
-        std::process::exit(1);
-    }
-    println!(
-        "attacker_matrix: expectation table held — shielded survived every attacker class"
+    exit_on_violations(
+        "attacker_matrix",
+        "expectation",
+        &violations,
+        "expectation table held — shielded survived every attacker class",
     );
 }

@@ -16,35 +16,26 @@
 //! smoke runs. `--fault-seed` adds a seeded multi-fault sweep on top of the
 //! exhaustive one.
 
-use harness::cli::Args;
-use harness::faultsweep::{
-    fault_sweep_seeded_timed_on, fault_sweep_timed_on, FaultMode, FaultSweepReport,
-};
+use harness::cli::{exit_on_violations, Args};
+use harness::exec::ExecReport;
+use harness::faultsweep::{fault_sweep_seeded_on, fault_sweep_timed_on, FaultSweepReport};
 use harness::report::{fault_sweep_dat, write_dat};
-use harness::ServerKind;
-use keyguard::ProtectionLevel;
 
 fn main() {
     let args = Args::parse();
     let cfg = args.experiment_config();
     let exec = args.executor();
     let out = args.out_dir();
-
-    let kinds: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).unwrap_or_else(|| panic!("unknown server {s:?}"))],
-    };
-    let levels: Vec<ProtectionLevel> = match args.get("level").unwrap_or("all") {
-        "all" => ProtectionLevel::ALL.to_vec(),
-        s => vec![ProtectionLevel::from_label(s).unwrap_or_else(|| panic!("unknown level {s:?}"))],
-    };
-    let modes: Vec<FaultMode> = match args.get("mode").unwrap_or("both") {
-        "fail" => vec![FaultMode::Fail],
-        "kill" => vec![FaultMode::Kill],
-        "both" => vec![FaultMode::Fail, FaultMode::Kill],
-        s => panic!("unknown mode {s:?}: expected fail, kill, or both"),
-    };
+    let kinds = args.servers();
+    let levels = args.levels("all");
+    let modes = args.modes();
     let stride = args.get_usize("stride", 1) as u64;
+    let seeded = args.get("fault-seed").map(|seed| {
+        let seed: u64 = seed.parse().expect("--fault-seed expects a number");
+        let denom = args.get_usize("denom", 200) as u64;
+        let reps = args.get_usize("fault-reps", 16) as u64;
+        (seed, denom, reps)
+    });
 
     println!(
         "faultsweep: {} MB RAM, RSA-{}, stride {}, {} threads -> {}/",
@@ -55,8 +46,9 @@ fn main() {
         out.display()
     );
 
-    let mut violations = 0usize;
-    let mut emit = |report: &FaultSweepReport, tag: &str| {
+    let mut violations = Vec::new();
+    let mut emit = |(report, timing): (FaultSweepReport, ExecReport), tag: &str| {
+        println!("  {timing}");
         println!("  {}", report.summary());
         let name = format!(
             "faultsweep_{}_{}_{}{}.dat",
@@ -65,50 +57,43 @@ fn main() {
             report.mode.label(),
             tag
         );
-        write_dat(&out, &name, &fault_sweep_dat(report)).expect("write");
-        let bad = report.violations();
-        for cell in &bad {
-            eprintln!(
-                "VIOLATION: {}/{} op {} ({} mode) left {} key copies in unallocated memory",
+        write_dat(&out, &name, &fault_sweep_dat(&report)).expect("write");
+        for cell in report.violations() {
+            violations.push(format!(
+                "{}/{} op {} ({} mode) left {} key copies in unallocated memory",
                 report.kind_label,
                 report.level.label(),
                 cell.k,
                 report.mode,
                 cell.unallocated
-            );
+            ));
         }
-        violations += bad.len();
     };
 
     for &kind in &kinds {
         for &level in &levels {
             for &mode in &modes {
                 println!("[faultsweep] {kind} / {} / {mode}", level.label());
-                let (report, timing) = fault_sweep_timed_on(&exec, kind, level, mode, stride, &cfg)
+                let sweep = fault_sweep_timed_on(&exec, kind, level, mode, stride, &cfg)
                     .unwrap_or_else(|e| panic!("{kind}/{}: {e}", level.label()));
-                println!("  {timing}");
-                emit(&report, "");
+                emit(sweep, "");
             }
-            if let Some(seed) = args.get("fault-seed") {
-                let seed: u64 = seed.parse().expect("--fault-seed expects a number");
-                let denom = args.get_usize("denom", 200) as u64;
-                let reps = args.get_usize("fault-reps", 16) as u64;
+            if let Some((seed, denom, reps)) = seeded {
                 println!(
                     "[faultsweep] {kind} / {} / seeded (seed {seed}, 1/{denom}, {reps} reps)",
                     level.label()
                 );
-                let (report, timing) =
-                    fault_sweep_seeded_timed_on(&exec, kind, level, seed, denom, reps, &cfg)
-                        .unwrap_or_else(|e| panic!("{kind}/{}: {e}", level.label()));
-                println!("  {timing}");
-                emit(&report, "_seeded");
+                let sweep = fault_sweep_seeded_on(&exec, kind, level, seed, denom, reps, &cfg)
+                    .unwrap_or_else(|e| panic!("{kind}/{}: {e}", level.label()));
+                emit(sweep, "_seeded");
             }
         }
     }
 
-    if violations > 0 {
-        eprintln!("faultsweep: {violations} no-leak violations");
-        std::process::exit(1);
-    }
-    println!("faultsweep: no-leak invariant held across every injected fault");
+    exit_on_violations(
+        "faultsweep",
+        "no-leak",
+        &violations,
+        "no-leak invariant held across every injected fault",
+    );
 }

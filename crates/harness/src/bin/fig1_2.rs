@@ -12,9 +12,8 @@
 //! (`--threads` / `HARNESS_THREADS`); output is bit-identical at any
 //! thread count.
 
-use harness::attack_sweep::{ext2_sweep_on, paper_connection_grid, paper_directory_grid};
+use harness::attack_sweep::{ext2_sweep_with_plan_on, paper_connection_grid, paper_directory_grid};
 use harness::cli::Args;
-use harness::exec::ExecReport;
 use harness::plot::sweep_grid_svg;
 use harness::report::{sweep_grid_dat, write_dat};
 use harness::ServerKind;
@@ -33,12 +32,7 @@ fn main() {
     } else {
         (vec![50, 150, 300, 500], vec![1000, 4000, 10000])
     };
-    let servers: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).expect("unknown --server")],
-    };
-
-    for kind in servers {
+    for kind in args.servers() {
         let fig = match kind {
             ServerKind::Ssh => "fig1",
             ServerKind::Apache => "fig2",
@@ -50,14 +44,9 @@ fn main() {
             cfg.key_bits,
             cfg.repetitions
         );
-        let start = std::time::Instant::now();
-        let points = ext2_sweep_on(&exec, kind, level, &connections, &directories, &cfg)
-            .expect("sweep failed");
-        let report = ExecReport::new(
-            connections.len() * directories.len() * cfg.repetitions,
-            exec.threads(),
-            start.elapsed(),
-        );
+        let (points, report) =
+            ext2_sweep_with_plan_on(&exec, kind, level, &connections, &directories, &cfg, None)
+                .expect("sweep failed");
         println!("   {report}");
         println!(
             "{:>12} {:>12} {:>10} {:>9}",

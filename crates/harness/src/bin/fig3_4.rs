@@ -12,7 +12,6 @@
 
 use harness::attack_sweep::{paper_tty_connection_grid, tty_sweep_on};
 use harness::cli::Args;
-use harness::exec::ExecReport;
 use harness::report::{sweep_line_dat, write_dat};
 use harness::ServerKind;
 use keyguard::ProtectionLevel;
@@ -33,21 +32,14 @@ fn main() {
     } else {
         vec![0, 20, 40, 80, 120]
     };
-    let servers: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).expect("unknown --server")],
-    };
-
-    for kind in servers {
+    for kind in args.servers() {
         let fig = match kind {
             ServerKind::Ssh => "fig3",
             ServerKind::Apache => "fig4",
         };
         println!("== {fig}: n_tty dump sweep, server={kind}, level={level} ==");
-        let start = std::time::Instant::now();
-        let points = tty_sweep_on(&exec, kind, level, &connections, &cfg).expect("sweep failed");
-        let report =
-            ExecReport::new(connections.len() * cfg.repetitions, exec.threads(), start.elapsed());
+        let (points, report) =
+            tty_sweep_on(&exec, kind, level, &connections, &cfg).expect("sweep failed");
         println!("   {report}");
         println!("{:>12} {:>10} {:>9} {:>14}", "connections", "avg keys", "success", "disclosed MB");
         for p in &points {

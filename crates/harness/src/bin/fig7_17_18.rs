@@ -12,7 +12,6 @@
 
 use harness::attack_sweep::{paper_tty_connection_grid, tty_sweep_on};
 use harness::cli::Args;
-use harness::exec::ExecReport;
 use harness::plot::sweep_lines_svg;
 use harness::report::{sweep_line_dat, write_dat};
 use harness::ServerKind;
@@ -30,28 +29,19 @@ fn main() {
     } else {
         vec![0, 20, 40, 80, 120]
     };
-    let servers: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).expect("unknown --server")],
-    };
-
-    for kind in servers {
+    for kind in args.servers() {
         let fig = match kind {
             ServerKind::Ssh => "fig7",
             ServerKind::Apache => "fig17_18",
         };
         println!("== {fig}: tty attack before/after integrated solution, server={kind} ==");
-        let start = std::time::Instant::now();
-        let before = tty_sweep_on(&exec, kind, ProtectionLevel::None, &connections, &cfg)
+        let (before, report) = tty_sweep_on(&exec, kind, ProtectionLevel::None, &connections, &cfg)
             .expect("baseline sweep failed");
-        let after = tty_sweep_on(&exec, kind, ProtectionLevel::Integrated, &connections, &cfg)
-            .expect("protected sweep failed");
-        let report = ExecReport::new(
-            2 * connections.len() * cfg.repetitions,
-            exec.threads(),
-            start.elapsed(),
-        );
-        println!("   {report}");
+        println!("   before: {report}");
+        let (after, report) =
+            tty_sweep_on(&exec, kind, ProtectionLevel::Integrated, &connections, &cfg)
+                .expect("protected sweep failed");
+        println!("   after:  {report}");
 
         println!(
             "{:>12} | {:>10} {:>9} | {:>10} {:>9}",

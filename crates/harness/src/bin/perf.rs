@@ -25,12 +25,7 @@ fn main() {
     perf.concurrency = args.get_usize("concurrency", perf.concurrency);
     perf.repetitions = args.get_usize("bench-reps", perf.repetitions);
 
-    let servers: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).expect("unknown --server")],
-    };
-
-    for kind in servers {
+    for kind in args.servers() {
         let fig = match kind {
             ServerKind::Ssh => "fig8",
             ServerKind::Apache => "fig19-20",

@@ -24,15 +24,11 @@
 //! exhaustive first-order in both modes, sampled second-order pairs, and
 //! the retire checks — on the tiny test configuration.
 
-use harness::cli::Args;
-use harness::exec::Executor;
-use harness::faultsweep::FaultMode;
+use harness::cli::{exit_on_violations, Args};
 use harness::rotsweep::{
-    retire_check, rotation_sweep_pairs_timed_on, rotation_sweep_timed_on, RetireCheck,
-    RotationSweepReport,
+    level_guarantees_retired_key_gone, retire_check, rotation_sweep_on, RetireCheck,
 };
 use harness::report::{rotation_retire_dat, rotation_sweep_dat, write_dat};
-use harness::ServerKind;
 use keyguard::ProtectionLevel;
 
 /// The hardened levels the smoke run gates on — exactly the levels where
@@ -42,71 +38,6 @@ const SMOKE_LEVELS: [ProtectionLevel; 3] = [
     ProtectionLevel::Integrated,
     ProtectionLevel::Shielded,
 ];
-
-fn emit(
-    out: &std::path::Path,
-    report: &RotationSweepReport,
-    violations: &mut usize,
-) {
-    println!("  {}", report.summary());
-    let name = format!(
-        "rotsweep_{}_{}_{}_o{}.dat",
-        report.kind_label,
-        report.level.label(),
-        report.mode.label(),
-        report.order
-    );
-    write_dat(out, &name, &rotation_sweep_dat(report)).expect("write");
-    for cell in report.violations() {
-        match cell.k2 {
-            Some(k2) => eprintln!(
-                "VIOLATION: {}/{} ops ({}, {}) ({} mode, order 2) left {} bytes-copies of the losing epoch resident",
-                report.kind_label,
-                report.level.label(),
-                cell.k,
-                k2,
-                report.mode,
-                cell.loser_resident
-            ),
-            None => eprintln!(
-                "VIOLATION: {}/{} op {} ({} mode) left {} copies of the losing epoch resident",
-                report.kind_label,
-                report.level.label(),
-                cell.k,
-                report.mode,
-                cell.loser_resident
-            ),
-        }
-    }
-    *violations += report.violations().len();
-}
-
-fn sweep_combo(
-    exec: &Executor,
-    kind: ServerKind,
-    level: ProtectionLevel,
-    modes: &[FaultMode],
-    stride: u64,
-    pair_stride: u64,
-    cfg: &harness::ExperimentConfig,
-    out: &std::path::Path,
-    violations: &mut usize,
-) {
-    for &mode in modes {
-        println!("[rotsweep] {kind} / {} / {mode} / order 1", level.label());
-        let (report, timing) = rotation_sweep_timed_on(exec, kind, level, mode, stride, cfg)
-            .unwrap_or_else(|e| panic!("{kind}/{}: {e}", level.label()));
-        println!("  {timing}");
-        emit(out, &report, violations);
-
-        println!("[rotsweep] {kind} / {} / {mode} / order 2", level.label());
-        let (report, timing) =
-            rotation_sweep_pairs_timed_on(exec, kind, level, mode, pair_stride, cfg)
-                .unwrap_or_else(|e| panic!("{kind}/{}: {e}", level.label()));
-        println!("  {timing}");
-        emit(out, &report, violations);
-    }
-}
 
 fn main() {
     let args = Args::parse();
@@ -118,27 +49,13 @@ fn main() {
     };
     let exec = args.executor();
     let out = args.out_dir();
-
-    let kinds: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).unwrap_or_else(|| panic!("unknown server {s:?}"))],
-    };
-    let levels: Vec<ProtectionLevel> = if smoke {
+    let kinds = args.servers();
+    let levels = if smoke {
         SMOKE_LEVELS.to_vec()
     } else {
-        match args.get("level").unwrap_or("all") {
-            "all" => ProtectionLevel::ALL.to_vec(),
-            s => vec![
-                ProtectionLevel::from_label(s).unwrap_or_else(|| panic!("unknown level {s:?}"))
-            ],
-        }
+        args.levels("all")
     };
-    let modes: Vec<FaultMode> = match args.get("mode").unwrap_or("both") {
-        "fail" => vec![FaultMode::Fail],
-        "kill" => vec![FaultMode::Kill],
-        "both" => vec![FaultMode::Fail, FaultMode::Kill],
-        s => panic!("unknown mode {s:?}: expected fail, kill, or both"),
-    };
+    let modes = args.modes();
     let stride = args.get_usize("stride", 1) as u64;
     let pair_stride = args.get_usize("pair-stride", 5) as u64;
 
@@ -152,20 +69,38 @@ fn main() {
         out.display()
     );
 
-    let mut violations = 0usize;
+    let mut violations = Vec::new();
     for &kind in &kinds {
         for &level in &levels {
-            sweep_combo(
-                &exec,
-                kind,
-                level,
-                &modes,
-                stride,
-                pair_stride,
-                &cfg,
-                &out,
-                &mut violations,
-            );
+            for &mode in &modes {
+                for (order, stride) in [(1, stride), (2, pair_stride)] {
+                    println!("[rotsweep] {kind} / {} / {mode} / order {order}", level.label());
+                    let (report, timing) =
+                        rotation_sweep_on(&exec, kind, level, mode, order, stride, &cfg)
+                            .unwrap_or_else(|e| panic!("{kind}/{}: {e}", level.label()));
+                    println!("  {timing}");
+                    println!("  {}", report.summary());
+                    let name = format!(
+                        "rotsweep_{}_{}_{}_o{}.dat",
+                        report.kind_label,
+                        report.level.label(),
+                        report.mode.label(),
+                        report.order
+                    );
+                    write_dat(&out, &name, &rotation_sweep_dat(&report)).expect("write");
+                    for cell in report.violations() {
+                        let at = match cell.k2 {
+                            Some(k2) => format!("ops ({}, {k2}) ({mode} mode, order 2)", cell.k),
+                            None => format!("op {} ({mode} mode)", cell.k),
+                        };
+                        violations.push(format!(
+                            "{kind}/{} {at} left {} copies of the losing epoch resident",
+                            level.label(),
+                            cell.loser_resident
+                        ));
+                    }
+                }
+            }
         }
     }
 
@@ -181,21 +116,18 @@ fn main() {
                 "  {} resident, reconstructed: {}",
                 check.old_resident, check.reconstructed
             );
-            if harness::rotsweep::level_guarantees_retired_key_gone(level) && !check.holds() {
-                eprintln!(
-                    "VIOLATION: {kind}/{} retired key still recoverable",
-                    level.label()
-                );
-                violations += 1;
+            if level_guarantees_retired_key_gone(level) && !check.holds() {
+                violations.push(format!("{kind}/{} retired key still recoverable", level.label()));
             }
             checks.push(check);
         }
     }
     write_dat(&out, "rotsweep_retire.dat", &rotation_retire_dat(&checks)).expect("write");
 
-    if violations > 0 {
-        eprintln!("rotsweep: {violations} rotation-invariant violations");
-        std::process::exit(1);
-    }
-    println!("rotsweep: rotation invariant: HELD across every injected fault");
+    exit_on_violations(
+        "rotsweep",
+        "rotation-invariant",
+        &violations,
+        "rotation invariant: HELD across every injected fault",
+    );
 }

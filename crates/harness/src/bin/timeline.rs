@@ -5,82 +5,81 @@
 //! ```text
 //! cargo run --release -p harness --bin timeline -- [--paper|--quick|--test]
 //!     [--server ssh|apache|both] [--level none|app|lib|kernel|integrated|all]
-//!     [--out DIR] [--ascii]
+//!     [--out DIR] [--threads N]
 //! ```
 //!
 //! `--level all` runs every level (regenerating the whole figure family).
+//! The timelines run as one batch on the work-stealing executor
+//! (`--threads` / `HARNESS_THREADS`); output is bit-identical at any
+//! thread count.
 
 use harness::cli::Args;
 use harness::plot::{timeline_counts_svg, timeline_locations_svg};
 use harness::report::{timeline_ascii, timeline_counts_dat, timeline_locations_dat, write_dat};
-use harness::timeline::{run_timeline_timed, Schedule};
+use harness::timeline::{run_timelines_timed, Schedule};
 use harness::ServerKind;
 use keyguard::ProtectionLevel;
 
 fn main() {
     let args = Args::parse();
     let cfg = args.experiment_config();
-    let levels: Vec<ProtectionLevel> = match args.get("level").unwrap_or("none") {
-        "all" => ProtectionLevel::ALL.to_vec(),
-        l => vec![ProtectionLevel::from_label(l).expect("unknown --level")],
-    };
-    let servers: Vec<ServerKind> = match args.get("server").unwrap_or("both") {
-        "both" => ServerKind::ALL.to_vec(),
-        s => vec![ServerKind::from_label(s).expect("unknown --server")],
-    };
-    let schedule = Schedule::paper();
+    let exec = args.executor();
+    let levels = args.levels("none");
+    let jobs: Vec<(ServerKind, ProtectionLevel)> = args
+        .servers()
+        .into_iter()
+        .flat_map(|kind| levels.iter().map(move |&level| (kind, level)))
+        .collect();
     let out = args.out_dir();
 
-    for kind in &servers {
-        for level in &levels {
-            let figure = figure_name(*kind, *level);
-            println!("== {figure}: timeline, server={kind}, level={level} ==");
-            let (tl, scan_wall) =
-                run_timeline_timed(*kind, *level, &cfg, &schedule).expect("timeline failed");
-            println!("{}", timeline_ascii(&tl, 48));
-            let base = format!("{}_{}", kind.label(), level.label());
-            write_dat(&out, &format!("timeline_{base}_counts.dat"), &timeline_counts_dat(&tl))
-                .expect("write counts");
-            write_dat(
-                &out,
-                &format!("timeline_{base}_locations.dat"),
-                &timeline_locations_dat(&tl),
-            )
-            .expect("write locations");
-            write_dat(
-                &out,
-                &format!("timeline_{base}_locations.svg"),
-                &timeline_locations_svg(&tl, cfg.mem_bytes),
-            )
-            .expect("write locations svg");
-            write_dat(
-                &out,
-                &format!("timeline_{base}_counts.svg"),
-                &timeline_counts_svg(&tl),
-            )
-            .expect("write counts svg");
-            // Call out the big transitions (the paper's observations 3/4).
-            for (t, appeared, vanished, freed) in tl.transitions() {
-                if appeared + vanished + freed >= 8 {
-                    println!(
-                        "   t={t}: {appeared} copies appeared, {vanished} vanished, \
-                         {freed} freed in place (allocated -> unallocated)"
-                    );
-                }
+    let (timelines, report) =
+        run_timelines_timed(&exec, &jobs, &cfg, &Schedule::paper()).expect("timeline failed");
+    println!("{} timelines: {report}\n", jobs.len());
+    for ((kind, level), tl) in jobs.into_iter().zip(timelines) {
+        let figure = figure_name(kind, level);
+        println!("== {figure}: timeline, server={kind}, level={level} ==");
+        println!("{}", timeline_ascii(&tl, 48));
+        let base = format!("{}_{}", kind.label(), level.label());
+        write_dat(&out, &format!("timeline_{base}_counts.dat"), &timeline_counts_dat(&tl))
+            .expect("write counts");
+        write_dat(
+            &out,
+            &format!("timeline_{base}_locations.dat"),
+            &timeline_locations_dat(&tl),
+        )
+        .expect("write locations");
+        write_dat(
+            &out,
+            &format!("timeline_{base}_locations.svg"),
+            &timeline_locations_svg(&tl, cfg.mem_bytes),
+        )
+        .expect("write locations svg");
+        write_dat(
+            &out,
+            &format!("timeline_{base}_counts.svg"),
+            &timeline_counts_svg(&tl),
+        )
+        .expect("write counts svg");
+        // Call out the big transitions (the paper's observations 3/4).
+        for (t, appeared, vanished, freed) in tl.transitions() {
+            if appeared + vanished + freed >= 8 {
+                println!(
+                    "   t={t}: {appeared} copies appeared, {vanished} vanished, \
+                     {freed} freed in place (allocated -> unallocated)"
+                );
             }
-            println!(
-                "   {} scans re-read {:.1}% of frames in {:.3}s (incremental)",
-                tl.scan.scans,
-                tl.scan.rescan_fraction() * 100.0,
-                scan_wall.as_secs_f64()
-            );
-            println!(
-                "   peak {} copies ({} unallocated) -> {}/timeline_{base}_*.dat\n",
-                tl.peak_total(),
-                tl.peak_unallocated(),
-                out.display()
-            );
         }
+        println!(
+            "   {} scans re-read {:.1}% of frames (incremental)",
+            tl.scan.scans,
+            tl.scan.rescan_fraction() * 100.0
+        );
+        println!(
+            "   peak {} copies ({} unallocated) -> {}/timeline_{base}_*.dat\n",
+            tl.peak_total(),
+            tl.peak_unallocated(),
+            out.display()
+        );
     }
 }
 

@@ -1,7 +1,9 @@
 //! A tiny flag parser shared by the experiment binaries (no external
 //! dependencies; only `--flag value` and bare `--switch` forms).
 
-use crate::ExperimentConfig;
+use crate::faultsweep::FaultMode;
+use crate::{ExperimentConfig, ServerKind};
+use keyguard::ProtectionLevel;
 use std::collections::BTreeMap;
 
 /// Parsed command-line arguments.
@@ -119,6 +121,67 @@ impl Args {
             None => crate::exec::Executor::from_env(),
         }
     }
+
+    /// The servers named by `--server ssh|apache|both` (default: both).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown server label.
+    #[must_use]
+    pub fn servers(&self) -> Vec<ServerKind> {
+        match self.get("server").unwrap_or("both") {
+            "both" => ServerKind::ALL.to_vec(),
+            s => vec![
+                ServerKind::from_label(s).unwrap_or_else(|| panic!("unknown --server {s:?}"))
+            ],
+        }
+    }
+
+    /// The levels named by `--level LABEL|all`, `default` when absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown level label.
+    #[must_use]
+    pub fn levels(&self, default: &str) -> Vec<ProtectionLevel> {
+        // `all` must match first: `ProtectionLevel::from_label("all")` is
+        // the integrated level.
+        match self.get("level").unwrap_or(default) {
+            "all" => ProtectionLevel::ALL.to_vec(),
+            s => vec![
+                ProtectionLevel::from_label(s).unwrap_or_else(|| panic!("unknown --level {s:?}"))
+            ],
+        }
+    }
+
+    /// The fault modes named by `--mode fail|kill|both` (default: both).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown mode.
+    #[must_use]
+    pub fn modes(&self) -> Vec<FaultMode> {
+        match self.get("mode").unwrap_or("both") {
+            "fail" => vec![FaultMode::Fail],
+            "kill" => vec![FaultMode::Kill],
+            "both" => vec![FaultMode::Fail, FaultMode::Kill],
+            s => panic!("unknown --mode {s:?}: expected fail, kill, or both"),
+        }
+    }
+}
+
+/// The verdict tail of the gate binaries (`faultsweep`, `rotsweep`,
+/// `attacker_matrix`): prints every violation to stderr and exits 1 if
+/// there is any, else prints `{tool}: {held}`.
+pub fn exit_on_violations(tool: &str, what: &str, violations: &[String], held: &str) {
+    for v in violations {
+        eprintln!("VIOLATION: {v}");
+    }
+    if !violations.is_empty() {
+        eprintln!("{tool}: {} {what} violations", violations.len());
+        std::process::exit(1);
+    }
+    println!("{tool}: {held}");
 }
 
 #[cfg(test)]
@@ -172,6 +235,54 @@ mod tests {
         // Without the flag the executor resolves from the environment;
         // whatever it picks must be at least one worker.
         assert!(args(&[]).executor().threads() >= 1);
+    }
+
+    #[test]
+    fn servers_flag() {
+        assert_eq!(args(&[]).servers(), ServerKind::ALL.to_vec());
+        assert_eq!(args(&["--server", "both"]).servers(), ServerKind::ALL.to_vec());
+        assert_eq!(args(&["--server", "apache"]).servers(), vec![ServerKind::Apache]);
+        assert_eq!(args(&["--server", "openssh"]).servers(), vec![ServerKind::Ssh]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --server \"nginx\"")]
+    fn servers_flag_rejects_unknown_labels() {
+        let _ = args(&["--server", "nginx"]).servers();
+    }
+
+    #[test]
+    fn levels_flag() {
+        assert_eq!(args(&[]).levels("none"), vec![ProtectionLevel::None]);
+        assert_eq!(args(&[]).levels("all"), ProtectionLevel::ALL.to_vec());
+        // `all` is every level, not the integrated level `from_label("all")`
+        // would give.
+        assert_eq!(args(&["--level", "all"]).levels("none"), ProtectionLevel::ALL.to_vec());
+        assert_eq!(
+            args(&["--level", "kernel"]).levels("all"),
+            vec![ProtectionLevel::Kernel]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --level \"paranoid\"")]
+    fn levels_flag_rejects_unknown_labels() {
+        let _ = args(&["--level", "paranoid"]).levels("all");
+    }
+
+    #[test]
+    fn modes_flag() {
+        let both = vec![FaultMode::Fail, FaultMode::Kill];
+        assert_eq!(args(&[]).modes(), both);
+        assert_eq!(args(&["--mode", "both"]).modes(), both);
+        assert_eq!(args(&["--mode", "kill"]).modes(), vec![FaultMode::Kill]);
+        assert_eq!(args(&["--mode", "fail"]).modes(), vec![FaultMode::Fail]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --mode \"crash\"")]
+    fn modes_flag_rejects_unknown_labels() {
+        let _ = args(&["--mode", "crash"]).modes();
     }
 
     #[test]

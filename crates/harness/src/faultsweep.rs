@@ -190,14 +190,15 @@ impl FaultSweepReport {
 }
 
 /// Boots the machine every cell of a `(kind, level)` sweep starts from.
-/// Deterministic in the experiment config alone, so the probe run and every
-/// faulted run see the identical pre-workload operation index.
-fn boot(level: ProtectionLevel, cfg: &ExperimentConfig) -> Kernel {
-    let mut rng = Rng64::new(cfg.seed ^ BOOT_TWEAK);
+/// Deterministic in the experiment config and the family's boot `tweak`
+/// alone, so the probe run and every faulted run see the identical
+/// pre-workload operation index, and no two sweep families share a stream.
+pub(crate) fn boot(level: ProtectionLevel, cfg: &ExperimentConfig, tweak: u64) -> Kernel {
+    let mut rng = Rng64::new(cfg.seed ^ tweak);
     cfg.boot_machine(level, &mut rng)
 }
 
-fn server_config(level: ProtectionLevel, cfg: &ExperimentConfig) -> ServerConfig {
+pub(crate) fn server_config(level: ProtectionLevel, cfg: &ExperimentConfig) -> ServerConfig {
     ServerConfig::new(level).with_key_bits(cfg.key_bits)
 }
 
@@ -290,21 +291,43 @@ impl SweepTemplate {
         out
     }
 
-    /// Runs one cell on a machine identical to the boot image: a spare
-    /// restored by delta copy, or a fresh clone when every spare is taken.
-    /// The machine returns to the pool afterwards, whatever the cell left
-    /// running on it.
-    pub(crate) fn with_machine<T>(&self, cell: impl FnOnce(&mut Kernel) -> T) -> T {
-        let mut kernel = match self.spares.take() {
-            Some(mut kernel) => {
-                kernel.clone_from(&self.kernel);
-                kernel
-            }
-            None => self.kernel.clone(),
-        };
-        let out = cell(&mut kernel);
-        self.spares.put(kernel);
-        out
+    /// The sweep loop every fault and rotation sweep runs. Each cell gets a
+    /// machine identical to the boot image — a spare restored by delta
+    /// copy, or a fresh clone when every spare is taken — and a fork of the
+    /// warm scanner; the machine returns to the pool afterwards, whatever
+    /// the cell left running on it. Results come back in cell order, with
+    /// the batch's [`ExecReport`] carrying the cells' summed scan effort and
+    /// scan wall-clock.
+    pub(crate) fn run<C: Send, T: Send>(
+        &self,
+        exec: &Executor,
+        cells: Vec<C>,
+        cell: impl Fn(&mut Kernel, &mut IncrementalScanner, C) -> T + Sync,
+    ) -> (Vec<T>, ExecReport) {
+        let (outs, report) = exec.run_timed(cells, |_, c| {
+            let mut kernel = match self.spares.take() {
+                Some(mut kernel) => {
+                    kernel.clone_from(&self.kernel);
+                    kernel
+                }
+                None => self.kernel.clone(),
+            };
+            let mut scanner = self.scanner.fork();
+            let out = cell(&mut kernel, &mut scanner, c);
+            self.spares.put(kernel);
+            (out, scanner.stats(), scanner.wall())
+        });
+        let mut scan = ScanStats::default();
+        let mut scan_wall = Duration::ZERO;
+        let outs = outs
+            .into_iter()
+            .map(|(out, stats, wall)| {
+                scan.absorb(stats);
+                scan_wall += wall;
+                out
+            })
+            .collect();
+        (outs, report.with_scan(scan, scan_wall))
     }
 }
 
@@ -320,23 +343,22 @@ fn sweep_template(
         &server_cfg.derive_key(kind_label),
     )))
     .with_threads(cfg.scan_threads);
-    SweepTemplate::new(boot(level, cfg), scanner)
+    SweepTemplate::new(boot(level, cfg, BOOT_TWEAK), scanner)
 }
 
 fn run_one<S: SecureServer>(
-    template: &SweepTemplate,
     kernel: &mut Kernel,
+    scanner: &mut IncrementalScanner,
     server_cfg: ServerConfig,
     plan: FaultPlan,
     k: u64,
-) -> (FaultCell, ScanStats, Duration) {
-    let mut scanner = template.scanner.fork();
+) -> FaultCell {
     kernel.install_fault_plan(plan);
     let (error, handshakes, shed) = drive_workload::<S>(kernel, server_cfg);
     kernel.clear_fault_plan();
     let stats = kernel.stats();
     let report = scanner.scan(kernel);
-    let cell = FaultCell {
+    FaultCell {
         k,
         injected: stats.faults_injected,
         kills: stats.fault_kills,
@@ -345,38 +367,21 @@ fn run_one<S: SecureServer>(
         unallocated: report.unallocated(),
         handshakes,
         shed,
-    };
-    (cell, scanner.stats(), scanner.wall())
+    }
 }
 
 fn run_kind(
     kind: ServerKind,
-    template: &SweepTemplate,
     kernel: &mut Kernel,
+    scanner: &mut IncrementalScanner,
     server_cfg: ServerConfig,
     plan: FaultPlan,
     k: u64,
-) -> (FaultCell, ScanStats, Duration) {
+) -> FaultCell {
     match kind {
-        ServerKind::Ssh => run_one::<SshServer>(template, kernel, server_cfg, plan, k),
-        ServerKind::Apache => run_one::<ApacheServer>(template, kernel, server_cfg, plan, k),
+        ServerKind::Ssh => run_one::<SshServer>(kernel, scanner, server_cfg, plan, k),
+        ServerKind::Apache => run_one::<ApacheServer>(kernel, scanner, server_cfg, plan, k),
     }
-}
-
-/// Folds per-cell `(cell, scan stats, scan wall)` triples into cell order,
-/// aggregated scan counters, and total scan wall-clock.
-fn fold_cells(
-    outs: Vec<(FaultCell, ScanStats, Duration)>,
-) -> (Vec<FaultCell>, ScanStats, Duration) {
-    let mut cells = Vec::with_capacity(outs.len());
-    let mut scan = ScanStats::default();
-    let mut scan_wall = Duration::ZERO;
-    for (cell, stats, wall) in outs {
-        scan.absorb(stats);
-        scan_wall += wall;
-        cells.push(cell);
-    }
-    (cells, scan, scan_wall)
 }
 
 /// Runs the fault workload once with an empty plan and returns the operation
@@ -394,7 +399,7 @@ pub fn probe_index_space(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> Result<(u64, u64), String> {
-    probe_on(&mut boot(level, cfg), kind, level, cfg)
+    probe_on(&mut boot(level, cfg, BOOT_TWEAK), kind, level, cfg)
 }
 
 /// [`probe_index_space`] on an already-booted machine.
@@ -414,22 +419,6 @@ fn probe_on(
         return Err(format!("unfaulted probe run failed: {e}"));
     }
     Ok((start, kernel.op_index()))
-}
-
-/// Exhaustive (or strided) fault sweep on the default executor. See
-/// [`fault_sweep_on`].
-///
-/// # Errors
-///
-/// Propagates a failing probe run.
-pub fn fault_sweep(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    mode: FaultMode,
-    stride: u64,
-    cfg: &ExperimentConfig,
-) -> Result<FaultSweepReport, String> {
-    fault_sweep_on(&Executor::from_env(), kind, level, mode, stride, cfg)
 }
 
 /// Sweeps "fail (or kill) the operation at index `k`" over every `k`-th
@@ -479,12 +468,9 @@ pub fn fault_sweep_timed_on(
     let (start, end) = template.probe(|kernel| probe_on(kernel, kind, level, cfg))?;
     let server_cfg = server_config(level, cfg);
     let ks: Vec<u64> = (start..end).step_by(stride as usize).collect();
-    let (outs, exec_report) = exec.run_timed(ks, |_, k| {
-        template.with_machine(|kernel| {
-            run_kind(kind, &template, kernel, server_cfg, mode.plan_at(k), k)
-        })
+    let (cells, timing) = template.run(exec, ks, |kernel, scanner, k| {
+        run_kind(kind, kernel, scanner, server_cfg, mode.plan_at(k), k)
     });
-    let (cells, scan, scan_wall) = fold_cells(outs);
     let report = FaultSweepReport {
         kind_label: kind.label(),
         level,
@@ -493,15 +479,16 @@ pub fn fault_sweep_timed_on(
         end,
         stride,
         cells,
-        scan,
+        scan: timing.scan,
     };
-    Ok((report, exec_report.with_scan(scan, scan_wall)))
+    Ok((report, timing))
 }
 
 /// Seeded random fault sweep: `reps` independent runs, each under a plan
 /// that fails roughly one in `denom` operations, streams derived from
 /// `fault_seed`. Complements the exhaustive sweep with multi-fault runs
-/// (several operations fail in the same run).
+/// (several operations fail in the same run). Returns the batch's
+/// [`ExecReport`] alongside, like [`fault_sweep_timed_on`].
 ///
 /// # Errors
 ///
@@ -519,40 +506,15 @@ pub fn fault_sweep_seeded_on(
     denom: u64,
     reps: u64,
     cfg: &ExperimentConfig,
-) -> Result<FaultSweepReport, String> {
-    fault_sweep_seeded_timed_on(exec, kind, level, fault_seed, denom, reps, cfg)
-        .map(|(report, _)| report)
-}
-
-/// Like [`fault_sweep_seeded_on`], but also returns the batch's
-/// [`ExecReport`] with scan-effort accounting attached.
-///
-/// # Errors
-///
-/// Propagates a failing probe run.
-///
-/// # Panics
-///
-/// Panics if `denom` is 0 (the plan would fail every operation, including
-/// all of boot).
-pub fn fault_sweep_seeded_timed_on(
-    exec: &Executor,
-    kind: ServerKind,
-    level: ProtectionLevel,
-    fault_seed: u64,
-    denom: u64,
-    reps: u64,
-    cfg: &ExperimentConfig,
 ) -> Result<(FaultSweepReport, ExecReport), String> {
     assert!(denom > 0, "denom must be at least 1");
     let template = sweep_template(kind.label(), level, cfg);
     let (start, end) = template.probe(|kernel| probe_on(kernel, kind, level, cfg))?;
     let server_cfg = server_config(level, cfg);
-    let (outs, exec_report) = exec.run_timed((0..reps).collect(), |_, rep| {
+    let (cells, timing) = template.run(exec, (0..reps).collect(), |kernel, scanner, rep| {
         let plan = FaultPlan::new().seeded(fault_seed.wrapping_add(rep), denom);
-        template.with_machine(|kernel| run_kind(kind, &template, kernel, server_cfg, plan, rep))
+        run_kind(kind, kernel, scanner, server_cfg, plan, rep)
     });
-    let (cells, scan, scan_wall) = fold_cells(outs);
     let report = FaultSweepReport {
         kind_label: kind.label(),
         level,
@@ -561,9 +523,9 @@ pub fn fault_sweep_seeded_timed_on(
         end,
         stride: 0,
         cells,
-        scan,
+        scan: timing.scan,
     };
-    Ok((report, exec_report.with_scan(scan, scan_wall)))
+    Ok((report, timing))
 }
 
 #[cfg(test)]
@@ -663,12 +625,19 @@ mod tests {
                     probe_index_space(kind, level, &cfg),
                     Ok((report.start, report.end))
                 );
-                let fresh = report.cells.iter().map(|c| {
-                    let mut kernel = template.kernel.clone();
-                    let plan = mode.plan_at(c.k);
-                    run_kind(kind, &template, &mut kernel, server_cfg, plan, c.k)
-                });
-                let (cells, scan, _) = fold_cells(fresh.collect());
+                let mut scan = ScanStats::default();
+                let cells: Vec<FaultCell> = report
+                    .cells
+                    .iter()
+                    .map(|c| {
+                        let mut kernel = template.kernel.clone();
+                        let mut scanner = template.scanner.fork();
+                        let plan = mode.plan_at(c.k);
+                        let cell = run_kind(kind, &mut kernel, &mut scanner, server_cfg, plan, c.k);
+                        scan.absorb(scanner.stats());
+                        cell
+                    })
+                    .collect();
                 assert_eq!(
                     report.cells, cells,
                     "{kind}/{level}/{mode}, {threads} threads"

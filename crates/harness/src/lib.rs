@@ -3,14 +3,14 @@
 //!
 //! | Paper figure | Driver | Binary |
 //! |---|---|---|
-//! | Fig 1, 2 (ext2 sweep) | [`attack_sweep::ext2_sweep`] | `fig1_2` |
-//! | Fig 3, 4 (tty sweep) | [`attack_sweep::tty_sweep`] | `fig3_4` |
-//! | Fig 5, 6, 9–16, 21–28 (timelines) | [`timeline::run_timeline`] | `timeline` |
-//! | Fig 7, 17, 18 (before/after) | [`attack_sweep::tty_sweep`] at two levels | `fig7_17_18` |
+//! | Fig 1, 2 (ext2 sweep) | [`attack_sweep::ext2_sweep_on`] | `fig1_2` |
+//! | Fig 3, 4 (tty sweep) | [`attack_sweep::tty_sweep_on`] | `fig3_4` |
+//! | Fig 5, 6, 9–16, 21–28 (timelines) | [`timeline::run_timelines_timed`] | `timeline` |
+//! | Fig 7, 17, 18 (before/after) | [`attack_sweep::tty_sweep_on`] at two levels | `fig7_17_18` |
 //! | Fig 8, 19, 20 (performance) | [`perf::run_perf`] | `perf` |
-//! | Error-path robustness (beyond the paper) | [`faultsweep::fault_sweep`] | `faultsweep` |
-//! | Stronger attackers (beyond the paper) | [`attack_matrix::attacker_matrix`] | `attacker_matrix` |
-//! | Rotation crash-consistency (beyond the paper) | [`rotsweep::rotation_sweep`] | `rotsweep` |
+//! | Error-path robustness (beyond the paper) | [`faultsweep::fault_sweep_timed_on`] | `faultsweep` |
+//! | Stronger attackers (beyond the paper) | [`attack_matrix::attacker_matrix_on`] | `attacker_matrix` |
+//! | Rotation crash-consistency (beyond the paper) | [`rotsweep::rotation_sweep_on`] | `rotsweep` |
 //!
 //! Each driver returns plain data structures; the [`report`] module renders
 //! them as the gnuplot-style `.dat` series the paper's plots were built from

@@ -38,7 +38,7 @@
 //! memory.
 
 use crate::exec::{ExecReport, Executor};
-use crate::faultsweep::{FaultMode, SweepTemplate};
+use crate::faultsweep::{boot, server_config, FaultMode, SweepTemplate};
 use crate::{ExperimentConfig, ServerKind};
 use keyguard::ProtectionLevel;
 use keyscan::reconstruct::{reconstruct, ReconstructConfig};
@@ -46,8 +46,6 @@ use keyscan::{IncrementalScanner, ScanStats, Scanner};
 use memsim::{FaultPlan, Kernel};
 use rsa_repro::material::{KeyMaterial, Pattern};
 use servers::{ApacheServer, SecureServer, ServerConfig, SheddingStats, SshServer};
-use simrng::Rng64;
-use std::time::Duration;
 
 /// Standing connections held open across the rotation (they pin the old
 /// epoch and force a real drain window).
@@ -216,15 +214,6 @@ impl RetireCheck {
     }
 }
 
-fn boot(level: ProtectionLevel, cfg: &ExperimentConfig) -> Kernel {
-    let mut rng = Rng64::new(cfg.seed ^ BOOT_TWEAK);
-    cfg.boot_machine(level, &mut rng)
-}
-
-fn server_config(level: ProtectionLevel, cfg: &ExperimentConfig) -> ServerConfig {
-    ServerConfig::new(level).with_key_bits(cfg.key_bits)
-}
-
 /// Drives the rotation workload on an already-booted kernel with whatever
 /// plan is installed: start, standing connections, warm-up pump, rotate,
 /// drain pumps, quiesce. Every step records (rather than propagates) its
@@ -294,20 +283,31 @@ fn rot_template(
     patterns.extend(new.patterns().iter().map(Pattern::clone_secret));
     let scanner = IncrementalScanner::new(Scanner::new(patterns)).with_threads(cfg.scan_threads);
     RotTemplate {
-        sweep: SweepTemplate::new(boot(level, cfg), scanner),
+        sweep: SweepTemplate::new(boot(level, cfg, BOOT_TWEAK), scanner),
         old_patterns,
     }
 }
 
+/// The plan a rotation cell installs: `mode` at `k` for first-order cells;
+/// for second-order `(j, k)` pairs, `Fail` fails both operations
+/// ([`FaultPlan::fail_at_indices`]) and `Kill` fails `j` then kills the
+/// process at `k` ([`FaultPlan::fail_then_kill`]).
+fn cell_plan(mode: FaultMode, k: u64, k2: Option<u64>) -> FaultPlan {
+    match (k2, mode) {
+        (None, _) => mode.plan_at(k),
+        (Some(k2), FaultMode::Fail) => FaultPlan::new().fail_at_indices(k, k2),
+        (Some(k2), FaultMode::Kill) => FaultPlan::new().fail_then_kill(k, k2),
+    }
+}
+
 fn run_one<S: SecureServer>(
-    template: &RotTemplate,
     kernel: &mut Kernel,
+    scanner: &mut IncrementalScanner,
+    old_patterns: usize,
     server_cfg: ServerConfig,
     plan: FaultPlan,
-    k: u64,
-    k2: Option<u64>,
-) -> (RotationCell, ScanStats, Duration) {
-    let mut scanner = template.sweep.scanner.fork();
+    (k, k2): (u64, Option<u64>),
+) -> RotationCell {
     kernel.install_fault_plan(plan);
     let (mut server, mut error, _) = drive_rotation::<S>(kernel, server_cfg);
     // The plan has done its worst inside the lifecycle. Recovery is part of
@@ -328,8 +328,8 @@ fn run_one<S: SecureServer>(
     }
     let report = scanner.scan(kernel);
     let counts = report.by_pattern();
-    let old_total: usize = counts[..template.old_patterns].iter().sum();
-    let new_total: usize = counts[template.old_patterns..].iter().sum();
+    let old_total: usize = counts[..old_patterns].iter().sum();
+    let new_total: usize = counts[old_patterns..].iter().sum();
     let (epoch, handshakes, shed) = server.as_ref().map_or_else(
         || (0, 0, SheddingStats::default()),
         |s| (s.key_epoch(), s.handshakes(), s.shedding()),
@@ -344,7 +344,7 @@ fn run_one<S: SecureServer>(
             error.get_or_insert_with(|| e.to_string());
         }
     }
-    let cell = RotationCell {
+    RotationCell {
         k,
         k2,
         injected: stats.faults_injected,
@@ -355,37 +355,26 @@ fn run_one<S: SecureServer>(
         loser_resident,
         handshakes,
         shed,
-    };
-    (cell, scanner.stats(), scanner.wall())
+    }
 }
 
 fn run_kind(
     kind: ServerKind,
-    template: &RotTemplate,
     kernel: &mut Kernel,
+    scanner: &mut IncrementalScanner,
+    old_patterns: usize,
     server_cfg: ServerConfig,
     plan: FaultPlan,
-    k: u64,
-    k2: Option<u64>,
-) -> (RotationCell, ScanStats, Duration) {
+    cell: (u64, Option<u64>),
+) -> RotationCell {
     match kind {
-        ServerKind::Ssh => run_one::<SshServer>(template, kernel, server_cfg, plan, k, k2),
-        ServerKind::Apache => run_one::<ApacheServer>(template, kernel, server_cfg, plan, k, k2),
+        ServerKind::Ssh => {
+            run_one::<SshServer>(kernel, scanner, old_patterns, server_cfg, plan, cell)
+        }
+        ServerKind::Apache => {
+            run_one::<ApacheServer>(kernel, scanner, old_patterns, server_cfg, plan, cell)
+        }
     }
-}
-
-fn fold_cells(
-    outs: Vec<(RotationCell, ScanStats, Duration)>,
-) -> (Vec<RotationCell>, ScanStats, Duration) {
-    let mut cells = Vec::with_capacity(outs.len());
-    let mut scan = ScanStats::default();
-    let mut scan_wall = Duration::ZERO;
-    for (cell, stats, wall) in outs {
-        scan.absorb(stats);
-        scan_wall += wall;
-        cells.push(cell);
-    }
-    (cells, scan, scan_wall)
 }
 
 fn probe_one<S: SecureServer>(
@@ -443,29 +432,22 @@ pub fn probe_rotation_space(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> Result<(u64, u64), String> {
-    probe_on(&mut boot(level, cfg), kind, level, cfg)
+    probe_on(&mut boot(level, cfg, BOOT_TWEAK), kind, level, cfg)
 }
 
-/// First-order rotation sweep on the default executor. See
-/// [`rotation_sweep_on`].
+/// Rotation sweep of fault order 1 or 2, on an explicit executor.
 ///
-/// # Errors
+/// Order 1 sweeps "fail (or kill) the operation at index `k`" over every
+/// `k`-th operation of the rotation lifecycle. Order 2 gives every ordered
+/// pair `(j, k)`, `j < k`, of the strided index set one run whose plan
+/// faults *both* indices — `Fail` mode fails both operations
+/// ([`FaultPlan::fail_at_indices`]), `Kill` mode fails `j` then kills the
+/// process at `k` ([`FaultPlan::fail_then_kill`]), so the second fault
+/// lands while the recovery from the first is still in flight.
 ///
-/// Propagates a failing probe run.
-pub fn rotation_sweep(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    mode: FaultMode,
-    stride: u64,
-    cfg: &ExperimentConfig,
-) -> Result<RotationSweepReport, String> {
-    rotation_sweep_on(&Executor::from_env(), kind, level, mode, stride, cfg)
-}
-
-/// Sweeps "fail (or kill) the operation at index `k`" over every `k`-th
-/// operation of the rotation lifecycle, on an explicit executor. Each cell
-/// is an independent machine + server + plan; results come back in index
-/// order and are bit-identical at any thread count.
+/// Each cell is an independent machine + server + plan; results come back
+/// in sweep order and are bit-identical at any thread count. The batch's
+/// [`ExecReport`] carries the scan-effort accounting.
 ///
 /// # Errors
 ///
@@ -473,142 +455,48 @@ pub fn rotation_sweep(
 ///
 /// # Panics
 ///
-/// Panics if `stride` is 0.
+/// Panics if `stride` is 0 or `order` is neither 1 nor 2.
 pub fn rotation_sweep_on(
     exec: &Executor,
     kind: ServerKind,
     level: ProtectionLevel,
     mode: FaultMode,
-    stride: u64,
-    cfg: &ExperimentConfig,
-) -> Result<RotationSweepReport, String> {
-    rotation_sweep_timed_on(exec, kind, level, mode, stride, cfg).map(|(report, _)| report)
-}
-
-/// Like [`rotation_sweep_on`], but also returns the batch's [`ExecReport`]
-/// with scan-effort accounting attached.
-///
-/// # Errors
-///
-/// Propagates a failing probe run.
-///
-/// # Panics
-///
-/// Panics if `stride` is 0.
-pub fn rotation_sweep_timed_on(
-    exec: &Executor,
-    kind: ServerKind,
-    level: ProtectionLevel,
-    mode: FaultMode,
+    order: u32,
     stride: u64,
     cfg: &ExperimentConfig,
 ) -> Result<(RotationSweepReport, ExecReport), String> {
     assert!(stride > 0, "stride must be at least 1");
-    let template = rot_template(kind.label(), level, cfg);
-    let (start, end) = template
-        .sweep
-        .probe(|kernel| probe_on(kernel, kind, level, cfg))?;
-    let server_cfg = server_config(level, cfg);
-    let ks: Vec<u64> = (start..end).step_by(stride as usize).collect();
-    let (outs, exec_report) = exec.run_timed(ks, |_, k| {
-        let plan = mode.plan_at(k);
-        template
-            .sweep
-            .with_machine(|kernel| run_kind(kind, &template, kernel, server_cfg, plan, k, None))
-    });
-    let (cells, scan, scan_wall) = fold_cells(outs);
-    let report = RotationSweepReport {
-        kind_label: kind.label(),
-        level,
-        mode,
-        order: 1,
-        start,
-        end,
-        stride,
-        cells,
-        scan,
-    };
-    Ok((report, exec_report.with_scan(scan, scan_wall)))
-}
-
-/// Second-order rotation sweep: every ordered pair `(j, k)`, `j < k`, of
-/// the strided index set gets one run whose plan faults *both* indices —
-/// `Fail` mode fails both operations ([`FaultPlan::fail_at_indices`]),
-/// `Kill` mode fails `j` then kills the process at `k`
-/// ([`FaultPlan::fail_then_kill`]), so the second fault lands while the
-/// recovery from the first is still in flight.
-///
-/// # Errors
-///
-/// Propagates a failing probe run.
-///
-/// # Panics
-///
-/// Panics if `stride` is 0.
-pub fn rotation_sweep_pairs_on(
-    exec: &Executor,
-    kind: ServerKind,
-    level: ProtectionLevel,
-    mode: FaultMode,
-    stride: u64,
-    cfg: &ExperimentConfig,
-) -> Result<RotationSweepReport, String> {
-    rotation_sweep_pairs_timed_on(exec, kind, level, mode, stride, cfg).map(|(report, _)| report)
-}
-
-/// Like [`rotation_sweep_pairs_on`], but also returns the batch's
-/// [`ExecReport`] with scan-effort accounting attached.
-///
-/// # Errors
-///
-/// Propagates a failing probe run.
-///
-/// # Panics
-///
-/// Panics if `stride` is 0.
-pub fn rotation_sweep_pairs_timed_on(
-    exec: &Executor,
-    kind: ServerKind,
-    level: ProtectionLevel,
-    mode: FaultMode,
-    stride: u64,
-    cfg: &ExperimentConfig,
-) -> Result<(RotationSweepReport, ExecReport), String> {
-    assert!(stride > 0, "stride must be at least 1");
+    assert!(matches!(order, 1 | 2), "fault order must be 1 or 2, got {order}");
     let template = rot_template(kind.label(), level, cfg);
     let (start, end) = template
         .sweep
         .probe(|kernel| probe_on(kernel, kind, level, cfg))?;
     let server_cfg = server_config(level, cfg);
     let idx: Vec<u64> = (start..end).step_by(stride as usize).collect();
-    let mut pairs = Vec::new();
+    let mut targets = Vec::new();
     for (i, &j) in idx.iter().enumerate() {
-        for &k2 in &idx[i + 1..] {
-            pairs.push((j, k2));
+        if order == 1 {
+            targets.push((j, None));
+        } else {
+            targets.extend(idx[i + 1..].iter().map(|&k2| (j, Some(k2))));
         }
     }
-    let (outs, exec_report) = exec.run_timed(pairs, |_, (j, k2)| {
-        let plan = match mode {
-            FaultMode::Fail => FaultPlan::new().fail_at_indices(j, k2),
-            FaultMode::Kill => FaultPlan::new().fail_then_kill(j, k2),
-        };
-        template
-            .sweep
-            .with_machine(|kernel| run_kind(kind, &template, kernel, server_cfg, plan, j, Some(k2)))
+    let (cells, timing) = template.sweep.run(exec, targets, |kernel, scanner, (k, k2)| {
+        let plan = cell_plan(mode, k, k2);
+        run_kind(kind, kernel, scanner, template.old_patterns, server_cfg, plan, (k, k2))
     });
-    let (cells, scan, scan_wall) = fold_cells(outs);
     let report = RotationSweepReport {
         kind_label: kind.label(),
         level,
         mode,
-        order: 2,
+        order,
         start,
         end,
         stride,
         cells,
-        scan,
+        scan: timing.scan,
     };
-    Ok((report, exec_report.with_scan(scan, scan_wall)))
+    Ok((report, timing))
 }
 
 fn retire_one<S: SecureServer>(
@@ -616,7 +504,7 @@ fn retire_one<S: SecureServer>(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> Result<RetireCheck, String> {
-    let mut kernel = boot(level, cfg);
+    let mut kernel = boot(level, cfg, BOOT_TWEAK);
     let server_cfg = server_config(level, cfg);
     let old_key = server_cfg.derive_rotated_key(kind_label, 0);
     let old_public = old_key.public_key();
@@ -690,9 +578,11 @@ mod tests {
             ProtectionLevel::Integrated,
             FaultMode::Fail,
             1,
+            1,
             &cfg(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.injected_cells() > 0, "{}", report.summary());
         // The sweep must observe both recovery outcomes: early faults roll
         // the rotation back, late faults let it complete.
@@ -708,25 +598,29 @@ mod tests {
             ServerKind::Ssh,
             ProtectionLevel::Shielded,
             FaultMode::Kill,
+            1,
             3,
             &cfg(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.injected_cells() > 0, "{}", report.summary());
         assert!(report.violations().is_empty(), "{}", report.summary());
     }
 
     #[test]
     fn second_order_pairs_fault_the_recovery_path() {
-        let report = rotation_sweep_pairs_on(
+        let report = rotation_sweep_on(
             &Executor::from_env(),
             ServerKind::Apache,
             ProtectionLevel::Kernel,
             FaultMode::Fail,
+            2,
             7,
             &cfg(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(report.order, 2);
         assert!(!report.cells.is_empty());
         // Pairs carry both indices and at least some fire twice.
@@ -754,17 +648,31 @@ mod tests {
             let server_cfg = server_config(level, &cfg);
             for threads in [1, 2] {
                 let exec = Executor::new(threads);
-                let report = rotation_sweep_on(&exec, kind, level, mode, 5, &cfg).unwrap();
+                let (report, _) = rotation_sweep_on(&exec, kind, level, mode, 1, 5, &cfg).unwrap();
                 assert_eq!(
                     probe_rotation_space(kind, level, &cfg),
                     Ok((report.start, report.end))
                 );
-                let fresh = report.cells.iter().map(|c| {
-                    let mut kernel = template.sweep.kernel.clone();
-                    let plan = mode.plan_at(c.k);
-                    run_kind(kind, &template, &mut kernel, server_cfg, plan, c.k, None)
-                });
-                let (cells, scan, _) = fold_cells(fresh.collect());
+                let mut scan = ScanStats::default();
+                let cells: Vec<RotationCell> = report
+                    .cells
+                    .iter()
+                    .map(|c| {
+                        let mut kernel = template.sweep.kernel.clone();
+                        let mut scanner = template.sweep.scanner.fork();
+                        let cell = run_kind(
+                            kind,
+                            &mut kernel,
+                            &mut scanner,
+                            template.old_patterns,
+                            server_cfg,
+                            mode.plan_at(c.k),
+                            (c.k, c.k2),
+                        );
+                        scan.absorb(scanner.stats());
+                        cell
+                    })
+                    .collect();
                 assert_eq!(
                     report.cells, cells,
                     "{kind}/{level}/{mode}, {threads} threads"

@@ -12,7 +12,7 @@ use memsim::{FaultPlan, SimResult};
 use rsa_repro::material::{KeyMaterial, Pattern};
 use servers::{ApacheServer, SecureServer, ServerConfig, SheddingStats, SshServer};
 use simrng::Rng64;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The paper's schedule, in simulation ticks (1 tick = 2 minutes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +191,8 @@ fn drive<S: SecureServer>(
     cfg: &ExperimentConfig,
     schedule: &Schedule,
     plan: Option<&FaultPlan>,
-) -> SimResult<(Timeline, Duration)> {
+) -> SimResult<(Timeline, ExecReport)> {
+    let started = Instant::now();
     let mut rng = Rng64::new(cfg.seed ^ 0x71ED_11E5);
     let mut kernel = cfg.boot_machine(level, &mut rng);
     if let Some(p) = plan {
@@ -273,71 +274,29 @@ fn drive<S: SecureServer>(
         shed: server.as_ref().map(SecureServer::shedding).unwrap_or_default(),
         scan: scanner.stats(),
     };
-    Ok((timeline, scanner.wall()))
+    let report = ExecReport::new(1, 1, started.elapsed()).with_scan(timeline.scan, scanner.wall());
+    Ok((timeline, report))
 }
 
-/// Runs the full timeline for one server and protection level.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_timeline(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
-    schedule: &Schedule,
-) -> SimResult<Timeline> {
-    run_timeline_timed(kind, level, cfg, schedule).map(|(tl, _)| tl)
-}
-
-/// Like [`run_timeline`], with a [`FaultPlan`] active for the whole run —
-/// the ROADMAP's "faults during attacks and timelines" wiring. The plan is
-/// installed on the freshly booted kernel before the first tick, so its op
-/// indices are as deterministic as the workload itself.
+/// Runs the full timeline for one server and protection level, optionally
+/// with a [`FaultPlan`] active for the whole run — the ROADMAP's "faults
+/// during attacks and timelines" wiring. The plan is installed on the
+/// freshly booted kernel before the first tick, so its op indices are as
+/// deterministic as the workload itself. The [`ExecReport`] alongside is a
+/// one-cell batch: the run's wall-clock, plus the per-tick scans'
+/// deterministic counters (also on [`Timeline::scan`]) and wall-clock.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors, including injected faults the server's
 /// shedding and retry machinery could not absorb.
-pub fn run_timeline_with_plan(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
-    schedule: &Schedule,
-    plan: &FaultPlan,
-) -> SimResult<Timeline> {
-    run_timeline_timed_with_plan(kind, level, cfg, schedule, Some(plan)).map(|(tl, _)| tl)
-}
-
-/// Like [`run_timeline`], but also returns the wall-clock spent inside the
-/// per-tick memory scans (everything deterministic lives on
-/// [`Timeline::scan`]; the non-deterministic timing rides separately).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_timeline_timed(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
-    schedule: &Schedule,
-) -> SimResult<(Timeline, Duration)> {
-    run_timeline_timed_with_plan(kind, level, cfg, schedule, None)
-}
-
-/// The fully general timeline entry point: optional fault plan, timing
-/// returned alongside the deterministic result.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_timeline_timed_with_plan(
+pub fn run_timeline(
     kind: ServerKind,
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
     schedule: &Schedule,
     plan: Option<&FaultPlan>,
-) -> SimResult<(Timeline, Duration)> {
+) -> SimResult<(Timeline, ExecReport)> {
     match kind {
         ServerKind::Ssh => drive::<SshServer>("openssh", level, cfg, schedule, plan),
         ServerKind::Apache => drive::<ApacheServer>("apache", level, cfg, schedule, plan),
@@ -361,32 +320,7 @@ pub fn run_timelines(
     cfg: &ExperimentConfig,
     schedule: &Schedule,
 ) -> SimResult<Vec<Timeline>> {
-    exec.run(jobs.to_vec(), |_, (kind, level)| {
-        run_timeline(kind, level, cfg, schedule)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Batch form of [`run_timeline_with_plan`]: every job gets its own copy of
-/// the plan on its own freshly booted kernel, so results are bit-identical
-/// to the serial loop regardless of executor shape.
-///
-/// # Errors
-///
-/// Propagates the first simulator error in job order.
-pub fn run_timelines_with_plan(
-    exec: &Executor,
-    jobs: &[(ServerKind, ProtectionLevel)],
-    cfg: &ExperimentConfig,
-    schedule: &Schedule,
-    plan: &FaultPlan,
-) -> SimResult<Vec<Timeline>> {
-    exec.run(jobs.to_vec(), |_, (kind, level)| {
-        run_timeline_with_plan(kind, level, cfg, schedule, plan)
-    })
-    .into_iter()
-    .collect()
+    run_timelines_timed(exec, jobs, cfg, schedule).map(|(timelines, _)| timelines)
 }
 
 /// Runs a batch of timelines and also returns the batch's [`ExecReport`],
@@ -405,15 +339,15 @@ pub fn run_timelines_timed(
     schedule: &Schedule,
 ) -> SimResult<(Vec<Timeline>, ExecReport)> {
     let (results, report) = exec.run_timed(jobs.to_vec(), |_, (kind, level)| {
-        run_timeline_timed(kind, level, cfg, schedule)
+        run_timeline(kind, level, cfg, schedule, None)
     });
     let mut timelines = Vec::with_capacity(results.len());
     let mut scan = ScanStats::default();
     let mut scan_wall = Duration::ZERO;
     for r in results {
-        let (tl, wall) = r?;
-        scan.absorb(tl.scan);
-        scan_wall += wall;
+        let (tl, one) = r?;
+        scan.absorb(one.scan);
+        scan_wall += one.scan_wall;
         timelines.push(tl);
     }
     Ok((timelines, report.with_scan(scan, scan_wall)))
@@ -444,8 +378,10 @@ mod tests {
             ProtectionLevel::None,
             &cfg,
             &Schedule::paper(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(tl.points.len(), 29);
         // Nothing before the server starts.
         assert_eq!(tl.at(0).unwrap().total(), 0);
@@ -473,8 +409,10 @@ mod tests {
             ProtectionLevel::None,
             &cfg,
             &Schedule::paper(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let tr = tl.transitions();
         // Observation (3): a burst of appearances when traffic starts (t=6).
         let (_, appeared, _, _) = tr.iter().find(|(t, ..)| *t == 6).copied().unwrap();
@@ -487,11 +425,12 @@ mod tests {
     #[test]
     fn timeline_scans_skip_clean_frames() {
         let cfg = ExperimentConfig::test();
-        let (tl, scan_wall) = run_timeline_timed(
+        let (tl, one) = run_timeline(
             ServerKind::Ssh,
             ProtectionLevel::None,
             &cfg,
             &Schedule::paper(),
+            None,
         )
         .unwrap();
         // One scan per tick, and the incremental path must actually skip:
@@ -502,7 +441,8 @@ mod tests {
             "per-tick scans re-read nearly everything: {:?}",
             tl.scan
         );
-        assert!(scan_wall > Duration::ZERO);
+        assert!(one.scan_wall > Duration::ZERO);
+        assert_eq!(one.scan, tl.scan);
 
         // The batch report aggregates the same counters.
         let (tls, report) = run_timelines_timed(
@@ -534,8 +474,10 @@ mod tests {
             ProtectionLevel::Integrated,
             &cfg,
             &Schedule::paper().with_rotation(4),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Rotation churns four extra keys through memory, yet the hardened
         // level never spills a byte of any epoch into free memory…
         assert_eq!(tl.peak_unallocated(), 0, "no epoch leaks into free memory");
@@ -554,15 +496,19 @@ mod tests {
             ProtectionLevel::None,
             &cfg,
             &Schedule::paper(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let rotated = run_timeline(
             ServerKind::Ssh,
             ProtectionLevel::None,
             &cfg,
             &Schedule::paper().with_rotation(4),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Unprotected, every retired epoch's debris lingers in free memory,
         // so rotation *adds* scanner-visible copies over the static-key run.
         assert!(
@@ -578,14 +524,15 @@ mod tests {
         let cfg = ExperimentConfig::test();
         let plan = FaultPlan::new().seeded(0xF417_0925, 97);
         let run = || {
-            run_timeline_with_plan(
+            run_timeline(
                 ServerKind::Ssh,
                 ProtectionLevel::Integrated,
                 &cfg,
                 &Schedule::paper().with_rotation(4),
-                &plan,
+                Some(&plan),
             )
             .unwrap()
+            .0
         };
         let a = run();
         let b = run();
@@ -608,8 +555,10 @@ mod tests {
             ProtectionLevel::Integrated,
             &cfg,
             &Schedule::paper(),
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(tl.peak_unallocated(), 0, "never anything in free memory");
         // During the server's life: exactly d+p+q on the aligned page.
         for t in 2..22 {

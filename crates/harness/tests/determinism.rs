@@ -86,12 +86,13 @@ fn tty_sweep_parallel_is_bit_identical_to_serial() {
     let conns = [0, 12, 24];
     let c = cfg().with_repetitions(4);
     for level in [ProtectionLevel::None, ProtectionLevel::Integrated] {
-        let serial =
+        let (serial, _) =
             tty_sweep_on(&Executor::serial(), ServerKind::Ssh, level, &conns, &c).unwrap();
         for threads in THREAD_COUNTS {
             let parallel =
                 tty_sweep_on(&Executor::new(threads), ServerKind::Ssh, level, &conns, &c)
-                    .unwrap();
+                    .unwrap()
+                    .0;
             assert_eq!(serial, parallel, "{level} at {threads} threads");
         }
     }
@@ -119,14 +120,13 @@ fn timeline_batch_parallel_is_bit_identical_to_serial() {
     }
     // The batch must also agree with individually-driven runs.
     for (job, tl) in jobs.iter().zip(&serial) {
-        let alone = run_timeline(job.0, job.1, &cfg(), &schedule).unwrap();
+        let (alone, _) = run_timeline(job.0, job.1, &cfg(), &schedule, None).unwrap();
         assert_eq!(*tl, alone, "{}/{}", job.0, job.1);
     }
 }
 
 #[test]
 fn rotating_timeline_with_plan_parallel_is_bit_identical_to_serial() {
-    use harness::timeline::run_timelines_with_plan;
     use memsim::FaultPlan;
     // A rotation cadence plus an active fault plan: the full chaos stack
     // must still be bit-identical at every thread count.
@@ -136,12 +136,14 @@ fn rotating_timeline_with_plan_parallel_is_bit_identical_to_serial() {
         .into_iter()
         .map(|kind| (kind, ProtectionLevel::Integrated))
         .collect();
-    let serial = run_timelines_with_plan(&Executor::serial(), &jobs, &cfg(), &schedule, &plan)
-        .unwrap();
+    let run = |exec: Executor| {
+        exec.run(jobs.clone(), |_, (kind, level)| {
+            run_timeline(kind, level, &cfg(), &schedule, Some(&plan)).unwrap().0
+        })
+    };
+    let serial = run(Executor::serial());
     for threads in THREAD_COUNTS {
-        let parallel =
-            run_timelines_with_plan(&Executor::new(threads), &jobs, &cfg(), &schedule, &plan)
-                .unwrap();
+        let parallel = run(Executor::new(threads));
         assert_eq!(serial, parallel, "{threads} threads");
     }
 }
@@ -160,7 +162,8 @@ fn attack_sweep_with_plan_parallel_is_bit_identical_to_serial() {
         &cfg(),
         Some(&plan),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     for threads in THREAD_COUNTS {
         let parallel = ext2_sweep_with_plan_on(
             &Executor::new(threads),
@@ -171,7 +174,8 @@ fn attack_sweep_with_plan_parallel_is_bit_identical_to_serial() {
             &cfg(),
             Some(&plan),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(serial, parallel, "{threads} threads");
     }
 }
@@ -183,7 +187,7 @@ fn attack_sweep_with_plan_parallel_is_bit_identical_to_serial() {
 #[test]
 fn rotation_sweep_parallel_is_bit_identical_to_serial() {
     use harness::faultsweep::FaultMode;
-    use harness::rotsweep::{rotation_sweep_on, rotation_sweep_pairs_on};
+    use harness::rotsweep::rotation_sweep_on;
     // First-order, exhaustive over the rotation lifecycle.
     let serial = rotation_sweep_on(
         &Executor::serial(),
@@ -191,9 +195,11 @@ fn rotation_sweep_parallel_is_bit_identical_to_serial() {
         ProtectionLevel::Integrated,
         FaultMode::Fail,
         1,
+        1,
         &cfg(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     for threads in THREAD_COUNTS {
         let parallel = rotation_sweep_on(
             &Executor::new(threads),
@@ -201,31 +207,37 @@ fn rotation_sweep_parallel_is_bit_identical_to_serial() {
             ProtectionLevel::Integrated,
             FaultMode::Fail,
             1,
+            1,
             &cfg(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(serial, parallel, "{threads} threads");
     }
     // Second-order pairs, kill mode (fail-then-kill).
-    let serial = rotation_sweep_pairs_on(
+    let serial = rotation_sweep_on(
         &Executor::serial(),
         ServerKind::Apache,
         ProtectionLevel::Shielded,
         FaultMode::Kill,
+        2,
         7,
         &cfg(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     for threads in THREAD_COUNTS {
-        let parallel = rotation_sweep_pairs_on(
+        let parallel = rotation_sweep_on(
             &Executor::new(threads),
             ServerKind::Apache,
             ProtectionLevel::Shielded,
             FaultMode::Kill,
+            2,
             7,
             &cfg(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(serial, parallel, "{threads} threads");
     }
 }
@@ -267,7 +279,8 @@ fn fault_sweep_parallel_is_bit_identical_to_serial() {
         6,
         &cfg(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let seeded_parallel = fault_sweep_seeded_on(
         &Executor::new(4),
         ServerKind::Apache,
@@ -277,7 +290,8 @@ fn fault_sweep_parallel_is_bit_identical_to_serial() {
         6,
         &cfg(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(seeded_serial, seeded_parallel);
 }
 
@@ -409,10 +423,12 @@ fn tty_subgrid_matches_full_grid() {
         &[0, 12, 24],
         &c,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let single =
         tty_sweep_on(&Executor::serial(), ServerKind::Ssh, ProtectionLevel::None, &[12], &c)
-            .unwrap();
+            .unwrap()
+            .0;
     let shared = full.iter().find(|p| p.connections == 12).unwrap();
     assert_eq!(*shared, single[0]);
 }
@@ -431,7 +447,8 @@ fn serial_vs_parallel_wallclock() {
     let start = Instant::now();
     let serial =
         tty_sweep_on(&Executor::serial(), ServerKind::Ssh, ProtectionLevel::None, &conns, &c)
-            .unwrap();
+            .unwrap()
+            .0;
     let serial_wall = start.elapsed();
 
     let threads = Executor::from_env().threads().max(2);
@@ -443,7 +460,8 @@ fn serial_vs_parallel_wallclock() {
         &conns,
         &c,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     let parallel_wall = start.elapsed();
 
     assert_eq!(serial, parallel);
@@ -486,7 +504,8 @@ fn scan_threads_is_invisible_to_every_sweep_family() {
         &[4, 8],
         &cfg(),
     )
-    .unwrap();
+    .unwrap()
+    .0;
 
     for threads in THREAD_COUNTS {
         let c = cfg().with_scan_threads(threads);
@@ -509,7 +528,8 @@ fn scan_threads_is_invisible_to_every_sweep_family() {
             &[4, 8],
             &c,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(tty_ref, tty, "tty sweep, scan_threads {threads}");
     }
 }

@@ -99,7 +99,7 @@ fn unprotected_baseline_leaks_under_the_same_faults() {
 /// in the same run and the invariant still holds.
 #[test]
 fn seeded_multi_fault_runs_stay_clean_at_integrated_level() {
-    let report = fault_sweep_seeded_on(
+    let (report, _) = fault_sweep_seeded_on(
         &Executor::from_env(),
         ServerKind::Ssh,
         ProtectionLevel::Integrated,

@@ -117,7 +117,7 @@ fn timeline_batches_are_thread_invariant_with_scan_stats() {
         run_timelines_timed(&Executor::serial(), &jobs, &cfg, &schedule).unwrap();
     // The batch is bit-identical to individual runs...
     for ((kind, level), tl) in jobs.iter().zip(&serial) {
-        assert_eq!(tl, &run_timeline(*kind, *level, &cfg, &schedule).unwrap());
+        assert_eq!(tl, &run_timeline(*kind, *level, &cfg, &schedule, None).unwrap().0);
     }
     // ...each timeline scanned every tick while skipping clean frames...
     for tl in &serial {

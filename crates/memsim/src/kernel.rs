@@ -567,19 +567,22 @@ impl Kernel {
             let mut rng =
                 Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let start = frame * PAGE_SIZE;
-            for byte in &mut image[start..start + PAGE_SIZE] {
-                if *byte == 0 {
-                    // No 1-bits to decay; skipping draws no randomness, but
-                    // each 1-bit elsewhere still decays independently.
+            for word in image[start..start + PAGE_SIZE].chunks_exact_mut(8) {
+                // Zero bytes have no 1-bits to decay and draw no randomness,
+                // so skipping them (a whole zero word at a time) leaves every
+                // 1-bit elsewhere drawing from the same stream position.
+                if u64::from_ne_bytes(word.try_into().expect("8-byte chunk")) == 0 {
                     continue;
                 }
-                let mut mask = 0u8;
-                for bit in 0..8 {
-                    if *byte & (1 << bit) != 0 && rng.gen_bool(decay_rate) {
-                        mask |= 1 << bit;
+                for byte in word.iter_mut().filter(|b| **b != 0) {
+                    let mut mask = 0u8;
+                    for bit in 0..8 {
+                        if *byte & (1 << bit) != 0 && rng.gen_bool(decay_rate) {
+                            mask |= 1 << bit;
+                        }
                     }
+                    *byte &= !mask;
                 }
-                *byte &= !mask;
             }
         }
         image

@@ -21,7 +21,7 @@ fn main() {
     let schedule = Schedule::paper();
 
     for kind in ServerKind::ALL {
-        let tl = run_timeline(kind, level, &cfg, &schedule).expect("timeline runs");
+        let (tl, _) = run_timeline(kind, level, &cfg, &schedule, None).expect("timeline runs");
         println!("{}", timeline_ascii(&tl, 50));
         println!(
             "events: t=2 server starts | t=6 8 clients | t=10 16 clients | \

@@ -62,6 +62,12 @@ else
   echo "ci: skipping sharded-scan floor (only ${cores} core(s))"
 fi
 
+# The five smoke runs below (three faultsweep, rotsweep, attacker_matrix)
+# write their .dat artifacts here; the results/ byte check after the last
+# one compares every file with its committed copy under results/.
+smoke_out=$(mktemp -d)
+trap 'rm -rf "$smoke_out"' EXIT
+
 echo "== faultsweep smoke matrix (release) =="
 # Deterministic fault injection: fail, then kill, fallible kernel operations
 # across the protected workloads and assert the no-leak invariant (kernel
@@ -70,9 +76,9 @@ echo "== faultsweep smoke matrix (release) =="
 # runs in the harness test suite and in `faultsweep` itself. The binary
 # exits nonzero on any violation.
 cargo run --release -p harness --bin faultsweep -- --test --stride 7 \
-    --level kernel --fault-seed 42 --denom 40 --fault-reps 4
+    --level kernel --fault-seed 42 --denom 40 --fault-reps 4 --out "$smoke_out"
 cargo run --release -p harness --bin faultsweep -- --test --stride 7 \
-    --level integrated
+    --level integrated --out "$smoke_out"
 
 echo "== rotation lifecycle & second-order fault sweeps (release) =="
 # The rotation test wall: the crash-consistent lifecycle state machine
@@ -85,25 +91,13 @@ cargo test --release -p harness --lib rotsweep
 # rotsweep --smoke: both servers at the hardened levels, exhaustive
 # first-order fail+kill over the rotation lifecycle plus sampled
 # second-order (j, k) pairs, then the unfaulted retire checks. The binary
-# exits nonzero on any violation; the grep pins the verdict line the
-# .dat artifacts carry, mirroring the attacker-matrix gate.
-cargo run --release -p harness --bin rotsweep -- --smoke
-grep -q "# rotation invariant: HELD" "results/rotsweep_retire.dat" || {
-    echo "ci: rotsweep retire verdict missing or violated" >&2
-    exit 1
-}
-for f in results/rotsweep_ssh_integrated_fail_o2.dat \
-         results/rotsweep_apache_shielded_kill_o2.dat; do
-    grep -q "# rotation invariant: HELD" "$f" || {
-        echo "ci: rotation invariant violated in ${f}" >&2
-        exit 1
-    }
-done
+# exits nonzero on any violation.
+cargo run --release -p harness --bin rotsweep -- --smoke --out "$smoke_out"
 # Second-order faultsweep smoke: a sparse seeded multi-fault plan layered
 # over the kill-mode sweep, so two independent faults can interact inside
 # one run of the non-rotation workload too.
 cargo run --release -p harness --bin faultsweep -- --test --stride 11 \
-    --level integrated --fault-seed 1709 --denom 53 --fault-reps 2
+    --level integrated --fault-seed 1709 --denom 53 --fault-reps 2 --out "$smoke_out"
 
 echo "== swap & writeback disclosure channels (release) =="
 # The PR-8 test wall: eviction really unmaps (access faults pages back in),
@@ -131,17 +125,29 @@ cargo test --release -p keyscan --test reconstruct
 echo "== attacker matrix smoke (release) =="
 # Every protection level against exact-free, exact-allocated, cold-boot
 # + reconstruction, swap-theft, dedup-timing, and rotation-window
-# attackers, for both servers. Writes
-# results/attacker_matrix_{ssh,apache}.dat and exits nonzero if any cell
-# deviates from the expectation table — in particular if Shielded falls to
-# any attacker class, or any weaker level survives one it shouldn't.
-cargo run --release -p harness --bin attacker_matrix -- --smoke
-for kind in ssh apache; do
-    grep -q "# expectation table: HELD" "results/attacker_matrix_${kind}.dat" || {
-        echo "ci: attacker matrix expectation table violated for ${kind}" >&2
+# attackers, for both servers. Writes attacker_matrix_{ssh,apache}.dat and
+# exits nonzero if any cell deviates from the expectation table — in
+# particular if Shielded falls to any attacker class, or any weaker level
+# survives one it shouldn't.
+cargo run --release -p harness --bin attacker_matrix -- --smoke --out "$smoke_out"
+
+echo "== results/ byte check =="
+# Every artifact the five smoke runs wrote (later runs overwrite earlier
+# ones, as they would in results/) must equal its committed copy under
+# results/ byte for byte. The committed files carry the HELD verdict lines,
+# so this also pins every verdict; any drift in a simulated result, or a
+# file with no committed counterpart, fails the run.
+checked=0
+for f in "$smoke_out"/*; do
+    name=$(basename "$f")
+    cmp -s "$f" "results/$name" || {
+        echo "ci: results/$name is missing or differs from the smoke run's output" >&2
         exit 1
     }
+    checked=$((checked + 1))
 done
+[ "$checked" -gt 0 ] || { echo "ci: the smoke runs wrote no artifacts" >&2; exit 1; }
+echo "ci: ${checked} smoke artifacts byte-identical to results/"
 
 echo "== keylint taint fixtures =="
 # The taint engine's end-to-end behavior, pinned by fixture markers:

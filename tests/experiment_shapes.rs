@@ -2,7 +2,8 @@
 //! results of every paper figure (who wins, what grows, where the
 //! crossovers are) at test scale.
 
-use harness::attack_sweep::{ext2_sweep, tty_sweep};
+use harness::attack_sweep::{ext2_sweep_on, tty_sweep_on};
+use harness::exec::Executor;
 use harness::perf::{overhead_percent, run_perf, PerfConfig};
 use harness::timeline::{run_timeline, Schedule};
 use harness::{ExperimentConfig, ServerKind};
@@ -18,7 +19,8 @@ fn cfg() -> ExperimentConfig {
 
 #[test]
 fn fig1_shape_keys_grow_with_directories() {
-    let points = ext2_sweep(
+    let points = ext2_sweep_on(
+        &Executor::from_env(),
         ServerKind::Ssh,
         ProtectionLevel::None,
         &[40],
@@ -36,7 +38,8 @@ fn fig1_shape_keys_grow_with_directories() {
 
 #[test]
 fn fig2_shape_apache_is_also_vulnerable() {
-    let points = ext2_sweep(
+    let points = ext2_sweep_on(
+        &Executor::from_env(),
         ServerKind::Apache,
         ProtectionLevel::None,
         &[40],
@@ -51,7 +54,8 @@ fn fig2_shape_apache_is_also_vulnerable() {
 fn section5_reexam_ext2_zero_after_any_zeroing_level() {
     for kind in ServerKind::ALL {
         for level in [ProtectionLevel::Kernel, ProtectionLevel::Integrated] {
-            let points = ext2_sweep(kind, level, &[40], &[2000], &cfg()).unwrap();
+            let points =
+                ext2_sweep_on(&Executor::from_env(), kind, level, &[40], &[2000], &cfg()).unwrap();
             assert_eq!(points[0].avg_keys_found, 0.0, "{kind}/{level}");
             assert_eq!(points[0].success_rate, 0.0, "{kind}/{level}");
         }
@@ -65,7 +69,9 @@ fn section5_reexam_ext2_zero_after_any_zeroing_level() {
 #[test]
 fn fig3_shape_keys_grow_with_connections() {
     let c = cfg().with_repetitions(8);
-    let points = tty_sweep(ServerKind::Ssh, ProtectionLevel::None, &[0, 8, 24], &c).unwrap();
+    let (points, _) =
+        tty_sweep_on(&Executor::from_env(), ServerKind::Ssh, ProtectionLevel::None, &[0, 8, 24], &c)
+            .unwrap();
     // With zero connections only the daemon's handful of copies exist; more
     // connections mean more copies recovered per dump.
     assert!(
@@ -79,7 +85,9 @@ fn fig3_shape_keys_grow_with_connections() {
 #[test]
 fn fig4_shape_apache_tty() {
     let c = cfg().with_repetitions(8);
-    let points = tty_sweep(ServerKind::Apache, ProtectionLevel::None, &[24], &c).unwrap();
+    let (points, _) =
+        tty_sweep_on(&Executor::from_env(), ServerKind::Apache, ProtectionLevel::None, &[24], &c)
+            .unwrap();
     assert!(points[0].success_rate >= 0.7, "{points:?}");
     assert!(points[0].avg_keys_found >= 1.0);
 }
@@ -92,8 +100,9 @@ fn fig4_shape_apache_tty() {
 fn fig7_shape_integrated_halves_tty_success_and_crushes_copy_count() {
     let c = cfg().with_repetitions(16);
     for kind in ServerKind::ALL {
-        let before = tty_sweep(kind, ProtectionLevel::None, &[24], &c).unwrap();
-        let after = tty_sweep(kind, ProtectionLevel::Integrated, &[24], &c).unwrap();
+        let exec = Executor::from_env();
+        let (before, _) = tty_sweep_on(&exec, kind, ProtectionLevel::None, &[24], &c).unwrap();
+        let (after, _) = tty_sweep_on(&exec, kind, ProtectionLevel::Integrated, &[24], &c).unwrap();
         assert!(
             after[0].avg_keys_found < before[0].avg_keys_found,
             "{kind}: copies must drop: {before:?} -> {after:?}"
@@ -119,8 +128,8 @@ fn fig7_shape_integrated_halves_tty_success_and_crushes_copy_count() {
 fn timeline_family_shapes() {
     let schedule = Schedule::paper();
     for kind in ServerKind::ALL {
-        let unprotected =
-            run_timeline(kind, ProtectionLevel::None, &cfg(), &schedule).unwrap();
+        let (unprotected, _) =
+            run_timeline(kind, ProtectionLevel::None, &cfg(), &schedule, None).unwrap();
         // Flooding during load (Figures 5/6).
         let load_peak = (6..18)
             .map(|t| unprotected.at(t).unwrap().total())
@@ -136,7 +145,7 @@ fn timeline_family_shapes() {
             ProtectionLevel::Library,
             ProtectionLevel::Integrated,
         ] {
-            let tl = run_timeline(kind, level, &cfg(), &schedule).unwrap();
+            let (tl, _) = run_timeline(kind, level, &cfg(), &schedule, None).unwrap();
             // Aligned levels: constant copy count while running (Figures
             // 9-12, 15-16, 21-24, 27-28) and clean free memory.
             let counts: Vec<usize> = (2..22).map(|t| tl.at(t).unwrap().total()).collect();
@@ -148,7 +157,8 @@ fn timeline_family_shapes() {
         }
 
         // Kernel level: duplication remains, free memory clean (Fig 13-14 / 25-26).
-        let kernel_tl = run_timeline(kind, ProtectionLevel::Kernel, &cfg(), &schedule).unwrap();
+        let (kernel_tl, _) =
+            run_timeline(kind, ProtectionLevel::Kernel, &cfg(), &schedule, None).unwrap();
         assert_eq!(kernel_tl.peak_unallocated(), 0, "{kind}/kernel");
         let kernel_peak = (6..18)
             .map(|t| kernel_tl.at(t).unwrap().total())
@@ -167,11 +177,12 @@ fn timeline_pem_observation_5() {
     // allocated memory (the page cache) on an unprotected machine, while the
     // integrated level removes even that.
     let schedule = Schedule::paper();
-    let unprotected =
-        run_timeline(ServerKind::Ssh, ProtectionLevel::None, &cfg(), &schedule).unwrap();
+    let (unprotected, _) =
+        run_timeline(ServerKind::Ssh, ProtectionLevel::None, &cfg(), &schedule, None).unwrap();
     assert_eq!(unprotected.at(25).unwrap().allocated, 1);
-    let integrated =
-        run_timeline(ServerKind::Ssh, ProtectionLevel::Integrated, &cfg(), &schedule).unwrap();
+    let (integrated, _) =
+        run_timeline(ServerKind::Ssh, ProtectionLevel::Integrated, &cfg(), &schedule, None)
+            .unwrap();
     assert_eq!(integrated.at(25).unwrap().allocated, 0);
 }
 
