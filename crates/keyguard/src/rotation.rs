@@ -89,9 +89,9 @@ impl core::fmt::Display for RotationPhase {
 /// a plain [`SecureKeyRegion`], or the shielded wrapper at
 /// [`ProtectionLevel::Shielded`].
 ///
-/// Servers store the two shapes in separate fields; custody unifies them so
-/// the rotation machine can install, hold, and destroy either through one
-/// transactional interface.
+/// Custody unifies the two shapes so the rotation machine (and a server,
+/// which holds its key's home as an `Option<Custody>`) can install, hold,
+/// and destroy either through one transactional interface.
 // keylint: allow(S003) -- wraps the region/shield types, which keep the key bytes in simulated kernel pages
 pub enum Custody {
     /// An unshielded aligned region (application/library/integrated).
@@ -140,30 +140,6 @@ impl Custody {
             }
         } else {
             Ok(Self::Plain(region))
-        }
-    }
-
-    /// Reassembles custody from a server's separate region/shield fields.
-    /// Returns `None` when neither is present (unaligned levels).
-    #[must_use]
-    pub fn from_parts(
-        region: Option<SecureKeyRegion>,
-        shield: Option<ShieldedKeyRegion>,
-    ) -> Option<Self> {
-        match (region, shield) {
-            (Some(r), None) => Some(Self::Plain(r)),
-            (None, Some(s)) => Some(Self::Shielded(s)),
-            (None, None) => None,
-            (Some(_), Some(_)) => unreachable!("a key has one home, never two"),
-        }
-    }
-
-    /// Splits custody back into the server's separate region/shield fields.
-    #[must_use]
-    pub fn into_parts(self) -> (Option<SecureKeyRegion>, Option<ShieldedKeyRegion>) {
-        match self {
-            Self::Plain(r) => (Some(r), None),
-            Self::Shielded(s) => (None, Some(s)),
         }
     }
 
@@ -588,22 +564,6 @@ mod tests {
         rot.begin_drain();
         rot.retire(&mut kernel, pid).unwrap();
         assert_eq!(rot.phase(), RotationPhase::Retire);
-    }
-
-    #[test]
-    fn custody_parts_round_trip() {
-        let level = ProtectionLevel::Shielded;
-        let (mut kernel, pid) = setup(level);
-        let (old, _, _, _) = keys();
-        let mut rng = Rng64::new(23);
-        let custody = Custody::install(&mut kernel, pid, &old, level, &mut rng).unwrap();
-        assert!(custody.is_shielded());
-        assert!(custody.region().npages() >= 1);
-        let (region, shield) = custody.into_parts();
-        assert!(region.is_none() && shield.is_some());
-        let back = Custody::from_parts(region, shield).unwrap();
-        back.destroy(&mut kernel, pid).unwrap();
-        assert!(Custody::from_parts(None, None).is_none());
     }
 
     #[test]

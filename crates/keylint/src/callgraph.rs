@@ -14,8 +14,10 @@
 //!   call-path trace).
 //! * **Call graph.** Call sites are resolved by name: free calls match
 //!   free functions, `Type::assoc(…)` matches functions inside
-//!   `impl Type`, and `.method(…)` matches any impl method of that name
-//!   (merged conservatively when ambiguous). Unresolvable callees keep
+//!   `impl Type`, `module::f(…)` (a qualifier no impl defines `f` for)
+//!   matches free functions in the file that defines `module`, and
+//!   `.method(…)` matches any impl method of that name (merged
+//!   conservatively when ambiguous). Unresolvable callees keep
 //!   the legacy behavior — their argument chains taint the call result
 //!   directly.
 //! * **SCC fixpoint.** Summaries are computed over Tarjan SCCs of the
@@ -25,8 +27,9 @@
 //!
 //! Precision notes: resolution is name-based (no type inference), so
 //! same-named methods from different impls merge into one conservative
-//! summary, and calls through module paths (`util::helper(…)`) stay
-//! unresolved. Summary sink scans honor inline `keylint: allow(…)`
+//! summary, and a module path resolves by its last segment only
+//! (`crate::util::helper(…)` matches `helper` in any `util.rs` or
+//! `util/mod.rs`). Summary sink scans honor inline `keylint: allow(…)`
 //! suppressions at the sink line, so a blessed sink does not propagate
 //! S008 findings to its callers.
 
@@ -117,7 +120,8 @@ impl Summaries {
     pub fn compute(models: &[FileModel], secret: &BTreeSet<String>, cfg: &Config) -> Summaries {
         let ctxs: Vec<FileCtx> = models.iter().map(FileCtx::new).collect();
         let by_name = build_by_name(&ctxs);
-        let graph = CallGraph::build(&ctxs, &by_name);
+        let paths: Vec<String> = models.iter().map(|m| m.path.clone()).collect();
+        let graph = CallGraph::build(&ctxs, &by_name, &paths);
         let supp: Vec<HashMap<RuleId, BTreeSet<u32>>> =
             models.iter().map(rules::suppressed_lines).collect();
         let mut sums = Summaries {
@@ -126,7 +130,7 @@ impl Summaries {
             sanitizer_fns: cfg.summary_sanitizers.iter().cloned().collect(),
             sink_fns: cfg.summary_sinks.iter().cloned().collect(),
             trusted_fns: cfg.summary_trusted.iter().cloned().collect(),
-            paths: models.iter().map(|m| m.path.clone()).collect(),
+            paths,
         };
         for scc in graph.sccs() {
             // Singletons stabilize in one round (their callees are final);
@@ -181,14 +185,14 @@ impl Summaries {
     pub fn known(&self, call: &CallSite) -> bool {
         self.is_sanitizer_fn(call)
             || self.is_sink_fn(call)
-            || !candidate_keys(&self.by_name, call).is_empty()
+            || !candidate_keys(&self.by_name, &self.paths, call).is_empty()
     }
 
     /// The merged summary of every function this call can resolve to, or
     /// `None` when the callee is unknown.
     #[must_use]
     pub fn resolve(&self, call: &CallSite, from: &str) -> Option<FnSummary> {
-        let mut keys = candidate_keys(&self.by_name, call);
+        let mut keys = candidate_keys(&self.by_name, &self.paths, call);
         if keys.is_empty() {
             return None;
         }
@@ -232,10 +236,13 @@ fn build_by_name(ctxs: &[FileCtx]) -> HashMap<String, Vec<(FnKey, Option<String>
 }
 
 /// Functions a call site can resolve to: free calls match free fns,
-/// `Q::name(…)` matches fns inside `impl Q`, `.name(…)` matches any impl
-/// method of that name.
+/// `Q::name(…)` matches fns inside `impl Q` or, when no impl `Q` defines
+/// `name`, free fns in the file that defines module `Q`; `.name(…)`
+/// matches any impl method of that name. `paths` are the model paths,
+/// indexed by [`FnKey::file`].
 fn candidate_keys(
     by_name: &HashMap<String, Vec<(FnKey, Option<String>)>>,
+    paths: &[String],
     call: &CallSite,
 ) -> Vec<FnKey> {
     let Some(cands) = by_name.get(&call.callee) else {
@@ -244,13 +251,33 @@ fn candidate_keys(
     if call.method {
         cands.iter().filter(|(_, o)| o.is_some()).map(|(k, _)| *k).collect()
     } else if let Some(q) = &call.qualifier {
-        cands
+        let owned: Vec<FnKey> = cands
             .iter()
             .filter(|(_, o)| o.as_deref() == Some(q.as_str()))
+            .map(|(k, _)| *k)
+            .collect();
+        if !owned.is_empty() {
+            return owned;
+        }
+        cands
+            .iter()
+            .filter(|(k, o)| o.is_none() && module_name(&paths[k.file]) == q)
             .map(|(k, _)| *k)
             .collect()
     } else {
         cands.iter().filter(|(_, o)| o.is_none()).map(|(k, _)| *k).collect()
+    }
+}
+
+/// The innermost module a source file defines, as a path qualifier names
+/// it: `src/engine.rs` → `engine`, `util/mod.rs` → `util`, and a crate
+/// root (`<crate>/src/lib.rs` or `main.rs`) → the crate's directory.
+fn module_name(path: &str) -> &str {
+    let mut dirs = path.strip_suffix(".rs").unwrap_or(path).rsplit('/');
+    match dirs.next().unwrap_or("") {
+        "mod" => dirs.next().unwrap_or(""),
+        "lib" | "main" => dirs.find(|d| *d != "src").unwrap_or(""),
+        stem => stem,
     }
 }
 
@@ -508,7 +535,11 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Builds the graph over every function in `ctxs`.
-    fn build(ctxs: &[FileCtx], by_name: &HashMap<String, Vec<(FnKey, Option<String>)>>) -> Self {
+    fn build(
+        ctxs: &[FileCtx],
+        by_name: &HashMap<String, Vec<(FnKey, Option<String>)>>,
+        paths: &[String],
+    ) -> Self {
         let mut nodes = Vec::new();
         let mut node_id: HashMap<FnKey, usize> = HashMap::new();
         for (file, ctx) in ctxs.iter().enumerate() {
@@ -529,7 +560,7 @@ impl CallGraph {
                     continue;
                 };
                 let caller = node_id[&FnKey { file, idx: caller_idx }];
-                for target in candidate_keys(by_name, call) {
+                for target in candidate_keys(by_name, paths, call) {
                     let t = node_id[&target];
                     if !succ[caller].contains(&t) {
                         succ[caller].push(t);
@@ -617,7 +648,8 @@ impl CallGraph {
 pub fn dot(models: &[FileModel]) -> String {
     let ctxs: Vec<FileCtx> = models.iter().map(FileCtx::new).collect();
     let by_name = build_by_name(&ctxs);
-    CallGraph::build(&ctxs, &by_name).to_dot()
+    let paths: Vec<String> = models.iter().map(|m| m.path.clone()).collect();
+    CallGraph::build(&ctxs, &by_name, &paths).to_dot()
 }
 
 #[cfg(test)]
@@ -761,6 +793,25 @@ mod tests {
         let l = summary_for(&models, &sums, "leaker");
         let sink = l.param_sinks.get(&0).expect("Self:: call sink propagates");
         assert_eq!(sink.kind, "format-macro sink");
+    }
+
+    #[test]
+    fn module_qualified_calls_resolve_to_the_module_file() {
+        let (models, sums) = summaries_of(&[
+            ("crates/x/src/util.rs", "fn wrap(v: BigUint) -> BigUint { v }"),
+            ("crates/x/src/other.rs", "fn wrap(v: BigUint) -> u32 { 0 }"),
+            (
+                "crates/x/src/lib.rs",
+                "fn user(v: BigUint) -> BigUint { crate::util::wrap(v) }\nfn constant(v: BigUint) -> u32 { other::wrap(v) }",
+            ),
+        ]);
+        // Each qualified call resolves to its own module's `wrap` only:
+        // util.rs passes the argument through, other.rs drops it.
+        assert!(summary_for(&models, &sums, "user").taints_return.contains(&0));
+        assert!(summary_for(&models, &sums, "constant").taints_return.is_empty());
+        assert_eq!(module_name("crates/x/src/util.rs"), "util");
+        assert_eq!(module_name("crates/x/src/util/mod.rs"), "util");
+        assert_eq!(module_name("crates/x/src/lib.rs"), "x");
     }
 
     #[test]

@@ -355,13 +355,14 @@ impl Engine<'_> {
     }
 
     /// Is chain `s` strictly inside the argument parens of a known
-    /// free-function call contained in `span`?
+    /// free-function call, or of a method call to a configured summary
+    /// sanitizer (`kernel.create_file(..)`), contained in `span`?
     fn arg_of_known_call(&self, s: &SourceRef, span: (usize, usize)) -> bool {
         let Some(sums) = self.summaries else {
             return false;
         };
         self.ctx.m.calls.iter().any(|c| {
-            !c.method
+            (!c.method || sums.is_sanitizer_fn(c))
                 && c.arg_span.0 >= span.0
                 && c.arg_span.1 <= span.1
                 && s.tok_index > c.arg_span.0

@@ -1,20 +1,23 @@
 //! End-to-end interprocedural tests: runs the `keylint` binary over the
-//! interproc fixture trio *together* with `--format json` and asserts
-//! the findings match the fixtures' `//~` markers exactly — cross-file
+//! interproc fixtures *together* with `--format json` and asserts the
+//! findings match the fixtures' `//~` markers exactly — cross-file
 //! two-hop laundering, a recursive launderer, a call-site sink (S008
-//! with its trace), loop back-edge taint, and *nothing* on the
-//! sanitizer-summary or suppressed lines.
+//! with its trace), loop back-edge taint, module-qualified call sinks,
+//! and *nothing* on the sanitizer-summary, sanitizer-method or suppressed
+//! lines.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use keylint::json::{self, Value};
 
-const FIXTURES: [&str; 4] = [
+const FIXTURES: [&str; 6] = [
     "interproc_helpers.rs",
     "interproc_caller.rs",
     "interproc_loops.rs",
     "interproc_self.rs",
+    "interproc_modpath.rs",
+    "interproc_sanitizer_method.rs",
 ];
 
 fn fixture(name: &str) -> PathBuf {
@@ -67,6 +70,16 @@ fn interproc_fixture_findings_via_json_output() {
     assert!(
         want.iter().any(|(f, r, _)| f == "interproc_self.rs" && r == "S008"),
         "self fixture must mark the Self::-qualified call sink"
+    );
+    assert_eq!(
+        want.iter().filter(|(f, r, _)| f == "interproc_modpath.rs" && r == "S008").count(),
+        2,
+        "modpath fixture must mark both module-qualified call sinks"
+    );
+    assert_eq!(
+        want.iter().filter(|(f, _, _)| f == "interproc_sanitizer_method.rs").count(),
+        1,
+        "sanitizer-method fixture marks only the unsanitized control"
     );
 
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_keylint"));

@@ -4,13 +4,12 @@
 //! key pages + per-worker Montgomery caches); reaping idle workers dumps
 //! those copies into unallocated memory.
 
-use crate::engine::{ScatteredKey, WorkerCrypto};
-use crate::{SecureServer, ServerConfig, SheddingStats, RETRY_BACKLOG_CAP, RETRY_BACKOFF_MAX};
-use keyguard::{Custody, KeyRotation, SecureKeyRegion, ShieldedKeyRegion};
-use memsim::{FileId, Kernel, Pid, SimError, SimResult, VAddr};
+use crate::daemon::{Daemon, Identity, Redial};
+use crate::engine::WorkerCrypto;
+use crate::{SecureServer, ServerConfig, SheddingStats};
+use memsim::{FileId, Kernel, Pid, SimResult};
 use rsa_repro::material::KeyMaterial;
 use rsa_repro::RsaPrivateKey;
-use simrng::Rng64;
 
 /// Apache prefork defaults (httpd.conf `StartServers` / `MaxClients`).
 const START_SERVERS: usize = 5;
@@ -39,39 +38,13 @@ impl core::fmt::Debug for Worker {
 ///
 /// See [`crate`] docs and [`SecureServer`] for the interface.
 pub struct ApacheServer {
-    config: ServerConfig,
-    key: RsaPrivateKey,
-    material: KeyMaterial,
-    pem_file: FileId,
-    parent: Pid,
-    region: Option<SecureKeyRegion>,
-    /// The shielded (prekey-encrypted) region at `ProtectionLevel::Shielded`:
-    /// ciphertext at rest, opened only around each private-key operation.
-    shield: Option<ShieldedKeyRegion>,
-    /// Address of the shared RSA struct: the page workers dirty on their
-    /// first private-key op (unprotected levels only).
-    shared_struct: Option<VAddr>,
-    /// The parent's scattered key copies at unaligned levels, retained so a
-    /// rotation can zero + free the predecessor's chunks at Retire.
-    scattered: Option<ScatteredKey>,
+    /// The parent process and everything it does with the server key.
+    daemon: Daemon,
     workers: Vec<Worker>,
     next_worker: usize,
-    rng: Rng64,
     handshakes: u64,
-    shed: SheddingStats,
-    running: bool,
-    /// Current key epoch ordinal (0 = boot key).
-    epoch: u64,
-    /// The in-flight rotation while the previous epoch drains.
-    rotation: Option<KeyRotation>,
-    /// Predecessor state held only during a drain window.
-    old_scattered: Option<ScatteredKey>,
-    old_material: Option<KeyMaterial>,
-    old_pem: Option<FileId>,
-    /// Bounded-backoff re-dial state for shed workers.
-    retry_backlog: u64,
-    retry_delay: u64,
-    retry_backoff: u64,
+    /// Shed workers and their bounded-backoff re-spawn state.
+    shed: Redial,
 }
 
 /// Holds the host key and its search material; `{:?}` reports pool state only.
@@ -82,7 +55,7 @@ impl core::fmt::Debug for ApacheServer {
             "ApacheServer(workers={}, handshakes={}, running={}, key=<redacted>)",
             self.workers.len(),
             self.handshakes,
-            self.running
+            self.daemon.running()
         )
     }
 }
@@ -92,18 +65,13 @@ impl ApacheServer {
         if self.workers.len() >= MAX_CLIENTS {
             return Ok(());
         }
-        let pid = kernel.fork(self.parent)?;
-        let crypto = WorkerCrypto::with_protocol(
-            self.key.clone_secret(),
-            self.config.level,
-            self.rng.next_u64(),
-            crate::engine::Protocol::Tls,
-        );
+        let pid = kernel.fork(self.daemon.pid())?;
+        let crypto = self.daemon.worker_crypto();
         self.workers.push(Worker {
             pid,
             crypto,
-            epoch: self.epoch,
-            tainted: self.rotation.is_some(),
+            epoch: self.daemon.epoch(),
+            tainted: self.daemon.draining(),
         });
         Ok(())
     }
@@ -111,135 +79,59 @@ impl ApacheServer {
     /// Spawns one worker, shedding (not propagating) a fork failure. A shed
     /// worker joins the bounded re-spawn backlog.
     fn spawn_or_shed(&mut self, kernel: &mut Kernel) -> bool {
-        match self.spawn_worker(kernel) {
-            Ok(()) => true,
-            Err(_) => {
-                self.shed.failed_forks += 1;
-                self.note_shed_for_retry();
-                false
-            }
+        let spawned = self.spawn_worker(kernel).is_ok();
+        if !spawned {
+            self.shed.fork_failed();
         }
-    }
-
-    /// Remembers one shed worker for re-spawning, up to the cap.
-    fn note_shed_for_retry(&mut self) {
-        self.retry_backlog = (self.retry_backlog + 1).min(RETRY_BACKLOG_CAP);
-    }
-
-    /// One deterministic bounded-backoff re-spawn step, run at the top of
-    /// every `pump` call (same discipline as the SSH server's re-dial).
-    fn retry_shed(&mut self, kernel: &mut Kernel) {
-        if self.retry_backlog == 0 {
-            return;
-        }
-        if self.retry_delay > 0 {
-            self.retry_delay -= 1;
-            return;
-        }
-        self.shed.retries += 1;
-        if self.spawn_worker(kernel).is_ok() {
-            self.shed.recovered += 1;
-            self.retry_backlog -= 1;
-            self.retry_backoff = 1;
-        } else {
-            self.retry_backoff = (self.retry_backoff * 2).min(RETRY_BACKOFF_MAX);
-        }
-        self.retry_delay = self.retry_backoff;
+        spawned
     }
 
     /// Retires the drain window once no worker remains on an old epoch.
     fn maybe_retire(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if self.rotation.is_some() && self.workers.iter().all(|w| w.epoch >= self.epoch) {
+        if self.workers.iter().all(|w| w.epoch >= self.daemon.epoch()) {
             self.retire_old(kernel)?;
         }
         Ok(())
     }
 
-    /// Retire phase: zeroizes the predecessor's custody, its scattered
-    /// chunks at unaligned levels, and its shredded PEM file. No-op when
-    /// not draining.
-    ///
-    /// **Retryable**: every teardown step can fault (zeroing writes break
-    /// COW shares, the shred allocates page-cache frames), so on error the
-    /// un-torn-down pieces are put back and the drain window stays open —
-    /// the next quiesce point finishes the retirement.
+    /// Retire phase ([`Daemon::retire`]), then the recycling of the workers
+    /// forked during the drain window.
     fn retire_old(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        let Some(mut rot) = self.rotation.take() else {
-            return Ok(());
-        };
-        if kernel.alive(self.parent) {
-            if let Err(e) = rot.retire(kernel, self.parent) {
-                self.rotation = Some(rot);
-                return Err(e);
-            }
-            if let Some(sk) = self.old_scattered.take() {
-                if let Err((sk, e)) = sk.try_zero_and_free(kernel, self.parent) {
-                    self.old_scattered = Some(sk);
-                    self.rotation = Some(rot);
-                    return Err(e);
-                }
-            }
-        } else {
-            rot.retire_dead();
-            self.old_scattered = None;
-        }
-        if let Some(fid) = self.old_pem.take() {
-            if let Err(e) = crate::engine::shred_file(kernel, fid) {
-                self.old_pem = Some(fid);
-                self.rotation = Some(rot);
-                return Err(e);
-            }
-        }
+        self.daemon.retire(kernel)?;
         // Recycle workers forked during the drain window: their address
         // spaces COW-share the predecessor's (now-wiped-in-the-parent) pages,
         // and only their exit releases the original frames. Replacements are
         // forked after the wipe, so they are clean — prefork recycles workers
         // routinely (MaxRequestsPerChild), and no request is in flight here.
-        // A failure mid-recycle keeps the drain window open so the loop
-        // resumes with the workers still tainted.
         while let Some(pos) = self.workers.iter().position(|w| w.tainted) {
             let w = self.workers.swap_remove(pos);
-            match kernel.exit(w.pid) {
-                Err(SimError::NoSuchProcess(_)) => self.shed.shed_connections += 1,
-                Err(e) => {
-                    self.workers.push(w);
-                    self.rotation = Some(rot);
-                    return Err(e);
-                }
-                Ok(()) => {}
-            }
+            self.shed.exit(kernel, w.pid)?;
             self.spawn_or_shed(kernel);
         }
-        self.old_material = None;
         Ok(())
     }
 
     /// Bounds the drain window before a back-to-back rotation or a graceful
     /// restart: any worker still on an old epoch is reaped and the
-    /// predecessor retires.
+    /// predecessor retires. Only a drain window leaves workers on an old
+    /// epoch (and tainted), so outside one this is a no-op.
     fn force_drain(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if self.rotation.is_none() {
-            return Ok(());
-        }
-        while let Some(pos) = self.workers.iter().position(|w| w.epoch < self.epoch) {
+        while let Some(pos) = self
+            .workers
+            .iter()
+            .position(|w| w.epoch < self.daemon.epoch())
+        {
             let w = self.workers.swap_remove(pos);
-            match kernel.exit(w.pid) {
-                Err(SimError::NoSuchProcess(_)) => self.shed.shed_connections += 1,
-                r => r?,
-            }
+            self.shed.exit(kernel, w.pid)?;
         }
         self.retire_old(kernel)
     }
 
     fn reap_worker(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if let Some(w) = self.workers.pop() {
-            match kernel.exit(w.pid) {
-                // Already dead (fault-plan kill): the slot is simply gone.
-                Err(SimError::NoSuchProcess(_)) => self.shed.shed_connections += 1,
-                r => r?,
-            }
+        match self.workers.pop() {
+            Some(w) => self.shed.exit(kernel, w.pid),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The current worker pool size.
@@ -251,7 +143,7 @@ impl ApacheServer {
     /// The simulated key file on disk.
     #[must_use]
     pub fn pem_file(&self) -> FileId {
-        self.pem_file
+        self.daemon.pem_file()
     }
 
     /// `apachectl graceful`: reap every worker, re-read the key file in the
@@ -272,42 +164,7 @@ impl ApacheServer {
             self.reap_worker(kernel)?;
         }
         // Re-load the configuration, key file included.
-        let level = self.config.level;
-        let scattered = ScatteredKey::load(
-            kernel,
-            self.parent,
-            self.pem_file,
-            &self.material,
-            level.nocache_pem(),
-            level.align_key(),
-        )?;
-        if level.align_key() {
-            // Retire the old region (shielded or plain), then re-install.
-            if let Some(old) = self.region.take() {
-                old.destroy(kernel, self.parent)?;
-            }
-            if let Some(old) = self.shield.take() {
-                old.destroy(kernel, self.parent)?;
-            }
-            let region = SecureKeyRegion::install(kernel, self.parent, &self.key)?;
-            scattered.zero_and_free(kernel, self.parent)?;
-            if level.shield_key() {
-                match ShieldedKeyRegion::wrap(kernel, self.parent, region, &mut self.rng) {
-                    Ok(shield) => self.shield = Some(shield),
-                    Err((region, e)) => {
-                        let _ = region.destroy(kernel, self.parent);
-                        return Err(e);
-                    }
-                }
-            } else {
-                self.region = Some(region);
-            }
-        } else {
-            self.shared_struct = Some(scattered.rsa_struct_addr());
-            // The prior reload's chunks keep leaking (faithful restart
-            // behaviour); only the newest handle is retired by rotation.
-            self.scattered = Some(scattered);
-        }
+        self.daemon.load(kernel)?;
         for _ in 0..pool {
             self.spawn_worker(kernel)?;
         }
@@ -317,67 +174,12 @@ impl ApacheServer {
 
 impl SecureServer for ApacheServer {
     fn start(kernel: &mut Kernel, config: ServerConfig) -> SimResult<Self> {
-        let mut rng = Rng64::new(config.seed ^ 0xA9AC_4E00);
-        let key = RsaPrivateKey::generate(config.key_bits, &mut rng);
-        let material = KeyMaterial::from_key(&key);
-        let pem_file = kernel.create_file("/etc/apache2/ssl/server.key", material.pem_bytes());
-        // The TLS key file is mode 0600, like the SSH host key.
-        kernel.chmod_private(pem_file)?;
-
-        let parent = kernel.spawn();
-        let level = config.level;
-        let scattered = ScatteredKey::load(
-            kernel,
-            parent,
-            pem_file,
-            &material,
-            level.nocache_pem(),
-            level.align_key(),
-        )?;
-        let (region, shield, shared_struct, scattered) = if level.align_key() {
-            let region = SecureKeyRegion::install(kernel, parent, &key)?;
-            scattered.zero_and_free(kernel, parent)?;
-            if level.shield_key() {
-                match ShieldedKeyRegion::wrap(kernel, parent, region, &mut rng) {
-                    Ok(shield) => (None, Some(shield), None, None),
-                    Err((region, e)) => {
-                        let _ = region.destroy(kernel, parent);
-                        return Err(e);
-                    }
-                }
-            } else {
-                (Some(region), None, None, None)
-            }
-        } else {
-            let addr = scattered.rsa_struct_addr();
-            // Keep the handle: a later rotation retires these chunks.
-            (None, None, Some(addr), Some(scattered))
-        };
-
         let mut server = Self {
-            config,
-            key,
-            material,
-            pem_file,
-            parent,
-            region,
-            shield,
-            shared_struct,
-            scattered,
+            daemon: Daemon::start(kernel, config, Identity::Apache)?,
             workers: Vec::new(),
             next_worker: 0,
-            rng,
             handshakes: 0,
-            shed: SheddingStats::default(),
-            running: true,
-            epoch: 0,
-            rotation: None,
-            old_scattered: None,
-            old_material: None,
-            old_pem: None,
-            retry_backlog: 0,
-            retry_delay: 0,
-            retry_backoff: 1,
+            shed: Redial::new(),
         };
         for _ in 0..START_SERVERS {
             server.spawn_worker(kernel)?;
@@ -391,15 +193,14 @@ impl SecureServer for ApacheServer {
         // gracefully and successor-epoch replacements join — round-robin
         // scheduling alone can starve a drained worker of its final request
         // forever, which would leave the predecessor key resident.
-        if self.rotation.is_some() {
-            while let Some(pos) = self.workers.iter().position(|w| w.epoch < self.epoch) {
-                let w = self.workers.swap_remove(pos);
-                match kernel.exit(w.pid) {
-                    Err(SimError::NoSuchProcess(_)) => self.shed.shed_connections += 1,
-                    r => r?,
-                }
-                self.spawn_or_shed(kernel);
-            }
+        while let Some(pos) = self
+            .workers
+            .iter()
+            .position(|w| w.epoch < self.daemon.epoch())
+        {
+            let w = self.workers.swap_remove(pos);
+            self.shed.exit(kernel, w.pid)?;
+            self.spawn_or_shed(kernel);
         }
         // Prefork keeps at least StartServers processes alive and grows the
         // pool to match concurrent demand. Growth is bounded — one spawn
@@ -417,7 +218,10 @@ impl SecureServer for ApacheServer {
     }
 
     fn pump(&mut self, kernel: &mut Kernel, requests: usize) -> SimResult<()> {
-        self.retry_shed(kernel);
+        if self.shed.due() {
+            let recovered = self.spawn_worker(kernel).is_ok();
+            self.shed.record(recovered);
+        }
         for _ in 0..requests {
             if self.workers.is_empty() && !self.spawn_or_shed(kernel) {
                 // No pool and no way to grow one right now: this request is
@@ -426,26 +230,17 @@ impl SecureServer for ApacheServer {
             }
             let idx = self.next_worker % self.workers.len();
             self.next_worker = self.next_worker.wrapping_add(1);
-            let shared = self.shared_struct;
-            let parent = self.parent;
-            let worker_epoch = self.workers[idx].epoch;
-            // A pre-rotation worker drains on its own epoch's key material.
-            let material = if worker_epoch < self.epoch {
-                self.old_material
-                    .as_ref()
-                    .unwrap_or(&self.material)
-                    .clone_secret()
-            } else {
-                self.material.clone_secret()
-            };
+            let shared = self.daemon.rsa_struct();
             let w = &mut self.workers[idx];
-            let result = crate::engine::with_shield_open(&mut self.shield, kernel, parent, |k| {
-                w.crypto.handshake(k, w.pid, shared, &material)
+            let worker_epoch = w.epoch;
+            // A pre-rotation worker drains on its own epoch's key material.
+            let result = self.daemon.with_open(kernel, worker_epoch, |k, material| {
+                w.crypto.handshake(k, w.pid, shared, material)
             });
             match result {
                 Ok(()) => {
                     self.handshakes += 1;
-                    if worker_epoch < self.epoch {
+                    if worker_epoch < self.daemon.epoch() {
                         // Graceful drain: the old-epoch worker finished its
                         // request; it exits and a successor-epoch replacement
                         // joins the pool — no request was dropped.
@@ -459,13 +254,8 @@ impl SecureServer for ApacheServer {
                 Err(_) => {
                     // Shed the failing worker — prefork reaps a crashed
                     // child and carries on.
-                    self.shed.shed_handshakes += 1;
                     let pid = self.workers.swap_remove(idx).pid;
-                    if kernel.alive(pid) {
-                        let _ = kernel.exit(pid);
-                    }
-                    self.shed.shed_connections += 1;
-                    self.note_shed_for_retry();
+                    self.shed.handshake_failed(kernel, pid);
                 }
             }
         }
@@ -476,41 +266,23 @@ impl SecureServer for ApacheServer {
         if self.workers.is_empty() {
             self.spawn_worker(kernel)?;
         }
-        let idx = self.rng.gen_index(self.workers.len());
+        let idx = self.daemon.rng.gen_index(self.workers.len());
         let pid = self.workers[idx].pid;
-        crate::engine::move_data(kernel, pid, bytes, self.rng.next_u64())
+        crate::engine::move_data(kernel, pid, bytes, self.daemon.rng.next_u64())
     }
 
     fn stop(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if !self.running {
+        if !self.daemon.running() {
             return Ok(());
         }
         while !self.workers.is_empty() {
             self.reap_worker(kernel)?;
         }
-        // An open drain window retires before shutdown.
-        self.retire_old(kernel)?;
-        let parent_alive = kernel.alive(self.parent);
-        if let Some(region) = self.region.take() {
-            // A parent already killed by a fault took its mappings with it.
-            if parent_alive {
-                region.destroy(kernel, self.parent)?;
-            }
-        }
-        if let Some(shield) = self.shield.take() {
-            if parent_alive {
-                shield.destroy(kernel, self.parent)?;
-            }
-        }
-        if parent_alive {
-            kernel.exit(self.parent)?;
-        }
-        self.running = false;
-        Ok(())
+        self.daemon.stop(kernel)
     }
 
     fn config(&self) -> ServerConfig {
-        self.config
+        self.daemon.config()
     }
 
     fn restart(&mut self, kernel: &mut Kernel) -> SimResult<()> {
@@ -518,91 +290,31 @@ impl SecureServer for ApacheServer {
     }
 
     fn rotate_key(&mut self, kernel: &mut Kernel) -> SimResult<u64> {
-        if !self.running || !kernel.alive(self.parent) {
-            return Err(SimError::NoSuchProcess(self.parent));
-        }
+        self.daemon.ensure_live(kernel)?;
         // Bound the drain window: a back-to-back rotation finishes the
         // previous epoch's drain before starting its own.
         self.force_drain(kernel)?;
-
-        let ordinal = self.epoch + 1;
-        let level = self.config.level;
-        // Generate: host-side only, deterministic in (config, ordinal).
-        let new_key = self.config.derive_rotated_key("apache", ordinal);
-        let new_material = KeyMaterial::from_key(&new_key);
-
-        // Install: the successor's protected home. Transactional — on error
-        // the old key is untouched and no successor byte is resident.
-        let mut rot = KeyRotation::begin(level, ordinal);
-        rot.install(kernel, self.parent, &new_key, &mut self.rng)?;
-
-        // The successor key file replaces the old path, mode 0600.
-        let new_pem = kernel.create_file("/etc/apache2/ssl/server.key", new_material.pem_bytes());
-        if let Err(e) = kernel.chmod_private(new_pem) {
-            let _ = rot.abort(kernel, self.parent);
-            return Err(e);
-        }
-
-        // The parent's scattered home at unaligned levels — rolled back as a
-        // unit on failure, keeping "old key fully live" true.
-        let new_scattered = if level.align_key() {
-            None
-        } else {
-            match ScatteredKey::load_transactional(
-                kernel,
-                self.parent,
-                new_pem,
-                &new_material,
-                level.nocache_pem(),
-            ) {
-                Ok(sk) => Some(sk),
-                Err(e) => {
-                    let _ = crate::engine::shred_file(kernel, new_pem);
-                    let _ = rot.abort(kernel, self.parent);
-                    return Err(e);
-                }
-            }
-        };
-
-        // Activate: the atomic in-memory switch — new handshakes bind the
-        // successor from here on.
-        let outgoing = Custody::from_parts(self.region.take(), self.shield.take());
-        let (region, shield) = match rot.activate(outgoing) {
-            Some(custody) => custody.into_parts(),
-            None => (None, None),
-        };
-        self.region = region;
-        self.shield = shield;
-        self.shared_struct = new_scattered.as_ref().map(ScatteredKey::rsa_struct_addr);
-        self.old_scattered = self.scattered.take();
-        self.scattered = new_scattered;
-        self.old_material = Some(core::mem::replace(&mut self.material, new_material));
-        self.old_pem = Some(core::mem::replace(&mut self.pem_file, new_pem));
-        self.key = new_key;
-        self.epoch = ordinal;
-
-        // Drain: old-epoch workers each serve one more request, then exit.
-        rot.begin_drain();
-        self.rotation = Some(rot);
-        // An idle (empty-pool) server retires the predecessor immediately.
+        let ordinal = self.daemon.rotate(kernel)?;
+        // Old-epoch workers each serve one more request, then exit; an idle
+        // (empty-pool) server retires the predecessor immediately.
         self.maybe_retire(kernel)?;
         Ok(ordinal)
     }
 
     fn key_epoch(&self) -> u64 {
-        self.epoch
+        self.daemon.epoch()
     }
 
     fn draining(&self) -> bool {
-        self.rotation.is_some()
+        self.daemon.draining()
     }
 
     fn key(&self) -> &RsaPrivateKey {
-        &self.key
+        self.daemon.key()
     }
 
     fn material(&self) -> &KeyMaterial {
-        &self.material
+        self.daemon.material()
     }
 
     fn concurrency(&self) -> usize {
@@ -610,11 +322,11 @@ impl SecureServer for ApacheServer {
     }
 
     fn is_running(&self) -> bool {
-        self.running
+        self.daemon.running()
     }
 
     fn name(&self) -> &'static str {
-        "apache"
+        Identity::Apache.name()
     }
 
     fn handshakes(&self) -> u64 {
@@ -622,6 +334,6 @@ impl SecureServer for ApacheServer {
     }
 
     fn shedding(&self) -> SheddingStats {
-        self.shed
+        self.shed.stats
     }
 }

@@ -50,40 +50,6 @@ pub(crate) fn move_data(kernel: &mut Kernel, pid: Pid, bytes: usize, seed: u64) 
     kernel.heap_free(pid, buf)
 }
 
-/// Runs `f` with the server's shielded key region (if any) temporarily
-/// decrypted — the OpenSSH `sshkey_shield`/`unshield` window around each
-/// private-key operation. The region is re-encrypted before this returns,
-/// success or failure; with no shield installed it is a plain call.
-pub(crate) fn with_shield_open<T>(
-    shield: &mut Option<keyguard::ShieldedKeyRegion>,
-    kernel: &mut Kernel,
-    owner: Pid,
-    f: impl FnOnce(&mut Kernel) -> SimResult<T>,
-) -> SimResult<T> {
-    match shield.as_mut() {
-        Some(s) => s.with_unshielded(kernel, owner, f),
-        None => f(kernel),
-    }
-}
-
-/// Overwrites a whole file with zeros — the shred a retiring key epoch
-/// applies to its PEM file. Writing through the page cache scrubs any
-/// still-cached pages of the old contents in place (and marks them dirty,
-/// so a later writeback flushes zeros to the backing store too).
-///
-/// # Errors
-///
-/// Propagates simulator errors (a faulted cache-frame allocation). No
-/// error path places file bytes in memory: each cache page is zeroed
-/// within the same step that fills it.
-pub(crate) fn shred_file(kernel: &mut Kernel, fid: FileId) -> memsim::SimResult<()> {
-    let len = kernel.file_len(fid)?;
-    if len == 0 {
-        return Ok(());
-    }
-    kernel.write_file(fid, 0, &vec![0u8; len])
-}
-
 /// The scattered in-heap home of a freshly loaded key: what
 /// `d2i_RSAPrivateKey` leaves behind.
 #[derive(Debug, Clone)]
@@ -116,42 +82,16 @@ impl ScatteredKey {
         // read() the key file into a heap buffer (populating the page cache
         // unless O_NOCACHE).
         let (pem_buf, _len) = kernel.read_file(pid, pem_file, nocache)?;
-
-        // d2i: allocate the RSA struct, then each BIGNUM's data buffer.
-        let rsa_struct = kernel.heap_alloc(pid, 64)?;
-        let parts: [(&'static str, &[u8]); 6] = [
-            ("d", material.d_bytes()),
-            ("p", material.p_bytes()),
-            ("q", material.q_bytes()),
-            // dp/dq/qinv are real allocations too, but their byte images are
-            // not among the paper's four searched patterns; sizing them like
-            // p keeps the heap geometry honest.
-            ("dp", material.p_bytes()),
-            ("dq", material.q_bytes()),
-            ("qinv", material.q_bytes()),
-        ];
-        let mut chunks = Vec::with_capacity(6);
-        for (name, bytes) in parts {
-            let addr = kernel.heap_alloc(pid, bytes.len())?;
-            match name {
-                // Only d, p, q hold their true images; the derived parts get
-                // distinct filler so they never false-positive as p/q.
-                "d" | "p" | "q" => kernel.write_bytes(pid, addr, bytes)?,
-                _ => {
-                    let filler = vec![0xC3u8; bytes.len()];
-                    kernel.write_bytes(pid, addr, &filler)?;
-                }
-            }
-            chunks.push((name, addr));
-        }
-
+        // A fault mid-decode leaves whatever it placed behind, like a
+        // crashed d2i: the error-path residue faultsweep scans for.
+        let key = Self::decode(kernel, pid, material, &mut Vec::new())?;
         // The PEM buffer has been consumed by the decode.
         if zero_pem_buffer {
             kernel.heap_free_zeroed(pid, pem_buf)?;
         } else {
             kernel.heap_free(pid, pem_buf)?;
         }
-        Ok(Self { rsa_struct, chunks })
+        Ok(key)
     }
 
     /// [`Self::load`] with rollback: any mid-step failure zeroes and frees
@@ -173,53 +113,58 @@ impl ScatteredKey {
     ) -> SimResult<Self> {
         let (pem_buf, _len) = kernel.read_file(pid, pem_file, nocache)?;
         let mut placed: Vec<VAddr> = vec![pem_buf];
-        let unwind = |kernel: &mut Kernel, placed: &[VAddr]| {
-            for &addr in placed {
-                let _ = kernel.heap_free_zeroed(pid, addr);
+        match Self::decode(kernel, pid, material, &mut placed) {
+            Ok(key) => {
+                // The PEM buffer has been consumed by the decode: the
+                // rotation path always clears it, whatever the level
+                // (library hygiene).
+                kernel.heap_free_zeroed(pid, pem_buf)?;
+                Ok(key)
             }
-        };
-        let rsa_struct = match kernel.heap_alloc(pid, 64) {
-            Ok(a) => a,
             Err(e) => {
-                unwind(kernel, &placed);
-                return Err(e);
+                for &addr in &placed {
+                    let _ = kernel.heap_free_zeroed(pid, addr);
+                }
+                Err(e)
             }
-        };
+        }
+    }
+
+    /// d2i: allocates the RSA struct, then each BIGNUM's data buffer, and
+    /// writes the component byte images into them. Every chunk enters
+    /// `placed` before it is written, so a caller can unwind a faulted
+    /// write too.
+    fn decode(
+        kernel: &mut Kernel,
+        pid: Pid,
+        material: &KeyMaterial,
+        placed: &mut Vec<VAddr>,
+    ) -> SimResult<Self> {
+        let rsa_struct = kernel.heap_alloc(pid, 64)?;
         placed.push(rsa_struct);
         let parts: [(&'static str, &[u8]); 6] = [
             ("d", material.d_bytes()),
             ("p", material.p_bytes()),
             ("q", material.q_bytes()),
+            // dp/dq/qinv are real allocations too, but their byte images are
+            // not among the paper's four searched patterns; sizing them like
+            // p keeps the heap geometry honest.
             ("dp", material.p_bytes()),
             ("dq", material.q_bytes()),
             ("qinv", material.q_bytes()),
         ];
         let mut chunks = Vec::with_capacity(6);
         for (name, bytes) in parts {
-            let step = (|| {
-                let addr = kernel.heap_alloc(pid, bytes.len())?;
-                // Track before writing so a faulted write is unwound too.
-                placed.push(addr);
-                match name {
-                    "d" | "p" | "q" => kernel.write_bytes(pid, addr, bytes)?,
-                    _ => {
-                        let filler = vec![0xC3u8; bytes.len()];
-                        kernel.write_bytes(pid, addr, &filler)?;
-                    }
-                }
-                Ok(addr)
-            })();
-            match step {
-                Ok(addr) => chunks.push((name, addr)),
-                Err(e) => {
-                    unwind(kernel, &placed);
-                    return Err(e);
-                }
+            let addr = kernel.heap_alloc(pid, bytes.len())?;
+            placed.push(addr);
+            match name {
+                // Only d, p, q hold their true images; the derived parts get
+                // distinct filler so they never false-positive as p/q.
+                "d" | "p" | "q" => kernel.write_bytes(pid, addr, bytes)?,
+                _ => kernel.write_bytes(pid, addr, &vec![0xC3u8; bytes.len()])?,
             }
+            chunks.push((name, addr));
         }
-        // The PEM buffer has been consumed by the decode: the rotation
-        // path always clears it, whatever the level (library hygiene).
-        kernel.heap_free_zeroed(pid, pem_buf)?;
         Ok(Self { rsa_struct, chunks })
     }
 

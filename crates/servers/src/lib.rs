@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod apache;
+mod daemon;
 mod engine;
 mod ssh;
 
@@ -151,6 +152,13 @@ impl ServerConfig {
     /// key before the server rotates to it.
     #[must_use]
     pub fn derive_rotated_key(&self, server_name: &str, ordinal: u64) -> RsaPrivateKey {
+        RsaPrivateKey::generate(self.key_bits, &mut self.key_rng(server_name, ordinal))
+    }
+
+    /// The generator [`Self::derive_rotated_key`] draws epoch `ordinal`'s
+    /// key from. A starting server keeps drawing its handshake randomness
+    /// from the boot key's generator once the key is generated.
+    pub(crate) fn key_rng(&self, server_name: &str, ordinal: u64) -> simrng::Rng64 {
         let salt = match server_name {
             "apache" => 0xA9AC_4E00,
             _ => 0,
@@ -161,8 +169,7 @@ impl ServerConfig {
         } else {
             (0x07A7_E000 + ordinal).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
-        let mut rng = simrng::Rng64::new(self.seed ^ salt ^ rotation);
-        RsaPrivateKey::generate(self.key_bits, &mut rng)
+        simrng::Rng64::new(self.seed ^ salt ^ rotation)
     }
 }
 

@@ -2,13 +2,12 @@
 //! configuration re-loading the host key for every connection (the default
 //! re-exec behaviour the paper's `-r` option disables).
 
+use crate::daemon::{Daemon, Identity, Redial};
 use crate::engine::{ScatteredKey, WorkerCrypto};
-use crate::{SecureServer, ServerConfig, SheddingStats, RETRY_BACKLOG_CAP, RETRY_BACKOFF_MAX};
-use keyguard::{Custody, KeyRotation, SecureKeyRegion, ShieldedKeyRegion};
-use memsim::{FileId, Kernel, Pid, SimError, SimResult};
+use crate::{SecureServer, ServerConfig, SheddingStats};
+use memsim::{FileId, Kernel, Pid, SimResult};
 use rsa_repro::material::KeyMaterial;
 use rsa_repro::RsaPrivateKey;
-use simrng::Rng64;
 
 /// One live SSH connection: a forked child process with its own crypto
 /// state and (when unprotected) its own reloaded key copies.
@@ -34,37 +33,12 @@ impl core::fmt::Debug for Connection {
 ///
 /// See [`crate`] docs and [`SecureServer`] for the interface.
 pub struct SshServer {
-    config: ServerConfig,
-    key: RsaPrivateKey,
-    material: KeyMaterial,
-    pem_file: FileId,
-    daemon: Pid,
-    /// The daemon's aligned key region, when the level calls for one
-    /// (and does not call for the shielded wrapper instead).
-    region: Option<SecureKeyRegion>,
-    /// The shielded (prekey-encrypted) region at `ProtectionLevel::Shielded`:
-    /// ciphertext at rest, opened only around each private-key operation.
-    shield: Option<ShieldedKeyRegion>,
-    /// The daemon's scattered key copies at unaligned levels, retained so a
-    /// rotation can zero + free the predecessor's chunks at Retire.
-    scattered: Option<ScatteredKey>,
+    /// The listener process and everything it does with the host key.
+    daemon: Daemon,
     connections: Vec<Connection>,
-    rng: Rng64,
     handshakes: u64,
-    shed: SheddingStats,
-    running: bool,
-    /// Current key epoch ordinal (0 = boot key).
-    epoch: u64,
-    /// The in-flight rotation while the previous epoch drains.
-    rotation: Option<KeyRotation>,
-    /// Predecessor state held only during a drain window.
-    old_scattered: Option<ScatteredKey>,
-    old_material: Option<KeyMaterial>,
-    old_pem: Option<FileId>,
-    /// Bounded-backoff re-dial state for shed connections.
-    retry_backlog: u64,
-    retry_delay: u64,
-    retry_backoff: u64,
+    /// Shed connections and their bounded-backoff re-dial state.
+    shed: Redial,
 }
 
 /// Pages of private data/bss/stack a re-exec'd sshd child owns. When such a
@@ -82,21 +56,21 @@ impl core::fmt::Debug for SshServer {
             "SshServer(connections={}, handshakes={}, running={}, key=<redacted>)",
             self.connections.len(),
             self.handshakes,
-            self.running
+            self.daemon.running()
         )
     }
 }
 
 impl SshServer {
     fn open_connection(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        let child = kernel.fork(self.daemon)?;
+        let child = kernel.fork(self.daemon.pid())?;
         match self.setup_connection(kernel, child) {
             Ok(crypto) => {
                 self.handshakes += 1;
                 self.connections.push(Connection {
                     pid: child,
                     crypto,
-                    epoch: self.epoch,
+                    epoch: self.daemon.epoch(),
                 });
                 Ok(())
             }
@@ -113,25 +87,21 @@ impl SshServer {
     }
 
     fn setup_connection(&mut self, kernel: &mut Kernel, child: Pid) -> SimResult<WorkerCrypto> {
-        let mut crypto = WorkerCrypto::with_protocol(
-            self.key.clone_secret(),
-            self.config.level,
-            self.rng.next_u64(),
-            crate::engine::Protocol::Ssh,
-        );
-        if !self.config.level.align_key() {
+        let mut crypto = self.daemon.worker_crypto();
+        if !self.daemon.config().level.align_key() {
             // Without -r the child re-executes sshd and must re-read the
             // host key file: a fresh PEM buffer and six fresh BIGNUMs, all
             // doomed to be freed dirty at connection close.
-            let _reload =
-                ScatteredKey::load(kernel, child, self.pem_file, &self.material, false, false)?;
+            let (pem, material) = (self.daemon.pem_file(), self.daemon.material());
+            let _reload = ScatteredKey::load(kernel, child, pem, material, false, false)?;
             // The re-exec also gives the child a private process image.
             let _image = kernel.heap_alloc(child, EXEC_IMAGE_BYTES)?;
         }
         // Key-exchange handshake happens at connection setup; a shielded
         // daemon opens its key region only for the duration of the op.
-        crate::engine::with_shield_open(&mut self.shield, kernel, self.daemon, |k| {
-            crypto.handshake(k, child, None, &self.material)
+        let epoch = self.daemon.epoch();
+        self.daemon.with_open(kernel, epoch, |k, material| {
+            crypto.handshake(k, child, None, material)
         })?;
         Ok(crypto)
     }
@@ -139,196 +109,66 @@ impl SshServer {
     /// Opens one connection, shedding (not propagating) any failure. A shed
     /// connection joins the bounded re-dial backlog.
     fn open_or_shed(&mut self, kernel: &mut Kernel) -> bool {
-        match self.open_connection(kernel) {
-            Ok(()) => true,
-            Err(_) => {
-                self.shed.failed_forks += 1;
-                self.note_shed_for_retry();
-                false
-            }
+        let opened = self.open_connection(kernel).is_ok();
+        if !opened {
+            self.shed.fork_failed();
         }
-    }
-
-    /// Remembers one shed connection for re-dialing, up to the cap.
-    fn note_shed_for_retry(&mut self) {
-        self.retry_backlog = (self.retry_backlog + 1).min(RETRY_BACKLOG_CAP);
-    }
-
-    /// One deterministic bounded-backoff re-dial step, run at the top of
-    /// every `pump` call: after `retry_delay` pumps of silence, attempt to
-    /// re-open one shed connection. Success recovers it and resets the
-    /// backoff; failure doubles the backoff up to [`RETRY_BACKOFF_MAX`].
-    fn retry_shed(&mut self, kernel: &mut Kernel) {
-        if self.retry_backlog == 0 {
-            return;
-        }
-        if self.retry_delay > 0 {
-            self.retry_delay -= 1;
-            return;
-        }
-        self.shed.retries += 1;
-        if self.open_connection(kernel).is_ok() {
-            self.shed.recovered += 1;
-            self.retry_backlog -= 1;
-            self.retry_backoff = 1;
-        } else {
-            self.retry_backoff = (self.retry_backoff * 2).min(RETRY_BACKOFF_MAX);
-        }
-        self.retry_delay = self.retry_backoff;
+        opened
     }
 
     /// Retires the drain window once no connection remains on an old epoch.
     fn maybe_retire(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if self.rotation.is_some() && self.connections.iter().all(|c| c.epoch >= self.epoch) {
-            self.retire_old(kernel)?;
+        if self
+            .connections
+            .iter()
+            .all(|c| c.epoch >= self.daemon.epoch())
+        {
+            self.daemon.retire(kernel)?;
         }
-        Ok(())
-    }
-
-    /// Retire phase: zeroizes everything the predecessor key ever owned —
-    /// its custody ([`keyguard::KeyRotation::retire`]), its scattered chunks
-    /// at unaligned levels, and its on-disk PEM file (shredded in place,
-    /// scrubbing any cached page-cache copies). No-op when not draining.
-    ///
-    /// **Retryable**: every teardown step can fault (zeroing writes break
-    /// COW shares, the shred allocates page-cache frames), so on error the
-    /// un-torn-down pieces are put back and the drain window stays open —
-    /// the next quiesce point finishes the retirement. Nothing is ever
-    /// stranded half-wiped.
-    fn retire_old(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        let Some(mut rot) = self.rotation.take() else {
-            return Ok(());
-        };
-        if kernel.alive(self.daemon) {
-            if let Err(e) = rot.retire(kernel, self.daemon) {
-                self.rotation = Some(rot);
-                return Err(e);
-            }
-            if let Some(sk) = self.old_scattered.take() {
-                if let Err((sk, e)) = sk.try_zero_and_free(kernel, self.daemon) {
-                    self.old_scattered = Some(sk);
-                    self.rotation = Some(rot);
-                    return Err(e);
-                }
-            }
-        } else {
-            // A killed daemon took its mappings with it; a hardened kernel
-            // zeroed the frames at unmap.
-            rot.retire_dead();
-            self.old_scattered = None;
-        }
-        if let Some(fid) = self.old_pem.take() {
-            if let Err(e) = crate::engine::shred_file(kernel, fid) {
-                self.old_pem = Some(fid);
-                self.rotation = Some(rot);
-                return Err(e);
-            }
-        }
-        self.old_material = None;
         Ok(())
     }
 
     /// Bounds the drain window before a back-to-back rotation: any session
     /// still on an old epoch is terminated (sshd's rekey-limit behaviour),
-    /// counted as a shed connection, and the predecessor retires.
+    /// counted as a shed connection, and the predecessor retires. Only a
+    /// drain window leaves sessions on an old epoch, so outside one this
+    /// is a no-op.
     fn force_drain(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if self.rotation.is_none() {
-            return Ok(());
-        }
-        while let Some(pos) = self.connections.iter().position(|c| c.epoch < self.epoch) {
+        while let Some(pos) = self
+            .connections
+            .iter()
+            .position(|c| c.epoch < self.daemon.epoch())
+        {
             let was_alive = kernel.alive(self.connections[pos].pid);
             self.close_connection(kernel, pos)?;
             if was_alive {
-                self.shed.shed_connections += 1;
-                self.note_shed_for_retry();
+                self.shed.stats.shed_connections += 1;
+                self.shed.note();
             }
         }
-        self.retire_old(kernel)
+        self.daemon.retire(kernel)
     }
 
     fn close_connection(&mut self, kernel: &mut Kernel, idx: usize) -> SimResult<()> {
         let conn = self.connections.swap_remove(idx);
-        match kernel.exit(conn.pid) {
-            // The child already died (e.g. a fault-plan kill): the
-            // connection is simply gone; note it and move on.
-            Err(SimError::NoSuchProcess(_)) => {
-                self.shed.shed_connections += 1;
-                Ok(())
-            }
-            r => r,
-        }
+        self.shed.exit(kernel, conn.pid)
     }
 
     /// The simulated key file on disk.
     #[must_use]
     pub fn pem_file(&self) -> FileId {
-        self.pem_file
+        self.daemon.pem_file()
     }
 }
 
 impl SecureServer for SshServer {
     fn start(kernel: &mut Kernel, config: ServerConfig) -> SimResult<Self> {
-        let mut rng = Rng64::new(config.seed);
-        let key = RsaPrivateKey::generate(config.key_bits, &mut rng);
-        let material = KeyMaterial::from_key(&key);
-        let pem_file = kernel.create_file("/etc/ssh/ssh_host_rsa_key", material.pem_bytes());
-        // Host keys ship mode 0600: off-limits to the unprivileged disk scan.
-        kernel.chmod_private(pem_file)?;
-
-        let daemon = kernel.spawn();
-        let level = config.level;
-        // The listener loads the host key once at startup.
-        let scattered = ScatteredKey::load(
-            kernel,
-            daemon,
-            pem_file,
-            &material,
-            level.nocache_pem(),
-            level.align_key(),
-        )?;
-        let (region, shield, scattered) = if level.align_key() {
-            // RSA_memory_align: consolidate, then zero + free the originals.
-            let region = SecureKeyRegion::install(kernel, daemon, &key)?;
-            scattered.zero_and_free(kernel, daemon)?;
-            if level.shield_key() {
-                // sshkey_shield: encrypt the consolidated region at rest.
-                match ShieldedKeyRegion::wrap(kernel, daemon, region, &mut rng) {
-                    Ok(shield) => (None, Some(shield), None),
-                    Err((region, e)) => {
-                        let _ = region.destroy(kernel, daemon);
-                        return Err(e);
-                    }
-                }
-            } else {
-                (Some(region), None, None)
-            }
-        } else {
-            // Keep the handle: a later rotation retires these chunks.
-            (None, None, Some(scattered))
-        };
-
         Ok(Self {
-            config,
-            key,
-            material,
-            pem_file,
-            daemon,
-            region,
-            shield,
-            scattered,
+            // The listener loads the host key once at startup.
+            daemon: Daemon::start(kernel, config, Identity::OpenSsh)?,
             connections: Vec::new(),
-            rng,
             handshakes: 0,
-            shed: SheddingStats::default(),
-            running: true,
-            epoch: 0,
-            rotation: None,
-            old_scattered: None,
-            old_material: None,
-            old_pem: None,
-            retry_backlog: 0,
-            retry_delay: 0,
-            retry_backoff: 1,
+            shed: Redial::new(),
         })
     }
 
@@ -348,7 +188,10 @@ impl SecureServer for SshServer {
     }
 
     fn pump(&mut self, kernel: &mut Kernel, requests: usize) -> SimResult<()> {
-        self.retry_shed(kernel);
+        if self.shed.due() {
+            let recovered = self.open_connection(kernel).is_ok();
+            self.shed.record(recovered);
+        }
         for _ in 0..requests {
             if self.connections.is_empty() {
                 // No standing concurrency: each transfer is its own
@@ -368,7 +211,7 @@ impl SecureServer for SshServer {
                 let victim = self
                     .connections
                     .iter()
-                    .position(|c| c.epoch < self.epoch)
+                    .position(|c| c.epoch < self.daemon.epoch())
                     .unwrap_or(0);
                 self.close_connection(kernel, victim)?;
             }
@@ -377,16 +220,9 @@ impl SecureServer for SshServer {
             }
             // Established connections also push data. A connection opened
             // before a rotation drains on its own epoch's key material.
-            let idx = self.rng.gen_index(self.connections.len());
-            let daemon = self.daemon;
-            let current_epoch = self.epoch;
+            let idx = self.daemon.rng.gen_index(self.connections.len());
             let conn = &mut self.connections[idx];
-            let material = if conn.epoch < current_epoch {
-                self.old_material.as_ref().unwrap_or(&self.material)
-            } else {
-                &self.material
-            };
-            let result = crate::engine::with_shield_open(&mut self.shield, kernel, daemon, |k| {
+            let result = self.daemon.with_open(kernel, conn.epoch, |k, material| {
                 conn.crypto.handshake(k, conn.pid, None, material)
             });
             match result {
@@ -394,13 +230,8 @@ impl SecureServer for SshServer {
                 Err(_) => {
                     // Shed the failing connection — like sshd reaping a
                     // crashed child — and keep serving the rest.
-                    self.shed.shed_handshakes += 1;
                     let pid = self.connections.swap_remove(idx).pid;
-                    if kernel.alive(pid) {
-                        let _ = kernel.exit(pid);
-                    }
-                    self.shed.shed_connections += 1;
-                    self.note_shed_for_retry();
+                    self.shed.handshake_failed(kernel, pid);
                 }
             }
         }
@@ -411,135 +242,48 @@ impl SecureServer for SshServer {
         if self.connections.is_empty() {
             self.open_connection(kernel)?;
         }
-        let idx = self.rng.gen_index(self.connections.len());
+        let idx = self.daemon.rng.gen_index(self.connections.len());
         let pid = self.connections[idx].pid;
-        crate::engine::move_data(kernel, pid, bytes, self.rng.next_u64())
+        crate::engine::move_data(kernel, pid, bytes, self.daemon.rng.next_u64())
     }
 
     fn stop(&mut self, kernel: &mut Kernel) -> SimResult<()> {
-        if !self.running {
+        if !self.daemon.running() {
             return Ok(());
         }
         self.set_concurrency(kernel, 0)?;
-        // Backstop: an open drain window retires before shutdown (covers a
-        // daemon already killed mid-drain, where maybe_retire could not run
-        // its live path).
-        self.retire_old(kernel)?;
-        let daemon_alive = kernel.alive(self.daemon);
-        if let Some(region) = self.region.take() {
-            // The library clears the special region before the daemon dies —
-            // the "special care" the paper requires of aligned deployments.
-            // A daemon already killed by a fault took its region mappings
-            // with it; there is nothing left to wipe.
-            if daemon_alive {
-                region.destroy(kernel, self.daemon)?;
-            }
-        }
-        if let Some(shield) = self.shield.take() {
-            // Same discipline for the shielded wrapper: zero the prekey and
-            // the (ciphertext) region before the daemon exits.
-            if daemon_alive {
-                shield.destroy(kernel, self.daemon)?;
-            }
-        }
-        if daemon_alive {
-            kernel.exit(self.daemon)?;
-        }
-        self.running = false;
-        Ok(())
+        self.daemon.stop(kernel)
     }
 
     fn config(&self) -> ServerConfig {
-        self.config
+        self.daemon.config()
     }
 
     fn rotate_key(&mut self, kernel: &mut Kernel) -> SimResult<u64> {
-        if !self.running || !kernel.alive(self.daemon) {
-            return Err(SimError::NoSuchProcess(self.daemon));
-        }
+        self.daemon.ensure_live(kernel)?;
         // Bound the drain window: a back-to-back rotation finishes the
         // previous epoch's drain before starting its own.
         self.force_drain(kernel)?;
-
-        let ordinal = self.epoch + 1;
-        let level = self.config.level;
-        // Generate: host-side only, deterministic in (config, ordinal).
-        let new_key = self.config.derive_rotated_key("openssh", ordinal);
-        let new_material = KeyMaterial::from_key(&new_key);
-
-        // Install: the successor's protected home. Transactional — on error
-        // the old key is untouched and no successor byte is resident.
-        let mut rot = KeyRotation::begin(level, ordinal);
-        rot.install(kernel, self.daemon, &new_key, &mut self.rng)?;
-
-        // The successor key file replaces the old path, mode 0600. Creation
-        // places nothing in simulated memory, so it cannot leak on failure.
-        let new_pem = kernel.create_file("/etc/ssh/ssh_host_rsa_key", new_material.pem_bytes());
-        if let Err(e) = kernel.chmod_private(new_pem) {
-            let _ = rot.abort(kernel, self.daemon);
-            return Err(e);
-        }
-
-        // The daemon's scattered home at unaligned levels — rolled back as a
-        // unit on failure, keeping "old key fully live" true.
-        let new_scattered = if level.align_key() {
-            None
-        } else {
-            match ScatteredKey::load_transactional(
-                kernel,
-                self.daemon,
-                new_pem,
-                &new_material,
-                level.nocache_pem(),
-            ) {
-                Ok(sk) => Some(sk),
-                Err(e) => {
-                    let _ = crate::engine::shred_file(kernel, new_pem);
-                    let _ = rot.abort(kernel, self.daemon);
-                    return Err(e);
-                }
-            }
-        };
-
-        // Activate: the atomic in-memory switch — new handshakes bind the
-        // successor from here on; nothing below this point can fail in a way
-        // that splits the two-key state.
-        let outgoing = Custody::from_parts(self.region.take(), self.shield.take());
-        let (region, shield) = match rot.activate(outgoing) {
-            Some(custody) => custody.into_parts(),
-            None => (None, None),
-        };
-        self.region = region;
-        self.shield = shield;
-        self.old_scattered = self.scattered.take();
-        self.scattered = new_scattered;
-        self.old_material = Some(core::mem::replace(&mut self.material, new_material));
-        self.old_pem = Some(core::mem::replace(&mut self.pem_file, new_pem));
-        self.key = new_key;
-        self.epoch = ordinal;
-
-        // Drain: in-flight sessions finish on the old key.
-        rot.begin_drain();
-        self.rotation = Some(rot);
+        let ordinal = self.daemon.rotate(kernel)?;
         // An idle listener retires the predecessor immediately.
         self.maybe_retire(kernel)?;
         Ok(ordinal)
     }
 
     fn key_epoch(&self) -> u64 {
-        self.epoch
+        self.daemon.epoch()
     }
 
     fn draining(&self) -> bool {
-        self.rotation.is_some()
+        self.daemon.draining()
     }
 
     fn key(&self) -> &RsaPrivateKey {
-        &self.key
+        self.daemon.key()
     }
 
     fn material(&self) -> &KeyMaterial {
-        &self.material
+        self.daemon.material()
     }
 
     fn concurrency(&self) -> usize {
@@ -547,11 +291,11 @@ impl SecureServer for SshServer {
     }
 
     fn is_running(&self) -> bool {
-        self.running
+        self.daemon.running()
     }
 
     fn name(&self) -> &'static str {
-        "openssh"
+        Identity::OpenSsh.name()
     }
 
     fn handshakes(&self) -> u64 {
@@ -559,6 +303,6 @@ impl SecureServer for SshServer {
     }
 
     fn shedding(&self) -> SheddingStats {
-        self.shed
+        self.shed.stats
     }
 }

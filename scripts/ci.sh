@@ -62,9 +62,9 @@ else
   echo "ci: skipping sharded-scan floor (only ${cores} core(s))"
 fi
 
-# The five smoke runs below (three faultsweep, rotsweep, attacker_matrix)
-# write their .dat artifacts here; the results/ byte check after the last
-# one compares every file with its committed copy under results/.
+# The six smoke runs below (three faultsweep, rotsweep, attacker_matrix,
+# timeline) write their artifacts here; the results/ byte check after the
+# last one compares every file with its committed copy under results/.
 smoke_out=$(mktemp -d)
 trap 'rm -rf "$smoke_out"' EXIT
 
@@ -131,8 +131,14 @@ echo "== attacker matrix smoke (release) =="
 # survives one it shouldn't.
 cargo run --release -p harness --bin attacker_matrix -- --smoke --out "$smoke_out"
 
+echo "== timeline smoke (release) =="
+# Per-tick key counts and locations for both servers at every protection
+# level: the Fig. 5-6, 9-16 and 21-28 timelines at test scale (.dat + .svg).
+cargo run --release -p harness --bin timeline -- --test --server both --level all \
+    --out "$smoke_out"
+
 echo "== results/ byte check =="
-# Every artifact the five smoke runs wrote (later runs overwrite earlier
+# Every artifact the six smoke runs wrote (later runs overwrite earlier
 # ones, as they would in results/) must equal its committed copy under
 # results/ byte for byte. The committed files carry the HELD verdict lines,
 # so this also pins every verdict; any drift in a simulated result, or a
