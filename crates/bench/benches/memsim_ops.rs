@@ -3,11 +3,15 @@
 //! `page_free_policy` is the cost side of the paper's kernel patch: how much
 //! does clearing every freed page add to the allocator's free path? The
 //! paper's answer at system level is "nothing measurable"; the microbench
-//! shows the raw per-page cost that gets amortized away.
+//! shows the raw per-page cost that gets amortized away. Each page is
+//! written before it is freed: memsim skips the write when clearing a page
+//! that is already zero, so only a dirty page times the clear.
 //!
-//! `kernel_clone` is the per-cell cost of the fault and rotation sweeps:
-//! a fresh 64 MB clone of the boot image against restoring a spare that
-//! just ran one fault-sweep cell's workload.
+//! `machine_setup/boot_64mb_kernel` is the boot every fault-sweep template
+//! and every kernel-level matrix cell pays. `kernel_clone` is the per-cell
+//! cost of the fault and rotation sweeps: a fresh 64 MB clone of the boot
+//! image against restoring a spare that just ran one fault-sweep cell's
+//! workload.
 
 use bench::{BatchSize, BenchmarkId, Criterion};
 use harness::ExperimentConfig;
@@ -33,8 +37,12 @@ fn bench_page_free_policy(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new("alloc_free_64_pages", name), &policy, |b, p| {
             let mut k = machine(*p);
+            let page = vec![0xA5u8; PAGE_SIZE];
             b.iter(|| {
                 let frames = k.alloc_kernel_pages(64).unwrap();
+                for &f in &frames {
+                    k.write_kernel_page(f, 0, &page);
+                }
                 k.free_kernel_pages(&frames);
             });
         });
@@ -92,6 +100,12 @@ fn bench_aging(c: &mut Criterion) {
             let mut k = machine(KernelPolicy::stock());
             k.age_memory(&mut Rng64::new(1), 1.0)
         });
+    });
+    // The fault sweeps' 64 MB scale at the kernel level, where aging clears
+    // every frame it frees.
+    let cfg = ExperimentConfig::quick();
+    group.bench_function("boot_64mb_kernel", |b| {
+        b.iter(|| cfg.boot_machine(ProtectionLevel::Kernel, &mut Rng64::new(cfg.seed)));
     });
     group.finish();
 }

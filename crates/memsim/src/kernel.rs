@@ -207,11 +207,12 @@ impl Lineage {
 
 /// The simulated machine. See the crate docs for an overview.
 ///
-/// `clone` copies everything. `clone_from` restores a machine from `src`
-/// by copying only the frames whose write or state generation differs,
-/// when `self` was last copied from this same `src` and `src`'s generation
-/// clock has not moved since; otherwise it does a full copy into `self`'s
-/// existing buffers. Either way the result equals `src.clone()`.
+/// `clone` copies everything, writing into a fresh zeroed image only the
+/// frames that hold a non-zero byte. `clone_from` restores a machine from
+/// `src` by copying only the frames whose write or state generation
+/// differs, when `self` was last copied from this same `src` and `src`'s
+/// generation clock has not moved since; otherwise it does a full copy into
+/// `self`'s existing buffers. Either way the result equals `src.clone()`.
 #[derive(Debug)]
 pub struct Kernel {
     config: MachineConfig,
@@ -262,7 +263,7 @@ impl Clone for Kernel {
     fn clone(&self) -> Self {
         let Self {
             config,
-            phys,
+            phys: _,
             frames,
             free,
             procs,
@@ -284,7 +285,7 @@ impl Clone for Kernel {
         } = self;
         Self {
             config: *config,
-            phys: phys.clone(),
+            phys: self.copy_phys(|_, _| ()),
             frames: frames.clone(),
             free: free.clone(),
             procs: procs.clone(),
@@ -559,15 +560,14 @@ impl Kernel {
     /// [`Self::phys`]; the capture itself never mutates machine state.
     #[must_use]
     pub fn snapshot_decayed(&self, seed: u64, decay_rate: f64) -> Vec<u8> {
-        let mut image = self.phys.clone();
         if decay_rate <= 0.0 {
-            return image;
+            return self.copy_phys(|_, _| ());
         }
-        for frame in 0..self.frames.len() {
-            let mut rng =
-                Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let start = frame * PAGE_SIZE;
-            for word in image[start..start + PAGE_SIZE].chunks_exact_mut(8) {
+        // The copy leaves out all-zero frames, which have no 1-bits to
+        // decay; every other frame draws from a stream of its own.
+        self.copy_phys(|frame, page| {
+            let mut rng = Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for word in page.chunks_exact_mut(8) {
                 // Zero bytes have no 1-bits to decay and draw no randomness,
                 // so skipping them (a whole zero word at a time) leaves every
                 // 1-bit elsewhere drawing from the same stream position.
@@ -584,8 +584,41 @@ impl Kernel {
                     *byte &= !mask;
                 }
             }
+        })
+    }
+
+    /// A copy of `phys` built on a zeroed allocation, into which only the
+    /// frames holding a non-zero byte are written; `edit` then runs on each
+    /// written frame's copy. A large zeroed allocation comes straight from
+    /// the host, which maps it lazily onto its shared zero page, so an
+    /// all-zero frame then costs neither a copy nor a page fault.
+    fn copy_phys(&self, mut edit: impl FnMut(usize, &mut [u8])) -> Vec<u8> {
+        let mut image = vec![0u8; self.phys.len()];
+        for frame in (0..self.frames.len()).filter(|&f| !self.frame_is_zero(FrameId(f))) {
+            let page = &mut image[frame * PAGE_SIZE..(frame + 1) * PAGE_SIZE];
+            page.copy_from_slice(self.frame_bytes(FrameId(frame)));
+            edit(frame, page);
         }
         image
+    }
+
+    /// Whether frame `f` holds only zero bytes. A frame still at write
+    /// generation 0 has not been written since boot, so it holds the zeros
+    /// [`Self::new`] gave it and needs no read: every path that mutates
+    /// `phys` stamps a generation (see [`Self::write_generation`]).
+    fn frame_is_zero(&self, f: FrameId) -> bool {
+        const BLOCK: usize = 256;
+        // The split into blocks leaves no remainder to check.
+        const _: () = assert!(PAGE_SIZE.is_multiple_of(BLOCK));
+        self.write_gens[f.0] == 0
+            || self
+                .frame_bytes(f)
+                .as_chunks::<BLOCK>()
+                .0
+                .iter()
+                // OR-folding a fixed-size block vectorises; `all` stops at
+                // the first block with a set bit.
+                .all(|block| block.iter().fold(0, |acc, &b| acc | b) == 0)
     }
 
     /// Number of physical page frames.
@@ -672,8 +705,15 @@ impl Kernel {
     // Page allocator
     // ------------------------------------------------------------------
 
+    /// Clears one frame. Only a frame holding a non-zero byte is written:
+    /// zeros over zeros would change nothing but fault the host page in.
+    /// Either way the clear is a byte event that moves the write generation
+    /// and counts in `pages_zeroed`, so scanners and statistics see the
+    /// same history.
     fn zero_frame(&mut self, f: FrameId) {
-        self.phys[f.base()..f.base() + PAGE_SIZE].fill(0);
+        if !self.frame_is_zero(f) {
+            self.phys[f.base()..f.base() + PAGE_SIZE].fill(0);
+        }
         self.touch_bytes(f);
         self.stats.pages_zeroed += 1;
     }

@@ -9,8 +9,10 @@
 //!   rate within binomial concentration bounds;
 //! * capturing is a pure read — machine state is untouched.
 
-use memsim::{Kernel, MachineConfig, PAGE_SIZE};
+use memsim::{Kernel, KernelPolicy, MachineConfig, PAGE_SIZE};
 use simrng::{propcheck, Rng64};
+
+mod common;
 
 /// A small machine with memory worth decaying: aged free lists plus a live
 /// process heap full of dense random bytes.
@@ -49,14 +51,28 @@ fn snapshots_are_deterministic_per_seed() {
     );
 }
 
+/// Checked on a busy machine and, under both policies, on machines whose
+/// planted kernel pages hold a non-zero byte only at the page's end (the
+/// capture copies only frames that hold a non-zero byte).
 #[test]
 fn zero_rate_is_bit_identical_to_phys() {
-    let kernel = busy_machine(2);
-    propcheck::cases(8, |g| {
-        let seed = g.u64();
-        assert_eq!(kernel.snapshot_decayed(seed, 0.0), kernel.phys());
-        assert_eq!(kernel.snapshot_decayed(seed, -1.0), kernel.phys());
-    });
+    let planted = |policy| {
+        let mut kernel = Kernel::new(MachineConfig::small().with_policy(policy));
+        kernel.age_memory(&mut Rng64::new(2), 1.0);
+        common::plant_last_byte_frames(&mut kernel, 8, 4);
+        kernel
+    };
+    for kernel in [
+        busy_machine(2),
+        planted(KernelPolicy::stock()),
+        planted(KernelPolicy::hardened()),
+    ] {
+        propcheck::cases(8, |g| {
+            let seed = g.u64();
+            assert_eq!(kernel.snapshot_decayed(seed, 0.0), kernel.phys());
+            assert_eq!(kernel.snapshot_decayed(seed, -1.0), kernel.phys());
+        });
+    }
 }
 
 #[test]

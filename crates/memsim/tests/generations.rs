@@ -108,12 +108,19 @@ fn fork_and_mlock_are_metadata_events() {
     assert_generations_cover_changes(&before, &k);
 }
 
+/// Freeing under `zero_on_free` is a byte event whatever the frame held:
+/// clearing a frame that is already zero writes nothing, yet it still moves
+/// the write generation and counts in `pages_zeroed`, so rescan counts and
+/// statistics do not depend on what the frame held.
 #[test]
 fn zero_on_free_is_a_byte_event() {
-    let mut k = Kernel::new(MachineConfig {
-        policy: KernelPolicy::hardened(),
-        ..MachineConfig::small()
-    });
+    let hardened = || {
+        Kernel::new(MachineConfig {
+            policy: KernelPolicy::hardened(),
+            ..MachineConfig::small()
+        })
+    };
+    let mut k = hardened();
     let pid = k.spawn();
     let buf = k.heap_alloc(pid, 4096).unwrap();
     k.write_bytes(pid, buf, &[0x77; 4096]).unwrap();
@@ -122,6 +129,21 @@ fn zero_on_free_is_a_byte_event() {
     k.exit(pid).unwrap();
     assert_ne!(k.write_generation(frame), wg, "zero_on_free rewrites the frame");
     assert!(k.frame_bytes(frame).iter().all(|&b| b == 0));
+
+    // A kernel page never written since boot, and one that aging has
+    // already zeroed once.
+    let mut aged = hardened();
+    aged.age_memory(&mut Rng64::new(1), 1.0);
+    for (mut k, never_written) in [(hardened(), true), (aged, false)] {
+        let frame = k.alloc_kernel_pages(1).unwrap()[0];
+        let wg = k.write_generation(frame);
+        assert_eq!(wg == 0, never_written, "{frame} write generation {wg}");
+        assert!(k.frame_bytes(frame).iter().all(|&b| b == 0));
+        let zeroed = k.stats().pages_zeroed;
+        k.free_kernel_pages(&[frame]);
+        assert_ne!(k.write_generation(frame), wg, "clearing a zero {frame} is a byte event");
+        assert_eq!(k.stats().pages_zeroed, zeroed + 1, "clearing a zero {frame} counts");
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests: simulator invariants under randomized operation
 //! sequences — frame conservation, no aliasing, COW correctness, the
-//! zeroing guarantee, and `clone_from` restoring a diverged spare exactly.
+//! zeroing guarantee, `clone` reproducing its source, and `clone_from`
+//! restoring a diverged spare exactly.
 //!
 //! Runs on `simrng::propcheck` (pure std) so the suite works with no
 //! registry access.
@@ -10,6 +11,8 @@ use memsim::{
     PAGE_SIZE,
 };
 use simrng::propcheck::{self, Gen};
+
+mod common;
 
 /// A randomized workload step.
 #[derive(Debug, Clone)]
@@ -309,6 +312,24 @@ fn assert_same_machine(got: &Kernel, want: &Kernel) {
     assert_eq!(got.processes(), want.processes());
     assert_eq!(got.available_frames(), want.available_frames());
     assert_eq!(got.free_listed_frames(), want.free_listed_frames());
+}
+
+/// A fresh clone equals its source. `clone` writes only the frames that
+/// hold a non-zero byte, so the random workloads run, under both policies,
+/// around planted kernel pages whose only non-zero byte is the last.
+#[test]
+fn clone_equals_its_source() {
+    propcheck::cases(48, |g| {
+        let ops = gen_ops(g, 120);
+        let planted = g.usize_in(1..9);
+        let keep = g.usize_in(0..planted + 1);
+        for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
+            let mut k = machine(policy);
+            common::plant_last_byte_frames(&mut k, planted, keep);
+            run_on(&mut k, &mut Mirror::default(), &ops);
+            assert_same_machine(&k.clone(), &k);
+        }
+    });
 }
 
 fn policy(g: &mut Gen) -> KernelPolicy {

@@ -63,8 +63,9 @@ else
 fi
 
 # The six smoke runs below (three faultsweep, rotsweep, attacker_matrix,
-# timeline) write their artifacts here; the results/ byte check after the
-# last one compares every file with its committed copy under results/.
+# timeline) and the benchmark digest step write their artifacts here; the
+# results/ byte check after them compares every file with its committed
+# copy under results/.
 smoke_out=$(mktemp -d)
 trap 'rm -rf "$smoke_out"' EXIT
 
@@ -137,12 +138,24 @@ echo "== timeline smoke (release) =="
 cargo run --release -p harness --bin timeline -- --test --server both --level all \
     --out "$smoke_out"
 
+echo "== benchmark simulated results (release) =="
+# The four BENCHMARK.json workloads, in its order, at the test scale: one
+# round each, whose sim_digest hashes every deterministic result the round
+# produced. Pinning the digests makes the byte check below catch a change
+# to what any workload simulates, so a performance change cannot alter a
+# result unnoticed.
+for w in faultsweep_64m timeline_rotating server_stress attack_matrix; do
+    out=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --test --seed 7 --seconds 0 --trace 0)
+    printf '%s %s\n' "$w" "$(printf '%s\n' "$out" | awk '$1 == "sim_digest" { print $2 }')"
+done > "$smoke_out/benchmark_sim_digest.txt"
+
 echo "== results/ byte check =="
-# Every artifact the six smoke runs wrote (later runs overwrite earlier
-# ones, as they would in results/) must equal its committed copy under
-# results/ byte for byte. The committed files carry the HELD verdict lines,
-# so this also pins every verdict; any drift in a simulated result, or a
-# file with no committed counterpart, fails the run.
+# Every artifact the smoke runs and the digest step wrote (later runs
+# overwrite earlier ones, as they would in results/) must equal its
+# committed copy under results/ byte for byte. The committed files carry
+# the HELD verdict lines, so this also pins every verdict; any drift in a
+# simulated result, or a file with no committed counterpart, fails the run.
 checked=0
 for f in "$smoke_out"/*; do
     name=$(basename "$f")
