@@ -15,13 +15,19 @@
 //!    two layouts the simulated victims actually produce: the page-aligned
 //!    packed `SecureKeyRegion` image, and the bump-allocated heap chunks of
 //!    a scattered `d2i_RSAPrivateKey` load (anchored on the `0xC3` filler
-//!    the derived-CRT chunks carry).
+//!    the derived-CRT chunks carry). Every test a window must pass demands
+//!    at least one surviving 1-bit per byte of a prime's length, so a
+//!    window lying wholly in all-zero pages never passes: the harvest
+//!    visits only heap anchors whose filler window reaches a non-zero page.
 //! 2. **k prefilter** — for `e·d = 1 + k·φ(n)`, the integer `k < e` also
 //!    satisfies `d̃(k) = ⌊(1 + k(n+1))/e⌋ ≥ d` with `d̃(k) − d < p + q`,
 //!    so the *top* bits of `d` equal the top bits of `d̃(k)`. One-sided
 //!    comparison of a high window of the observed `d` against a
-//!    precomputed `d̃` table eliminates junk candidates and pins `k` to a
-//!    handful of values before any tree search runs.
+//!    precomputed table of all `e − 1` values `d̃(k)` eliminates junk
+//!    candidates and pins `k` to a handful of values before any tree
+//!    search runs. With `n + 1 = Q·e + R`, `d̃(k) = k·Q + ⌊(k·R + 1)/e⌋`,
+//!    and the second term grows by 0 or 1 per step, so each table entry
+//!    costs one bignum add of `Q` (or `Q + 1`).
 //! 3. **Branch-and-bound** — Heninger–Shacham style LSB-up lifting of
 //!    `(p, q, d)` simultaneously: `p·q ≡ n (mod 2^i)` determines each
 //!    `q_i` from the chosen `p_i`, and `d ≡ e⁻¹(1 + k(n + 1 − p − q))
@@ -139,10 +145,14 @@ struct Candidate {
     obs_q: BigUint,
 }
 
+/// The `len` bytes at `off`, if the dump holds all of them.
+fn window(dump: &[u8], off: usize, len: usize) -> Option<&[u8]> {
+    dump.get(off..off.checked_add(len)?)
+}
+
 /// Reads `len` little-endian-limb bytes at `off` as a [`BigUint`].
 fn window_biguint(dump: &[u8], off: usize, len: usize) -> Option<BigUint> {
-    let bytes = dump.get(off..off.checked_add(len)?)?;
-    let limbs = bytes
+    let limbs = window(dump, off, len)?
         .chunks(8)
         .map(|c| {
             let mut a = [0u8; 8];
@@ -151,6 +161,23 @@ fn window_biguint(dump: &[u8], off: usize, len: usize) -> Option<BigUint> {
         })
         .collect();
     Some(BigUint::from_limbs(limbs))
+}
+
+/// `bytes` as little-endian `u64` words, the last one zero-padded.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let (whole, tail) = bytes.as_chunks::<8>();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    whole
+        .iter()
+        .copied()
+        .chain((!tail.is_empty()).then_some(last))
+        .map(u64::from_le_bytes)
+}
+
+/// Number of 1-bits in `bytes`.
+fn ones(bytes: &[u8]) -> usize {
+    words(bytes).map(|w| w.count_ones() as usize).sum()
 }
 
 /// Truncates `x` to its low `bits` bits.
@@ -166,35 +193,78 @@ fn mask_bits(x: &BigUint, bits: usize) -> BigUint {
     BigUint::from_limbs(limbs)
 }
 
-/// Bits `[lo, lo + w)` of `x` as a `u128` (LSB of the result = bit `lo`).
-fn window_u128(x: &BigUint, lo: usize, w: usize) -> u128 {
+/// Bits `[lo, lo + w)` of the little-endian limbs `x` as a `u128` (LSB of
+/// the result = bit `lo`). The window spans at most three limbs, so two
+/// shifts take it out.
+fn window_bits(x: &[u64], lo: usize, w: usize) -> u128 {
     debug_assert!(w <= 128);
-    let mut out = 0u128;
-    for j in 0..w {
-        if x.bit(lo + j) {
-            out |= 1u128 << j;
-        }
+    let limb = |i: usize| u128::from(x.get(i).copied().unwrap_or(0));
+    let (i, s) = (lo / 64, lo % 64);
+    let mut out = (limb(i) | (limb(i + 1) << 64)) >> s;
+    if s != 0 {
+        out |= limb(i + 2) << (128 - s);
+    }
+    if w < 128 {
+        out &= (1 << w) - 1;
     }
     out
 }
 
 /// Does the decayed window at `off..off + len` look like a `0xC3`-filled
 /// chunk? One-sided: every observed 1-bit must lie inside `0xC3`, and
-/// enough 1-bits must survive to rule out zeroed/free memory.
-fn looks_like_filler(dump: &[u8], off: usize, len: usize) -> bool {
-    let Some(bytes) = dump.get(off..off + len) else {
+/// enough 1-bits must survive to rule out zeroed/free memory. Tested a
+/// `u64` word at a time.
+fn is_filler(dump: &[u8], off: usize, len: usize) -> bool {
+    const OUTSIDE: u64 = !u64::from_le_bytes([CRT_FILLER; 8]);
+    let Some(bytes) = window(dump, off, len) else {
         return false;
     };
-    let mut ones = 0u32;
-    for &b in bytes {
-        if b & !CRT_FILLER != 0 {
+    let mut ones = 0;
+    for w in words(bytes) {
+        if w & OUTSIDE != 0 {
             return false;
         }
-        ones += b.count_ones();
+        ones += w.count_ones() as usize;
     }
     // A pristine chunk has 4 one-bits per byte; demand at least one per
     // byte on average so long runs of zeros never anchor a candidate.
-    ones as usize >= len
+    ones >= len
+}
+
+/// Which pages of the dump hold a non-zero byte (the last page may be
+/// short), from one word-wise OR-fold over the dump.
+fn nonzero_pages(dump: &[u8]) -> Vec<bool> {
+    dump.chunks(PAGE_SIZE)
+        .map(|page| words(page).fold(0, |acc, w| acc | w) != 0)
+        .collect()
+}
+
+/// The chunk-aligned offsets whose `len`-byte window passes [`is_filler`],
+/// ascending. The test needs `len` one-bits, so a window lying wholly in
+/// all-zero pages never passes: only offsets whose window reaches a
+/// non-zero page are tried.
+fn filler_anchors<'a>(
+    dump: &'a [u8],
+    nonzero: &'a [bool],
+    len: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    // First offset not yet tried, so consecutive non-zero pages try each
+    // offset once.
+    let mut next = 0;
+    nonzero
+        .iter()
+        .enumerate()
+        .filter(|&(_, &nz)| nz)
+        .flat_map(move |(page, _)| {
+            // Windows starting up to `len − 1` bytes before the page reach it.
+            let first = (page * PAGE_SIZE + 1)
+                .saturating_sub(len)
+                .max(next)
+                .next_multiple_of(CHUNK_ALIGN);
+            next = ((page + 1) * PAGE_SIZE).min(dump.len());
+            (first..next).step_by(CHUNK_ALIGN)
+        })
+        .filter(move |&anchor| is_filler(dump, anchor, len))
 }
 
 /// Rounds a chunk size up to the heap allocator's alignment.
@@ -212,6 +282,10 @@ fn round_chunk(len: usize) -> usize {
 /// back to back in a headerless 16-byte-aligned bump heap and fills the
 /// three derived chunks with `0xC3`. A decayed filler pair (`dp` then
 /// `dq`) anchors the walk back to `q`, `p`, and `d`.
+///
+/// The cheap byte tests run before any bignum is built. Every window test
+/// demands `pl` one-bits, so only anchors whose `dp` window reaches a
+/// non-zero page are visited.
 fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candidate> {
     let mut out = Vec::new();
     let d_lens = if layout.dl > 8 {
@@ -220,7 +294,14 @@ fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candida
         vec![layout.dl]
     };
 
+    // Reject windows too sparse to be decayed key material: at decay rate
+    // r the expected 1-bit density is (1 − r)/2, so even 75% decay keeps
+    // ~12.5% of bits — one per byte.
+    let dense = |off: usize| window(dump, off, layout.pl).is_some_and(|w| ones(w) >= layout.pl);
     let push = |out: &mut Vec<Candidate>, d_off: usize, dl: usize, p_off: usize, q_off: usize| {
+        if !(dense(p_off) && dense(q_off)) {
+            return;
+        }
         let (Some(obs_d), Some(obs_p), Some(obs_q)) = (
             window_biguint(dump, d_off, dl),
             window_biguint(dump, p_off, layout.pl),
@@ -228,12 +309,6 @@ fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candida
         ) else {
             return;
         };
-        // Reject windows too sparse to be decayed key material: at decay
-        // rate r the expected 1-bit density is (1 − r)/2, so even 75%
-        // decay keeps ~12.5% of bits — one per byte.
-        if count_ones(&obs_p) < layout.pl || count_ones(&obs_q) < layout.pl {
-            return;
-        }
         out.push(Candidate { obs_d, obs_p, obs_q });
     };
 
@@ -250,10 +325,9 @@ fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candida
 
     // Heap layout: anchor on the dp/dq filler chunks.
     let pc = round_chunk(layout.pl);
-    for anchor in (0..dump.len()).step_by(CHUNK_ALIGN) {
-        if !looks_like_filler(dump, anchor, layout.pl)
-            || !looks_like_filler(dump, anchor + pc, layout.pl)
-        {
+    let nonzero = nonzero_pages(dump);
+    for anchor in filler_anchors(dump, &nonzero, layout.pl) {
+        if !is_filler(dump, anchor + pc, layout.pl) {
             continue;
         }
         let Some(q_off) = anchor.checked_sub(pc) else {
@@ -275,10 +349,6 @@ fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candida
     out
 }
 
-fn count_ones(x: &BigUint) -> usize {
-    x.limbs().iter().map(|l| l.count_ones() as usize).sum()
-}
-
 /// The precomputed `k → top window of d̃(k)` table plus its geometry.
 struct KTable {
     /// `windows[k - 1]` = bits `[lo, lo + w)` of `⌊(1 + k(n+1))/e⌋`.
@@ -291,15 +361,29 @@ impl KTable {
     /// Builds the table. The window sits well above bit `h + 1` (where
     /// `d̃(k) − d < p + q < 2^(h+1)` can disturb bits) so the true `k`
     /// scores zero conflicts except for a vanishingly rare borrow chain.
+    ///
+    /// With `n + 1 = Q·e + R`, `d̃(k) = k·Q + ⌊(k·R + 1)/e⌋`. The second
+    /// term grows by 0 or 1 per step (`R < e`), so `d̃(k)` is `d̃(k − 1)`
+    /// plus `Q` or `Q + 1`: one bignum add per `k`.
     fn build(n: &BigUint, e_u64: u64, layout: &Layout) -> Self {
         let lo = (layout.h + 40).min(layout.b.saturating_sub(16));
         let w = (layout.b - lo).min(128);
-        let n1 = n + &BigUint::one();
+        let (quot, rem) = (n + &BigUint::one()).div_rem_u64(e_u64);
+        let quot_plus_one = &quot + &BigUint::one();
+        // d̃(0) = ⌊1/e⌋ = 0, and so is its small term.
+        let mut dt = BigUint::zero();
+        let mut prev_term = 0;
         let mut windows = Vec::with_capacity(e_u64 as usize - 1);
         for k in 1..e_u64 {
-            let num = &n1.mul_u64(k) + &BigUint::one();
-            let (dt, _) = num.div_rem_u64(e_u64);
-            windows.push(window_u128(&dt, lo, w));
+            let term = (k * rem + 1) / e_u64;
+            debug_assert!(term - prev_term <= 1);
+            dt.add_assign(if term > prev_term {
+                &quot_plus_one
+            } else {
+                &quot
+            });
+            prev_term = term;
+            windows.push(window_bits(dt.limbs(), lo, w));
         }
         Self { windows, lo, w }
     }
@@ -307,7 +391,7 @@ impl KTable {
     /// Surviving `k` values for an observed `d` window, ordered by
     /// one-sided conflict count (observed 1 where `d̃` has 0).
     fn filter(&self, obs_d: &BigUint, cfg: &ReconstructConfig) -> Vec<u64> {
-        let obs = window_u128(obs_d, self.lo, self.w);
+        let obs = window_bits(obs_d.limbs(), self.lo, self.w);
         // Too few surviving 1-bits make every k "consistent"; demand the
         // density a real decayed window keeps even at 75% decay.
         if obs.count_ones() < (self.w / 8) as u32 {
@@ -497,20 +581,160 @@ pub fn reconstruct(
     Reconstruction { key: None, stats }
 }
 
+/// The harvest and table build the fast paths above replaced, kept as
+/// differential oracles for them.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Bits `[lo, lo + w)` of `x` as a `u128` (LSB of the result = bit `lo`).
+    pub(super) fn window_u128(x: &BigUint, lo: usize, w: usize) -> u128 {
+        debug_assert!(w <= 128);
+        let mut out = 0u128;
+        for j in 0..w {
+            if x.bit(lo + j) {
+                out |= 1u128 << j;
+            }
+        }
+        out
+    }
+
+    /// Byte-at-a-time [`is_filler`](super::is_filler).
+    pub(super) fn looks_like_filler(dump: &[u8], off: usize, len: usize) -> bool {
+        let Some(bytes) = dump.get(off..off + len) else {
+            return false;
+        };
+        let mut ones = 0u32;
+        for &b in bytes {
+            if b & !CRT_FILLER != 0 {
+                return false;
+            }
+            ones += b.count_ones();
+        }
+        ones as usize >= len
+    }
+
+    /// [`harvest`](super::harvest) without the page skip or the byte
+    /// tests: every chunk-aligned anchor, bignums first.
+    pub(super) fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        let d_lens = if layout.dl > 8 {
+            vec![layout.dl, layout.dl - 8]
+        } else {
+            vec![layout.dl]
+        };
+
+        let push =
+            |out: &mut Vec<Candidate>, d_off: usize, dl: usize, p_off: usize, q_off: usize| {
+                let (Some(obs_d), Some(obs_p), Some(obs_q)) = (
+                    window_biguint(dump, d_off, dl),
+                    window_biguint(dump, p_off, layout.pl),
+                    window_biguint(dump, q_off, layout.pl),
+                ) else {
+                    return;
+                };
+                if count_ones(&obs_p) < layout.pl || count_ones(&obs_q) < layout.pl {
+                    return;
+                }
+                out.push(Candidate {
+                    obs_d,
+                    obs_p,
+                    obs_q,
+                });
+            };
+
+        for page in 0..dump.len() / PAGE_SIZE {
+            let base = page * PAGE_SIZE;
+            for &dl in &d_lens {
+                push(&mut out, base, dl, base + dl, base + dl + layout.pl);
+                if out.len() >= cfg.max_candidates {
+                    return out;
+                }
+            }
+        }
+
+        let pc = round_chunk(layout.pl);
+        for anchor in (0..dump.len()).step_by(CHUNK_ALIGN) {
+            if !looks_like_filler(dump, anchor, layout.pl)
+                || !looks_like_filler(dump, anchor + pc, layout.pl)
+            {
+                continue;
+            }
+            let Some(q_off) = anchor.checked_sub(pc) else {
+                continue;
+            };
+            let Some(p_off) = q_off.checked_sub(pc) else {
+                continue;
+            };
+            for &dl in &d_lens {
+                let Some(d_off) = p_off.checked_sub(round_chunk(dl)) else {
+                    continue;
+                };
+                push(&mut out, d_off, dl, p_off, q_off);
+                if out.len() >= cfg.max_candidates {
+                    return out;
+                }
+            }
+        }
+        out
+    }
+
+    fn count_ones(x: &BigUint) -> usize {
+        x.limbs().iter().map(|l| l.count_ones() as usize).sum()
+    }
+
+    /// [`KTable::build`] by one multiply and one division per `k`.
+    pub(super) fn build_ktable(n: &BigUint, e_u64: u64, layout: &Layout) -> KTable {
+        let lo = (layout.h + 40).min(layout.b.saturating_sub(16));
+        let w = (layout.b - lo).min(128);
+        let n1 = n + &BigUint::one();
+        let mut windows = Vec::with_capacity(e_u64 as usize - 1);
+        for k in 1..e_u64 {
+            let num = &n1.mul_u64(k) + &BigUint::one();
+            let (dt, _) = num.div_rem_u64(e_u64);
+            windows.push(window_u128(&dt, lo, w));
+        }
+        KTable { windows, lo, w }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rsa_repro::material::KeyMaterial;
     use simrng::Rng64;
 
-    fn dump_with_region_layout(key: &RsaPrivateKey, pad: usize) -> Vec<u8> {
-        let material = KeyMaterial::from_key(key);
-        let mut dump = vec![0u8; pad * PAGE_SIZE];
-        let mut off = 2 * PAGE_SIZE;
+    /// Writes `d ‖ p ‖ q` packed from `off`, as `SecureKeyRegion` does.
+    fn plant_region_layout(dump: &mut [u8], mut off: usize, material: &KeyMaterial) {
         for part in [material.d_bytes(), material.p_bytes(), material.q_bytes()] {
             dump[off..off + part.len()].copy_from_slice(part);
             off += part.len();
         }
+    }
+
+    /// Writes the scattered loader's bump-heap image from the 16-aligned
+    /// `off`: d, p, q, then the three `0xC3` chunks.
+    fn plant_heap_layout(dump: &mut [u8], mut off: usize, material: &KeyMaterial) {
+        for (bytes, filler) in [
+            (material.d_bytes(), false),
+            (material.p_bytes(), false),
+            (material.q_bytes(), false),
+            (material.p_bytes(), true),
+            (material.q_bytes(), true),
+            (material.q_bytes(), true),
+        ] {
+            if filler {
+                dump[off..off + bytes.len()].fill(CRT_FILLER);
+            } else {
+                dump[off..off + bytes.len()].copy_from_slice(bytes);
+            }
+            off += round_chunk(bytes.len());
+        }
+    }
+
+    fn dump_with_region_layout(key: &RsaPrivateKey, pad: usize) -> Vec<u8> {
+        let mut dump = vec![0u8; pad * PAGE_SIZE];
+        plant_region_layout(&mut dump, 2 * PAGE_SIZE, &KeyMaterial::from_key(key));
         dump
     }
 
@@ -548,25 +772,9 @@ mod tests {
     #[test]
     fn heap_layout_with_filler_anchor_is_found() {
         let key = RsaPrivateKey::generate(256, &mut Rng64::new(9));
-        let material = KeyMaterial::from_key(&key);
         let mut dump = vec![0u8; 4 * PAGE_SIZE];
-        // Bump-heap image: d, p, q, then the three 0xC3 chunks, 16-aligned.
-        let mut off = PAGE_SIZE + 48; // 16-aligned, not page-aligned
-        for (bytes, filler) in [
-            (material.d_bytes(), false),
-            (material.p_bytes(), false),
-            (material.q_bytes(), false),
-            (material.p_bytes(), true),
-            (material.q_bytes(), true),
-            (material.q_bytes(), true),
-        ] {
-            if filler {
-                dump[off..off + bytes.len()].fill(CRT_FILLER);
-            } else {
-                dump[off..off + bytes.len()].copy_from_slice(bytes);
-            }
-            off += round_chunk(bytes.len());
-        }
+        // 16-aligned, not page-aligned.
+        plant_heap_layout(&mut dump, PAGE_SIZE + 48, &KeyMaterial::from_key(&key));
         decay(&mut dump, 0.1, 5);
         let rec = reconstruct(&dump, &key.public_key(), &ReconstructConfig::default());
         assert_eq!(rec.key.expect("heap anchor must be found").n(), key.n());
@@ -595,6 +803,142 @@ mod tests {
         assert!(rec.key.is_none());
     }
 
+    /// 16 pages and a short 17th: both key layouts among decoys, with
+    /// chunks and windows placed across page edges.
+    fn page_edge_scene(material: &KeyMaterial, rng: &mut Rng64) -> Vec<u8> {
+        let ps = PAGE_SIZE;
+        let mut dump = vec![0u8; 16 * ps + 1000];
+        let dp_at =
+            round_chunk(material.d_bytes().len()) + 2 * round_chunk(material.p_bytes().len());
+        // Page 1: the region layout at the page start.
+        plant_region_layout(&mut dump, ps, material);
+        // Page 3: dense noise, so every page offset proposes a window.
+        rng.fill_bytes(&mut dump[3 * ps..4 * ps]);
+        // Page 5: random bits inside 0xC3 only, so most anchors pass.
+        for b in &mut dump[5 * ps..6 * ps] {
+            *b = rng.next_u32() as u8 & CRT_FILLER;
+        }
+        // Pages 7–8: a heap image whose dp chunk crosses into page 8.
+        plant_heap_layout(&mut dump, 8 * ps - 16 - dp_at, material);
+        // Pages 9–10: a heap image whose p chunk crosses into page 10.
+        let d_chunk = round_chunk(material.d_bytes().len());
+        plant_heap_layout(&mut dump, 10 * ps - 16 - d_chunk, material);
+        // Filler that starts in the last bytes of non-zero page 11 and ends
+        // in all-zero page 12, and filler that starts in all-zero page 13
+        // (as zeros) and ends in non-zero page 14.
+        dump[12 * ps - 16..12 * ps].fill(CRT_FILLER);
+        dump[14 * ps..14 * ps + 16].fill(CRT_FILLER);
+        // The short last page: a heap image, and filler running off the end.
+        plant_heap_layout(&mut dump, 16 * ps + 64, material);
+        let end = dump.len();
+        dump[end - 8..].fill(CRT_FILLER);
+        dump
+    }
+
+    /// The fast harvest tries exactly the filler anchors the oracle's scan
+    /// accepts, and returns the oracle's candidates in the oracle's order,
+    /// also when the candidate cap cuts either layout's loop short.
+    fn assert_harvest_matches_oracle(dump: &[u8], layout: &Layout, what: &str) {
+        let anchors: Vec<usize> = filler_anchors(dump, &nonzero_pages(dump), layout.pl).collect();
+        let oracle_anchors: Vec<usize> = (0..dump.len())
+            .step_by(CHUNK_ALIGN)
+            .filter(|&a| oracle::looks_like_filler(dump, a, layout.pl))
+            .collect();
+        assert_eq!(anchors, oracle_anchors, "{what}: filler anchors");
+        let all = oracle::harvest(dump, layout, &ReconstructConfig::default()).len();
+        for max_candidates in [
+            ReconstructConfig::default().max_candidates,
+            3,
+            all.max(2) - 1,
+        ] {
+            let cfg = ReconstructConfig {
+                max_candidates,
+                ..ReconstructConfig::default()
+            };
+            let fast = harvest(dump, layout, &cfg);
+            let slow = oracle::harvest(dump, layout, &cfg);
+            assert_eq!(
+                fast.len(),
+                slow.len(),
+                "{what}, cap {max_candidates}: candidate count"
+            );
+            let first_difference = fast
+                .iter()
+                .zip(&slow)
+                .position(|(f, s)| f.obs_d != s.obs_d || f.obs_p != s.obs_p || f.obs_q != s.obs_q);
+            assert_eq!(first_difference, None, "{what}, cap {max_candidates}");
+        }
+    }
+
+    #[test]
+    fn harvest_matches_oracle_across_layouts_rates_and_key_sizes() {
+        let ps = PAGE_SIZE;
+        // 384 bits gives 24-byte primes, not a whole 16-byte chunk.
+        for (bits, seed) in [(256, 31), (384, 32), (512, 33)] {
+            let mut rng = Rng64::new(seed);
+            let key = RsaPrivateKey::generate(bits, &mut rng);
+            let layout = Layout::of(key.n());
+            let scene = page_edge_scene(&KeyMaterial::from_key(&key), &mut rng);
+            // The page-crossing filler windows anchor in the pristine scene
+            // (a 16-byte window at a 16-aligned anchor crosses no page edge).
+            let nonzero = nonzero_pages(&scene);
+            assert!(!nonzero[12] && !nonzero[13] && nonzero[11] && nonzero[14]);
+            let anchors: Vec<usize> = filler_anchors(&scene, &nonzero, layout.pl).collect();
+            if layout.pl > CHUNK_ALIGN {
+                assert!(anchors.contains(&(12 * ps - 16)) && anchors.contains(&(14 * ps - 16)));
+            }
+            assert!(oracle::harvest(&scene, &layout, &ReconstructConfig::default()).len() > 8);
+            for rate in [0.0, 0.02, 0.10, 0.25, 0.5] {
+                let mut dump = scene.clone();
+                decay(&mut dump, rate, seed ^ rate.to_bits());
+                assert_harvest_matches_oracle(
+                    &dump,
+                    &layout,
+                    &format!("RSA-{bits} at decay {rate}"),
+                );
+            }
+        }
+    }
+
+    /// A random odd number of exactly `bits` bits.
+    fn random_odd(bits: usize, rng: &mut Rng64) -> BigUint {
+        let limbs = (0..bits.div_ceil(64)).map(|_| rng.next_u64()).collect();
+        let mut n = mask_bits(&BigUint::from_limbs(limbs), bits);
+        n.set_bit(bits - 1);
+        n.set_bit(0);
+        n
+    }
+
+    #[test]
+    fn ktable_matches_oracle() {
+        let mut rng = Rng64::new(0x6B7A_B1E5);
+        // Below ~72 bits the window sits low enough for the ⌊(k·R + 1)/e⌋
+        // term to reach it; at 256 and 512 bits `lo` is not limb-aligned.
+        for bits in [24, 40, 72, 256, 384, 512] {
+            let n = random_odd(bits, &mut rng);
+            let layout = Layout::of(&n);
+            for e in [3, 17, 65537] {
+                let fast = KTable::build(&n, e, &layout);
+                let slow = oracle::build_ktable(&n, e, &layout);
+                assert_eq!(
+                    (fast.lo, fast.w),
+                    (slow.lo, slow.w),
+                    "{bits}-bit n, e = {e}"
+                );
+                assert_eq!(fast.windows.len(), slow.windows.len());
+                let first_difference = fast
+                    .windows
+                    .iter()
+                    .zip(&slow.windows)
+                    .position(|(f, s)| f != s);
+                assert_eq!(
+                    first_difference, None,
+                    "{bits}-bit n, e = {e}: first differing k − 1"
+                );
+            }
+        }
+    }
+
     #[test]
     fn mask_and_window_helpers_agree_with_bit_access() {
         let x = BigUint::from_hex("F0F0F0F0F0F0F0F0AAAA5555DEADBEEF").unwrap();
@@ -605,9 +949,29 @@ mod tests {
             }
             assert!(m.bit_len() <= bits);
         }
-        let w = window_u128(&x, 8, 16);
+        let w = oracle::window_u128(&x, 8, 16);
         for j in 0..16 {
             assert_eq!(w & (1 << j) != 0, x.bit(8 + j));
+        }
+        // The limb-shift window at the k-table's widths, on, beside and
+        // across limb boundaries, and past the top limb.
+        let y = BigUint::from_hex(concat!(
+            "9E3779B97F4A7C15F39CC0605CEDC8341082276BF3A27251",
+            "F86C6A11D0C18E952767F0B153D27B7F0347045B5BF1827F",
+        ))
+        .unwrap();
+        for w in [16, 88, 128] {
+            for lo in [0, 1, 40, 63, 64, 65, 127, 168, 232, 296, 300, 400] {
+                let got = window_bits(y.limbs(), lo, w);
+                assert_eq!(got, oracle::window_u128(&y, lo, w), "lo {lo}, w {w}");
+                for j in 0..128 {
+                    assert_eq!(
+                        (got >> j) & 1 == 1,
+                        j < w && y.bit(lo + j),
+                        "bit {j}, lo {lo}, w {w}"
+                    );
+                }
+            }
         }
     }
 }

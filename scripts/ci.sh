@@ -118,10 +118,15 @@ echo "== shielded keys & stronger attackers (release) =="
 # The PR-7 test wall: cold-boot decay is one-sided/seeded/deterministic
 # (memsim), the shielded region keeps ciphertext at rest and plaintext only
 # inside the unshield window (keyguard), and the CRT reconstructor corrects
-# decay without ever returning a wrong key (keyscan differential suite).
+# decay without ever returning a wrong key (keyscan's table of decay rates
+# over decayed machine snapshots). The reconstructor's unit tests then run
+# in release: the zero-page-skipping harvest and the one-add-per-k table
+# against the byte-at-a-time and divide-per-k code they replaced, kept as
+# test oracles.
 cargo test --release -p memsim --test coldboot
 cargo test --release -p keyguard --test shielded
 cargo test --release -p keyscan --test reconstruct
+cargo test --release -p keyscan --lib reconstruct
 
 echo "== attacker matrix smoke (release) =="
 # Every protection level against exact-free, exact-allocated, cold-boot
