@@ -287,10 +287,10 @@ fn run_one_cell<S: SecureServer>(
         drive_workload::<S>(&mut kernel, level, cfg, rep_seed, MATRIX_CONNECTIONS, close_all)?;
     let compromised = match attacker {
         AttackerClass::ExactFree => {
-            scanner.scan_kernel_sharded(&kernel, cfg.scan_threads).unallocated() > 0
+            scanner.scan_kernel(&kernel).unallocated() > 0
         }
         AttackerClass::ExactAllocated => {
-            scanner.scan_kernel_sharded(&kernel, cfg.scan_threads).allocated() > 0
+            scanner.scan_kernel(&kernel).allocated() > 0
         }
         AttackerClass::ColdBoot => {
             let dump = kernel.snapshot_decayed(rep_seed ^ 0xDECA_1DED, decay_rate);
@@ -324,7 +324,7 @@ fn run_one_cell<S: SecureServer>(
             // hit mid-Drain is exactly "the outgoing key is recoverable
             // while both keys are resident".
             server.rotate_key(&mut kernel)?;
-            scanner.scan_kernel_sharded(&kernel, cfg.scan_threads).total() > 0
+            scanner.scan_kernel(&kernel).total() > 0
         }
     };
     drop(server);

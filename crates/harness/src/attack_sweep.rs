@@ -97,7 +97,7 @@ pub(crate) fn drive_workload<S: SecureServer>(
         .with_key_bits(cfg.key_bits)
         .with_seed(rep_seed);
     let mut server = S::start(kernel, server_cfg)?;
-    let scanner = Scanner::from_material(server.material());
+    let scanner = Scanner::from_material(server.material()).with_threads(cfg.scan_threads);
     let standing = total_connections.min(SWEEP_CONCURRENCY);
     server.set_concurrency(kernel, standing)?;
     if total_connections > standing {
@@ -156,7 +156,7 @@ fn run_one<S: SecureServer>(
         Attack::Tty => TtyMemoryDump::paper().run(&kernel, &mut rng),
     };
     Ok((
-        capture.keys_found_sharded(&scanner, cfg.scan_threads),
+        capture.keys_found(&scanner),
         capture.succeeded(&scanner),
         capture.disclosed_bytes(),
     ))

@@ -30,9 +30,8 @@
 use crate::exec::{ExecReport, Executor};
 use crate::{ExperimentConfig, ServerKind};
 use keyguard::ProtectionLevel;
-use keyscan::{IncrementalScanner, ScanStats, Scanner};
+use keyscan::{IncrementalScanner, ScanStats};
 use memsim::{FaultPlan, Kernel};
-use rsa_repro::material::KeyMaterial;
 use servers::{ApacheServer, SecureServer, ServerConfig, SheddingStats, SshServer};
 use simrng::Rng64;
 use std::sync::Mutex;
@@ -336,13 +335,13 @@ fn sweep_template(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> SweepTemplate {
-    let server_cfg = server_config(level, cfg);
-    // The scanner is built from the derived key *before* any server exists,
-    // so it works even when a fault aborts server startup.
-    let scanner = IncrementalScanner::new(Scanner::from_material(&KeyMaterial::from_key(
-        &server_cfg.derive_key(kind_label),
-    )))
-    .with_threads(cfg.scan_threads);
+    let scanner = crate::epoch_scanner(
+        server_config(level, cfg),
+        kind_label,
+        0,
+        None,
+        cfg.scan_threads,
+    );
     SweepTemplate::new(boot(level, cfg, BOOT_TWEAK), scanner)
 }
 

@@ -38,7 +38,10 @@ pub mod scenario;
 pub mod timeline;
 
 use keyguard::ProtectionLevel;
+use keyscan::{IncrementalScanner, Scanner};
 use memsim::{Kernel, MachineConfig};
+use rsa_repro::material::{KeyMaterial, Pattern};
+use servers::ServerConfig;
 use simrng::Rng64;
 
 /// Shared experiment parameters.
@@ -52,11 +55,13 @@ pub struct ExperimentConfig {
     pub repetitions: usize,
     /// Master seed; every repetition derives its own stream.
     pub seed: u64,
-    /// Worker threads for *intra-kernel* scan sharding (1 = serial): splits
-    /// one machine's physical sweep — and the incremental scanner's
-    /// dirty-frame rescans — into contiguous chunks merged in frame order.
-    /// Results are bit-identical at any value; orthogonal to the executor's
-    /// across-cell `--threads`.
+    /// Worker threads for *intra-kernel* scan sharding (1 = serial): the
+    /// thread count of every scanner a run builds
+    /// ([`keyscan::Scanner::with_threads`]), which splits one machine's
+    /// physical sweep, the incremental scanner's dirty-frame rescans and
+    /// capture scans into contiguous chunks merged in order. Results are
+    /// bit-identical at any value; orthogonal to the executor's across-cell
+    /// `--threads`.
     pub scan_threads: usize,
 }
 
@@ -127,6 +132,29 @@ impl ExperimentConfig {
         kernel.age_memory(rng, 1.0);
         kernel
     }
+}
+
+/// The incremental scanner that watches one server across its key epochs:
+/// the patterns of every key `server_cfg` derives for `kind_label` at
+/// rotation ordinals `0..=last_epoch`, in ordinal order, then `extra`, with
+/// its scans split across `threads`. Every epoch key is a pure function of
+/// the configuration ([`ServerConfig::derive_rotated_key`]), so the scanner
+/// exists before the server does, and still works when a fault aborts the
+/// server's start.
+pub(crate) fn epoch_scanner(
+    server_cfg: ServerConfig,
+    kind_label: &str,
+    last_epoch: u64,
+    extra: Option<Pattern>,
+    threads: usize,
+) -> IncrementalScanner {
+    let mut patterns = Vec::new();
+    for ordinal in 0..=last_epoch {
+        let epoch = KeyMaterial::from_key(&server_cfg.derive_rotated_key(kind_label, ordinal));
+        patterns.extend(epoch.patterns().iter().map(Pattern::clone_secret));
+    }
+    patterns.extend(extra);
+    IncrementalScanner::new(Scanner::new(patterns).with_threads(threads))
 }
 
 /// Which simulated server an experiment targets.

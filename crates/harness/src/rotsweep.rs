@@ -44,7 +44,7 @@ use keyguard::ProtectionLevel;
 use keyscan::reconstruct::{reconstruct, ReconstructConfig};
 use keyscan::{IncrementalScanner, ScanStats, Scanner};
 use memsim::{FaultPlan, Kernel};
-use rsa_repro::material::{KeyMaterial, Pattern};
+use rsa_repro::material::KeyMaterial;
 use servers::{ApacheServer, SecureServer, ServerConfig, SheddingStats, SshServer};
 
 /// Standing connections held open across the rotation (they pin the old
@@ -274,14 +274,15 @@ fn rot_template(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
 ) -> RotTemplate {
-    let server_cfg = server_config(level, cfg);
-    let old = KeyMaterial::from_key(&server_cfg.derive_rotated_key(kind_label, 0));
-    let new = KeyMaterial::from_key(&server_cfg.derive_rotated_key(kind_label, 1));
-    let mut patterns: Vec<Pattern> =
-        old.patterns().iter().map(Pattern::clone_secret).collect();
-    let old_patterns = patterns.len();
-    patterns.extend(new.patterns().iter().map(Pattern::clone_secret));
-    let scanner = IncrementalScanner::new(Scanner::new(patterns)).with_threads(cfg.scan_threads);
+    let scanner = crate::epoch_scanner(
+        server_config(level, cfg),
+        kind_label,
+        1,
+        None,
+        cfg.scan_threads,
+    );
+    // Both epochs carry the same pattern count, the old key's first.
+    let old_patterns = scanner.scanner().patterns().len() / 2;
     RotTemplate {
         sweep: SweepTemplate::new(boot(level, cfg, BOOT_TWEAK), scanner),
         old_patterns,

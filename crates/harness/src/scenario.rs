@@ -52,9 +52,7 @@ use crate::timeline::{Timeline, TimelinePoint};
 use crate::ServerKind;
 use exploits::{Ext2DirentLeak, SlabProbe, TtyMemoryDump};
 use keyguard::ProtectionLevel;
-use keyscan::{IncrementalScanner, Scanner};
 use memsim::{Kernel, MachineConfig, SimError};
-use rsa_repro::material::KeyMaterial;
 use servers::{ApacheServer, SecureServer, ServerConfig, SshServer};
 use simrng::Rng64;
 use std::collections::BTreeMap;
@@ -401,38 +399,27 @@ impl Scenario {
         let server_cfg = ServerConfig::new(self.level)
             .with_key_bits(self.key_bits)
             .with_seed(self.seed);
-        let material = KeyMaterial::from_key(&server_cfg.derive_key(kind_label));
-        let mut patterns: Vec<_> = material
-            .patterns()
-            .iter()
-            .map(rsa_repro::material::Pattern::clone_secret)
-            .collect();
-        // Rotation is deterministic in (config, ordinal), so every epoch
-        // the script can reach is known up front — the scanner watches all
-        // of them, and a retired epoch's stray bytes stay visible.
+        // The scanner watches every epoch the script can reach, so a
+        // retired epoch's stray bytes stay visible. Attack captures scan
+        // their own dumped bytes through the plain scanner; the per-tick
+        // kernel scan rides the incremental cache.
         let rotations = self
             .actions
             .values()
             .flatten()
             .filter(|a| **a == Action::Rotate)
             .count();
-        for ordinal in 1..=rotations as u64 {
-            let epoch = KeyMaterial::from_key(&server_cfg.derive_rotated_key(kind_label, ordinal));
-            patterns.extend(
-                epoch
-                    .patterns()
-                    .iter()
-                    .map(rsa_repro::material::Pattern::clone_secret),
-            );
-        }
-        if let Some(secret) = &self.secret {
+        let secret = self.secret.as_ref().map(|secret| {
             // keylint: allow(S005) -- the scenario's planted session secret is copied into its search pattern by design
-            patterns.push(rsa_repro::material::Pattern::new("secret", secret.clone()));
-        }
-        // Attack captures scan their own dumped bytes through the plain
-        // scanner; the per-tick kernel scan rides the incremental cache.
-        let mut inc =
-            IncrementalScanner::new(Scanner::new(patterns)).with_threads(self.scan_threads);
+            rsa_repro::material::Pattern::new("secret", secret.clone())
+        });
+        let mut inc = crate::epoch_scanner(
+            server_cfg,
+            kind_label,
+            rotations as u64,
+            secret,
+            self.scan_threads,
+        );
         let dump = TtyMemoryDump::paper();
 
         let mut server: Option<S> = None;

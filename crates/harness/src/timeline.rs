@@ -7,9 +7,8 @@
 use crate::exec::{ExecReport, Executor};
 use crate::{ExperimentConfig, ServerKind};
 use keyguard::ProtectionLevel;
-use keyscan::{IncrementalScanner, ScanStats, Scanner};
+use keyscan::ScanStats;
 use memsim::{FaultPlan, SimResult};
-use rsa_repro::material::{KeyMaterial, Pattern};
 use servers::{ApacheServer, SecureServer, ServerConfig, SheddingStats, SshServer};
 use simrng::Rng64;
 use std::time::{Duration, Instant};
@@ -199,29 +198,17 @@ fn drive<S: SecureServer>(
         kernel.install_fault_plan(p.clone());
     }
     let server_cfg = ServerConfig::new(level).with_key_bits(cfg.key_bits);
-    // Build the scanner before the server exists, from the derived keys of
-    // every epoch the schedule will reach — rotation is deterministic in
-    // (config, ordinal), so the successor keys are known up front. The
-    // per-tick scans ride the incremental path: only frames the tick's
-    // workload actually dirtied are re-read, and the differential suites
-    // pin the reports bit-identical to full `scan_kernel` calls.
-    let preview = server_cfg.derive_key(kind_label);
-    let mut patterns: Vec<Pattern> = KeyMaterial::from_key(&preview)
-        .patterns()
-        .iter()
-        .map(Pattern::clone_secret)
-        .collect();
-    for ordinal in 1..=schedule.rotation_count() as u64 {
-        let epoch_key = server_cfg.derive_rotated_key(kind_label, ordinal);
-        patterns.extend(
-            KeyMaterial::from_key(&epoch_key)
-                .patterns()
-                .iter()
-                .map(Pattern::clone_secret),
-        );
-    }
-    let mut scanner =
-        IncrementalScanner::new(Scanner::new(patterns)).with_threads(cfg.scan_threads);
+    // The scanner watches every epoch the schedule will reach. The per-tick
+    // scans ride the incremental path: only frames the tick's workload
+    // actually dirtied are re-read, and the differential suites pin the
+    // reports bit-identical to full `scan_kernel` calls.
+    let mut scanner = crate::epoch_scanner(
+        server_cfg,
+        kind_label,
+        schedule.rotation_count() as u64,
+        None,
+        cfg.scan_threads,
+    );
 
     let mut server: Option<S> = None;
     let mut points = Vec::with_capacity(schedule.end);
@@ -229,10 +216,10 @@ fn drive<S: SecureServer>(
         // Events fire at the start of their tick.
         if t == schedule.start_server {
             let s = S::start(&mut kernel, server_cfg)?;
-            assert_eq!(
-                s.key(),
-                &preview,
-                "derived preview key must match the server key"
+            let epoch0 = s.material().patterns();
+            assert!(
+                scanner.scanner().patterns().starts_with(epoch0),
+                "derived epoch-0 patterns must match the server key"
             );
             server = Some(s);
         }

@@ -166,9 +166,10 @@ fn fault_sweeps_are_thread_invariant_with_warm_forks() {
     }
 }
 
-/// Intra-kernel sharding: `scan_kernel_sharded` must be bit-identical to the
-/// serial `scan_kernel` — same hits, same order, same attribution — at every
-/// shard width, on a machine with interleaved allocated/free/dirty regions.
+/// Intra-kernel sharding: `scan_kernel` on a scanner split across threads
+/// must be bit-identical to the serial scan — same hits, same order, same
+/// attribution — at every width, on a machine with interleaved
+/// allocated/free/dirty regions.
 #[test]
 fn sharded_scan_kernel_is_bit_identical_to_serial() {
     let key = RsaPrivateKey::generate(128, &mut Rng64::new(0x51A2));
@@ -196,7 +197,7 @@ fn sharded_scan_kernel_is_bit_identical_to_serial() {
     assert!(serial.total() > 0, "workload must produce hits");
     assert!(serial.unallocated() > 0, "freed copies must stay visible");
     for threads in [1usize, 2, 3, 4, 8, 64] {
-        let sharded = scanner.scan_kernel_sharded(&k, threads);
+        let sharded = scanner.fork().with_threads(threads).scan_kernel(&k);
         assert_eq!(serial, sharded, "threads {threads}");
     }
 }

@@ -56,34 +56,6 @@ impl ScanStats {
     }
 }
 
-/// Splits a dirty-run list into at most `groups` contiguous bundles of
-/// near-equal total *frame* count, cutting inside a run when a balance
-/// boundary lands there. Sub-runs scan with the same window-plus-straddle
-/// semantics as whole runs, so the cut is invisible in the per-frame
-/// results — this is what lets one giant cold-scan run (every frame dirty)
-/// still spread across every worker thread. Deterministic in the run list
-/// and `groups` alone.
-fn balance_runs(runs: &[(usize, usize)], groups: usize) -> Vec<Vec<(usize, usize)>> {
-    let total: usize = runs.iter().map(|&(s, e)| e - s).sum();
-    let spans = crate::shard_spans(total, groups);
-    let mut out: Vec<Vec<(usize, usize)>> = vec![Vec::new(); spans.len()];
-    let mut gi = 0usize; // group being filled
-    let mut done = 0usize; // dirty frames already assigned
-    for &(start, end) in runs {
-        let mut s = start;
-        while s < end {
-            while done >= spans[gi].1 {
-                gi += 1;
-            }
-            let take = (spans[gi].1 - done).min(end - s);
-            out[gi].push((s, s + take));
-            s += take;
-            done += take;
-        }
-    }
-    out
-}
-
 /// Per-frame cache entry. `u64::MAX` generations mean "never scanned", which
 /// can never collide with a real generation (the clock starts at 0 and a
 /// 64-bit counter bumped once per operation does not wrap).
@@ -153,9 +125,6 @@ pub struct IncrementalScanner {
     cache: ScanCache,
     stats: ScanStats,
     wall: Duration,
-    /// Worker threads the dirty-run rescan may use (1 = serial). Purely a
-    /// wall-clock knob: results are bit-identical at any value.
-    threads: usize,
 }
 
 impl core::fmt::Debug for IncrementalScanner {
@@ -167,7 +136,8 @@ impl core::fmt::Debug for IncrementalScanner {
 
 impl IncrementalScanner {
     /// Wraps a scanner. The first [`Self::scan`] is a full scan that warms
-    /// the cache; later calls are incremental.
+    /// the cache; later calls are incremental. The dirty-run rescan splits
+    /// across the scanner's threads ([`Scanner::with_threads`]).
     #[must_use]
     pub fn new(scanner: Scanner) -> Self {
         Self {
@@ -175,29 +145,19 @@ impl IncrementalScanner {
             cache: ScanCache::default(),
             stats: ScanStats::default(),
             wall: Duration::ZERO,
-            threads: 1,
         }
     }
 
-    /// Builder-style [`Self::set_threads`].
+    /// [`Scanner::with_threads`] on the wrapped scanner, for the benchmark
+    /// package's timeline and fault-sweep replicas
+    /// (`benchmark/src/workloads/{timeline,faultsweep}.rs`), which call it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Sets how many worker threads [`Self::scan`] may split the dirty-run
-    /// rescan across (clamped to at least 1). Results are bit-identical at
-    /// any thread count — hits are merged back in frame order — so this
-    /// only ever changes wall-clock.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Current dirty-rescan worker thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self {
+            scanner: self.scanner.with_threads(threads),
+            ..self
+        }
     }
 
     /// The wrapped scanner (for capture scans that bypass the cache).
@@ -209,7 +169,7 @@ impl IncrementalScanner {
     /// Duplicates this scanner — audited pattern copies *and* the warm frame
     /// cache — so a cloned kernel can be followed without a cold full scan.
     /// Effort counters and wall-clock start at zero on the fork; the thread
-    /// knob carries over.
+    /// count carries over with the scanner.
     #[must_use]
     pub fn fork(&self) -> Self {
         Self {
@@ -217,7 +177,6 @@ impl IncrementalScanner {
             cache: self.cache.clone(),
             stats: ScanStats::default(),
             wall: Duration::ZERO,
-            threads: self.threads,
         }
     }
 
@@ -245,20 +204,15 @@ impl IncrementalScanner {
         }
         self.cache.clock = kernel.generation_clock();
 
-        let max_len = self.scanner.max_pattern_len();
         // A match starting up to `max_len - 1` bytes before a dirty frame
         // can read dirty bytes, so that many *preceding* frames rescan too.
-        let straddle = (max_len - 1).div_ceil(PAGE_SIZE);
-        let phys = kernel.phys();
+        let straddle = (self.scanner.max_pattern_len() - 1).div_ceil(PAGE_SIZE);
 
         // Pass 1 — dirty detection against *pre-scan* generations, then
-        // coalescing consecutive dirty frames into runs. A run is scanned
-        // with one windowed dispatch over its contiguous bytes (plus the
-        // `max_len - 1` straddle into its successor frame), instead of one
-        // dispatch per frame with overlapping straddle re-reads — the
-        // frame-run walk, mirroring `Kernel::frame_runs` for the dirty set.
+        // coalescing consecutive dirty frames into byte runs. A rescanned
+        // frame drops its cached hits; pass 2 refills them.
         let mut rescanned = 0u64;
-        let mut dirty_runs: Vec<(usize, usize)> = Vec::new(); // frame ranges [start, end)
+        let mut dirty_runs: Vec<(usize, usize)> = Vec::new(); // byte ranges [start, end)
         for i in 0..num_frames {
             let dirty_near = (i..=(i + straddle).min(num_frames - 1)).any(|j| {
                 kernel.write_generation(FrameId(j)) != self.cache.frames[j].write_gen
@@ -267,53 +221,21 @@ impl IncrementalScanner {
                 continue;
             }
             rescanned += 1;
+            self.cache.frames[i].hits.clear();
+            let base = i * PAGE_SIZE;
             match dirty_runs.last_mut() {
-                Some(run) if run.1 == i => run.1 = i + 1,
-                _ => dirty_runs.push((i, i + 1)),
+                Some(run) if run.1 == base => run.1 += PAGE_SIZE,
+                _ => dirty_runs.push((base, base + PAGE_SIZE)),
             }
         }
 
-        // Pass 2 — rescan the dirty runs, serially or sharded across worker
-        // threads. Each run is scanned immutably into per-frame hit lists;
-        // results are applied to the cache in frame order afterwards, so the
-        // cache (and every report built from it) is bit-identical at any
-        // thread count.
-        let scanner = &self.scanner;
-        let scan_run = |&(s, e): &(usize, usize)| -> (usize, Vec<Vec<(u32, u32)>>) {
-            let base = s * PAGE_SIZE;
-            let run_bytes = (e - s) * PAGE_SIZE;
-            let window_end = (base + run_bytes + max_len - 1).min(phys.len());
-            let mut per_frame: Vec<Vec<(u32, u32)>> = vec![Vec::new(); e - s];
-            scanner.for_each_match(&phys[base..window_end], |pi, off| {
-                // Keep only matches *starting* inside the run; later starts
-                // belong to (and are found by) the successor's own window.
-                if off < run_bytes {
-                    per_frame[off / PAGE_SIZE].push((pi as u32, (off % PAGE_SIZE) as u32));
-                }
-                off < run_bytes
-            });
-            (s, per_frame)
-        };
-        let results: Vec<(usize, Vec<Vec<(u32, u32)>>)> = if self.threads <= 1 || rescanned <= 1 {
-            dirty_runs.iter().map(scan_run).collect()
-        } else {
-            let groups = balance_runs(&dirty_runs, self.threads);
-            std::thread::scope(|scope| {
-                let scan_run = &scan_run;
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|runs| scope.spawn(move || runs.iter().map(scan_run).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("dirty-run shard panicked"))
-                    .collect()
-            })
-        };
-        for (s, per_frame) in results {
-            for (k, frame_hits) in per_frame.into_iter().enumerate() {
-                self.cache.frames[s + k].hits = frame_hits;
-            }
+        // Pass 2 — rescan the dirty runs through the scanner's span walk.
+        // Its hits ascend at any thread count, so each frame's cache entry
+        // is refilled in the same order.
+        for hit in self.scanner.scan_spans(kernel.phys(), &dirty_runs) {
+            self.cache.frames[hit.offset / PAGE_SIZE]
+                .hits
+                .push((hit.pattern as u32, (hit.offset % PAGE_SIZE) as u32));
         }
         // Post-pass: stamp every frame's write generation as seen. Done
         // separately from the detection loop so `dirty_near` look-ahead

@@ -233,6 +233,12 @@ impl ScanReport {
 /// (ascending offset, ties in ascending pattern order), so every scan result
 /// is bit-identical regardless of dispatch. Worst case stays O(n·k) like the
 /// paper's LKM; the common case rejects most of memory a word at a time.
+///
+/// Every scan runs through one span walk over ascending byte spans of its
+/// haystack (the whole dump, all of physical memory, or an
+/// [`IncrementalScanner`]'s dirty runs), which splits the spans' bytes
+/// across the thread count fixed by [`Self::with_threads`]. Results are
+/// bit-identical at any thread count.
 // keylint: allow(S003) -- the patterns vector drops its elements and each Pattern zeroes its own bytes; the shift/tail/trigger tables hold only byte-frequency structure, single window-end byte values, and pattern indices, not key bytes
 pub struct Scanner {
     patterns: Vec<Pattern>,
@@ -254,6 +260,8 @@ pub struct Scanner {
     swar_zero_skip: bool,
     /// Longest pattern length (straddle width for windowed scans).
     max_len: usize,
+    /// Worker threads the span walk splits a scan's bytes across (>= 1).
+    threads: usize,
 }
 
 /// SWAR block width in bytes: one cache line, OR-reduced per iteration for
@@ -289,21 +297,42 @@ fn swar_eq(word: u64, t_splat: u64) -> u64 {
     x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080
 }
 
-/// Contiguous, near-equal spans `[start, end)` covering `0..len`, at most
-/// `shards` of them (fewer when `len < shards`). Deterministic in `len` and
-/// `shards` only, so shard boundaries never depend on thread scheduling.
-fn shard_spans(len: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.max(1).min(len.max(1));
-    let base = len / shards;
-    let extra = len % shards;
-    let mut spans = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for i in 0..shards {
-        let end = start + base + usize::from(i < extra);
-        spans.push((start, end));
-        start = end;
+/// Splits ascending, disjoint byte spans into at most `shards` groups of
+/// near-equal total length (sizes differ by at most one byte), cutting
+/// inside a span where a group boundary lands; empty spans are dropped.
+/// The groups keep the spans' order, so concatenating their hits keeps the
+/// serial hit order. Deterministic in `spans` and `shards` alone: the split
+/// never depends on thread scheduling.
+fn shard_spans(spans: &[(usize, usize)], shards: usize) -> Vec<Vec<(usize, usize)>> {
+    let total: usize = spans.iter().map(|&(lo, hi)| hi - lo).sum();
+    let shards = shards.clamp(1, total.max(1));
+    let size = |i: usize| total / shards + usize::from(i < total % shards);
+    let mut groups = vec![Vec::new()];
+    let mut room = size(0);
+    for &(mut lo, hi) in spans {
+        while lo < hi {
+            if room == 0 {
+                groups.push(Vec::new());
+                room = size(groups.len() - 1);
+            }
+            let take = room.min(hi - lo);
+            let group = groups.last_mut().expect("one group at least");
+            group.push((lo, lo + take));
+            lo += take;
+            room -= take;
+        }
     }
-    spans
+    groups
+}
+
+/// Collects a match core's `(pattern, offset)` callbacks into raw hits.
+fn hits_of(scan: impl FnOnce(&mut dyn FnMut(usize, usize) -> bool)) -> Vec<RawHit> {
+    let mut hits = Vec::new();
+    scan(&mut |pattern, offset| {
+        hits.push(RawHit { pattern, offset });
+        true
+    });
+    hits
 }
 
 /// The patterns are the key material being hunted, so `{:?}` stops at a count.
@@ -356,7 +385,17 @@ impl Scanner {
             trigger_splats,
             swar_zero_skip,
             max_len,
+            threads: 1,
         }
+    }
+
+    /// The same scanner with its scans split across `threads` OS threads
+    /// (clamped to at least 1). Only wall-clock changes: every result is
+    /// bit-identical at any thread count.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Builds the paper's standard scanner over `(d, p, q, pem)`.
@@ -371,11 +410,13 @@ impl Scanner {
         &self.patterns
     }
 
-    /// A fresh scanner over audited copies of the same patterns — the only
-    /// way to duplicate one (patterns are deliberately not `Clone`).
+    /// A fresh scanner over audited copies of the same patterns, with the
+    /// same thread count — the only way to duplicate one (patterns are
+    /// deliberately not `Clone`).
     #[must_use]
     pub fn fork(&self) -> Self {
         Self::new(self.patterns.iter().map(Pattern::clone_secret).collect())
+            .with_threads(self.threads)
     }
 
     /// Length of the longest pattern — how far a match starting in one page
@@ -534,89 +575,93 @@ impl Scanner {
         true
     }
 
+    /// Calls `on_hit(pattern_index, offset)` for every match that starts
+    /// inside one of the ascending, disjoint `spans` of `haystack`, in
+    /// ascending offset order, until the callback returns `false`. Returns
+    /// whether the walk ran to the end.
+    ///
+    /// This is the straddle rule every scan rests on: a match starting in a
+    /// span may run up to `max_len - 1` bytes past its end, so each span is
+    /// scanned that far beyond it and keeps only the matches that start
+    /// inside it. A later start belongs to the next span, whose own window
+    /// finds it, so cutting a haystack into spans anywhere loses and
+    /// duplicates nothing.
+    fn walk(
+        &self,
+        haystack: &[u8],
+        spans: &[(usize, usize)],
+        mut on_hit: impl FnMut(usize, usize) -> bool,
+    ) -> bool {
+        spans.iter().all(|&(lo, hi)| {
+            let end = (hi + self.max_len - 1).min(haystack.len());
+            let mut go_on = true;
+            self.for_each_match(&haystack[lo..end], |pi, off| {
+                // Offsets ascend, so the first start at or past `hi` ends
+                // this span's work.
+                if off >= hi - lo {
+                    return false;
+                }
+                go_on = on_hit(pi, lo + off);
+                go_on
+            });
+            go_on
+        })
+    }
+
+    /// Every match starting inside `spans`, in ascending order: the span
+    /// walk with its bytes split by [`shard_spans`] across the scanner's
+    /// threads, and the groups' hits concatenated in span order.
+    pub(crate) fn scan_spans(&self, haystack: &[u8], spans: &[(usize, usize)]) -> Vec<RawHit> {
+        let scan_group = |group: &[(usize, usize)]| {
+            hits_of(|on_hit| {
+                self.walk(haystack, group, on_hit);
+            })
+        };
+        let groups = shard_spans(spans, self.threads);
+        if let [group] = groups.as_slice() {
+            return scan_group(group);
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .iter()
+                .map(|group| scope.spawn(move || scan_group(group)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("scan shard panicked"))
+                .collect()
+        })
+    }
+
     /// Scans an arbitrary byte dump (an attacker's USB capture, a memory
     /// dump, swap contents) and returns every match.
     #[must_use]
     pub fn scan_bytes(&self, haystack: &[u8]) -> Vec<RawHit> {
-        let mut hits = Vec::new();
-        self.for_each_match(haystack, |pi, offset| {
-            hits.push(RawHit { pattern: pi, offset });
-            true
-        });
-        hits
+        self.scan_spans(haystack, &[(0, haystack.len())])
     }
 
-    /// Forces the SWAR prefilter core regardless of trigger count. Public
-    /// for benchmarks and differential tests; [`Self::scan_bytes`] dispatches
-    /// automatically and is what production paths should call.
+    /// Forces the SWAR prefilter core regardless of trigger count, for the
+    /// core-vs-core measurement in `crates/bench/benches/scan_cost.rs` and
+    /// the differential tests.
+    #[doc(hidden)]
     #[must_use]
     pub fn scan_bytes_swar(&self, haystack: &[u8]) -> Vec<RawHit> {
-        let mut hits = Vec::new();
-        self.for_each_match_swar(haystack, |pi, offset| {
-            hits.push(RawHit { pattern: pi, offset });
-            true
-        });
-        hits
+        hits_of(|on_hit| self.for_each_match_swar(haystack, on_hit))
     }
 
-    /// Forces the Horspool skip-walk core regardless of trigger count.
-    /// Public for benchmarks and differential tests, like
-    /// [`Self::scan_bytes_swar`].
+    /// Forces the Horspool skip-walk core regardless of trigger count, for
+    /// the same two callers as [`Self::scan_bytes_swar`]: `scan_cost` and
+    /// the differential tests.
+    #[doc(hidden)]
     #[must_use]
     pub fn scan_bytes_horspool(&self, haystack: &[u8]) -> Vec<RawHit> {
-        let mut hits = Vec::new();
-        self.for_each_match_horspool(haystack, |pi, offset| {
-            hits.push(RawHit { pattern: pi, offset });
-            true
-        });
-        hits
-    }
-
-    /// Like [`Self::scan_bytes`], but splits the haystack into contiguous
-    /// chunks scanned on `threads` OS threads. Each shard scans its chunk
-    /// plus a `max_pattern_len - 1` straddle into the next, keeping only
-    /// matches that *start* inside its chunk, so a boundary-straddling match
-    /// is seen exactly once (by the shard owning its first byte). Shard
-    /// results are concatenated in chunk order: the output is bit-identical
-    /// to the serial scan at any thread count.
-    #[must_use]
-    pub fn scan_bytes_sharded(&self, haystack: &[u8], threads: usize) -> Vec<RawHit> {
-        if threads <= 1 || haystack.len() < self.window {
-            return self.scan_bytes(haystack);
-        }
-        let spans = shard_spans(haystack.len(), threads);
-        let shards: Vec<Vec<RawHit>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = spans
-                .iter()
-                .map(|&(lo, hi)| {
-                    scope.spawn(move || {
-                        let end = (hi + self.max_len - 1).min(haystack.len());
-                        let limit = hi - lo;
-                        let mut hits = Vec::new();
-                        self.for_each_match(&haystack[lo..end], |pi, off| {
-                            // Offsets ascend, so the first start at or past
-                            // the chunk edge ends this shard's work.
-                            if off < limit {
-                                hits.push(RawHit { pattern: pi, offset: lo + off });
-                            }
-                            off < limit
-                        });
-                        hits
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan shard panicked"))
-                .collect()
-        });
-        shards.concat()
+        hits_of(|on_hit| self.for_each_match_horspool(haystack, on_hit))
     }
 
     /// Reference oracle: the obvious per-offset, per-pattern comparison the
     /// paper's LKM performs. Kept public so differential tests (and anyone
-    /// doubting the fast cores) can check SWAR, Horspool, and the sharded
-    /// paths against it.
+    /// doubting the fast cores) can check SWAR, Horspool, and the span walk
+    /// at any thread count against it.
     #[must_use]
     pub fn scan_bytes_naive(&self, haystack: &[u8]) -> Vec<RawHit> {
         let mut hits = Vec::new();
@@ -633,49 +678,11 @@ impl Scanner {
         hits
     }
 
-    /// Number of full matches in a byte dump. Allocation-free: shares the
-    /// counting core with [`Self::scan_bytes`] without materializing hits.
+    /// Number of full matches in a byte dump: the length of
+    /// [`Self::scan_bytes`].
     #[must_use]
     pub fn count_matches(&self, haystack: &[u8]) -> usize {
-        let mut n = 0usize;
-        self.for_each_match(haystack, |_, _| {
-            n += 1;
-            true
-        });
-        n
-    }
-
-    /// Sharded [`Self::count_matches`]: identical count at any thread count,
-    /// same chunk-plus-straddle scheme as [`Self::scan_bytes_sharded`].
-    #[must_use]
-    pub fn count_matches_sharded(&self, haystack: &[u8], threads: usize) -> usize {
-        if threads <= 1 || haystack.len() < self.window {
-            return self.count_matches(haystack);
-        }
-        let spans = shard_spans(haystack.len(), threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = spans
-                .iter()
-                .map(|&(lo, hi)| {
-                    scope.spawn(move || {
-                        let end = (hi + self.max_len - 1).min(haystack.len());
-                        let limit = hi - lo;
-                        let mut n = 0usize;
-                        self.for_each_match(&haystack[lo..end], |_, off| {
-                            if off < limit {
-                                n += 1;
-                            }
-                            off < limit
-                        });
-                        n
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan shard panicked"))
-                .sum()
-        })
+        self.scan_bytes(haystack).len()
     }
 
     /// Scans for full *and partial* prefix matches of at least `min_len`
@@ -744,16 +751,11 @@ impl Scanner {
     }
 
     /// Whether a dump contains at least one full key copy — "attack success"
-    /// in the paper's experiments. Early-exits on the first hit without
-    /// allocating, via the same core as [`Self::scan_bytes`].
+    /// in the paper's experiments. A serial walk that stops at the first hit
+    /// without allocating, over the same span walk as [`Self::scan_bytes`].
     #[must_use]
     pub fn dump_compromises_key(&self, haystack: &[u8]) -> bool {
-        let mut found = false;
-        self.for_each_match(haystack, |_, _| {
-            found = true;
-            false
-        });
-        found
+        !self.walk(haystack, &[(0, haystack.len())], |_, _| false)
     }
 
     /// Renders a report in the exact format the paper's LKM wrote to its
@@ -794,48 +796,25 @@ impl Scanner {
 
     /// Scans the simulated machine's entire physical memory, attributing
     /// each match to its frame, owners, and allocation state — the full
-    /// `scanmemory` experience.
+    /// `scanmemory` experience. A match straddling two frames is attributed
+    /// to the frame holding its first byte.
     #[must_use]
     pub fn scan_kernel(&self, kernel: &Kernel) -> ScanReport {
-        self.scan_kernel_sharded(kernel, 1)
-    }
-
-    /// Like [`Self::scan_kernel`], but the linear sweep over physical memory
-    /// is split into contiguous chunks across `threads` OS threads (see
-    /// [`Self::scan_bytes_sharded`]). Hits are merged in frame order, so the
-    /// report is bit-identical to the serial scan at any thread count.
-    #[must_use]
-    pub fn scan_kernel_sharded(&self, kernel: &Kernel, threads: usize) -> ScanReport {
-        let raw = if threads <= 1 {
-            self.scan_bytes(kernel.phys())
-        } else {
-            self.scan_bytes_sharded(kernel.phys(), threads)
-        };
-        // Attribution walks the zero-copy frame-run view in lockstep with
-        // the ascending hit list: allocation state comes from the run (one
-        // cursor step per state change, not one metadata lookup per hit),
-        // owners from the reverse mapping of the frame holding the match
-        // start — a straddling match is attributed to its first byte's
-        // frame, exactly as before.
-        let runs = kernel.frame_runs();
-        let mut ri = 0usize;
-        let hits = raw
+        let hits = self
+            .scan_bytes(kernel.phys())
             .into_iter()
             .map(|r| {
                 let frame = FrameId(r.offset / PAGE_SIZE);
-                while !runs[ri].contains(frame) {
-                    ri += 1;
-                }
-                let state = runs[ri].state;
+                let view = kernel.frame_view(frame);
                 KeyHit {
                     pattern: r.pattern,
                     // keylint: allow(S005) -- the pattern *name* ("d", "pem") is a public label, not key bytes
                     name: self.patterns[r.pattern].name.clone(),
                     offset: r.offset,
                     frame,
-                    state,
-                    allocated: state != FrameState::Free,
-                    owners: kernel.frame_view(frame).owners,
+                    state: view.state,
+                    allocated: view.state != FrameState::Free,
+                    owners: view.owners,
                 }
             })
             .collect();
@@ -843,6 +822,15 @@ impl Scanner {
             hits,
             num_patterns: self.patterns.len(),
         }
+    }
+
+    /// [`Self::scan_kernel`] on a fork with `threads` workers, for the
+    /// benchmark package's attack-matrix replica
+    /// (`benchmark/src/workloads/attack_matrix.rs`), which calls it.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn scan_kernel_sharded(&self, kernel: &Kernel, threads: usize) -> ScanReport {
+        self.fork().with_threads(threads).scan_kernel(kernel)
     }
 }
 
@@ -999,29 +987,148 @@ mod tests {
         assert_eq!(swar_eq(0, splat(0)), 0x8080_8080_8080_8080);
     }
 
+    /// Random ascending span lists over `0..len`: consecutive cuts become
+    /// spans or gaps, repeated cuts make empty spans, a cut pair `c, c + 1`
+    /// makes a one-byte span, and a cut at `len` ends a span flush with the
+    /// haystack.
+    fn random_spans(rng: &mut simrng::Rng64, len: usize) -> Vec<(usize, usize)> {
+        let mut cuts: Vec<usize> = (0..rng.gen_index(10))
+            .map(|_| rng.gen_index(len + 1))
+            .collect();
+        for _ in 0..rng.gen_index(3) {
+            let c = rng.gen_index(len);
+            cuts.extend([c, c + 1]);
+        }
+        if rng.gen_bool(0.5) {
+            cuts.push(len);
+        }
+        cuts.push(0);
+        cuts.sort_unstable();
+        cuts.windows(2)
+            .filter(|_| rng.gen_bool(0.75))
+            .map(|w| (w[0], w[1]))
+            .collect()
+    }
+
     #[test]
     fn shard_spans_partition_the_range() {
-        for len in [0usize, 1, 7, 64, 65, 4096, 12345] {
+        let mut rng = simrng::Rng64::new(0x5A4D);
+        let mut lists = vec![
+            vec![],
+            vec![(0, 0)],
+            vec![(0, 1)],
+            vec![(0, 12345)],
+            vec![(3, 3), (7, 9)],
+        ];
+        for _ in 0..200 {
+            let len = 1 + rng.gen_index(5000);
+            lists.push(random_spans(&mut rng, len));
+        }
+        for spans in &lists {
+            let total: usize = spans.iter().map(|&(lo, hi)| hi - lo).sum();
             for shards in [1usize, 2, 3, 4, 8, 200] {
-                let spans = shard_spans(len, shards);
-                assert!(!spans.is_empty());
-                assert_eq!(spans[0].0, 0);
-                assert_eq!(spans.last().unwrap().1, len);
-                let mut covered = 0usize;
-                for win in spans.windows(2) {
-                    assert_eq!(win[0].1, win[1].0, "spans must be contiguous");
-                }
-                for &(lo, hi) in &spans {
-                    assert!(lo <= hi);
-                    covered += hi - lo;
-                }
-                assert_eq!(covered, len);
-                // Near-equal: sizes differ by at most one byte.
-                let sizes: Vec<usize> = spans.iter().map(|&(lo, hi)| hi - lo).collect();
+                let groups = shard_spans(spans, shards);
+                assert!(!groups.is_empty() && groups.len() <= shards.max(1));
+                assert_eq!(
+                    groups.len(),
+                    shards.min(total).max(1),
+                    "{spans:?} x{shards}"
+                );
+                // Near-equal: group sizes differ by at most one byte.
+                let sizes: Vec<usize> = groups
+                    .iter()
+                    .map(|g| g.iter().map(|&(lo, hi)| hi - lo).sum())
+                    .collect();
                 let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1);
+                assert!(max - min <= 1, "{spans:?} x{shards}: sizes {sizes:?}");
+                // The pieces, in group order, are non-empty, ascending, and
+                // glue back into exactly the non-empty input spans.
+                let mut glued: Vec<(usize, usize)> = Vec::new();
+                for &(lo, hi) in groups.iter().flatten() {
+                    assert!(lo < hi, "empty piece in {groups:?}");
+                    match glued.last_mut() {
+                        Some(last)
+                            if last.1 == lo && spans.iter().any(|s| s.0 < lo && lo < s.1) =>
+                        {
+                            last.1 = hi;
+                        }
+                        Some(last) => {
+                            assert!(last.1 <= lo, "pieces out of order in {groups:?}");
+                            glued.push((lo, hi));
+                        }
+                        None => glued.push((lo, hi)),
+                    }
+                }
+                let nonempty: Vec<(usize, usize)> =
+                    spans.iter().copied().filter(|&(lo, hi)| lo < hi).collect();
+                assert_eq!(glued, nonempty, "x{shards}");
             }
         }
+    }
+
+    #[test]
+    fn span_walk_matches_naive_oracle_on_random_span_lists() {
+        // Random span lists through the span walk at 1, 2, 3 and 8 threads,
+        // against the naive oracle filtered to matches that start inside the
+        // spans. A copy is planted across every span edge and every thread
+        // split, so the straddle rule is exercised at each cut.
+        let mut rng = simrng::Rng64::new(0x5BA7);
+        let mut seen = [0usize; 5]; // adjacent, gapped, empty, one-byte, flush
+        for round in 0..150 {
+            let alphabet = [2u64, 3, 251][round % 3];
+            let mut draw =
+                |n: usize| -> Vec<u8> { (0..n).map(|_| rng.gen_below(alphabet) as u8).collect() };
+            let pats: Vec<Vec<u8>> = (0..1 + round % 3)
+                .map(|i| draw(8 + (round * 7 + i) % 17))
+                .collect();
+            let scanner = Scanner::new(pats.iter().map(|p| pat("p", p)).collect());
+            let len = 64 + rng.gen_index(1500);
+            let mut hay: Vec<u8> = (0..len).map(|_| rng.gen_below(alphabet) as u8).collect();
+            let spans = random_spans(&mut rng, len);
+
+            let mut edges: Vec<usize> = spans.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+            for threads in [2usize, 3, 8] {
+                edges.extend(
+                    shard_spans(&spans, threads)
+                        .iter()
+                        .filter_map(|g| g.first())
+                        .map(|p| p.0),
+                );
+            }
+            for edge in edges {
+                let p = &pats[rng.gen_index(pats.len())];
+                let at = (edge + 1)
+                    .saturating_sub(1 + rng.gen_index(p.len() - 1))
+                    .min(len - p.len());
+                hay[at..at + p.len()].copy_from_slice(p);
+            }
+
+            for w in spans.windows(2) {
+                seen[usize::from(w[0].1 < w[1].0)] += 1;
+            }
+            seen[2] += spans.iter().filter(|&&(lo, hi)| lo == hi).count();
+            seen[3] += spans.iter().filter(|&&(lo, hi)| hi == lo + 1).count();
+            seen[4] += usize::from(spans.last().is_some_and(|s| s.1 == len));
+
+            let oracle: Vec<RawHit> = scanner
+                .scan_bytes_naive(&hay)
+                .into_iter()
+                .filter(|h| {
+                    spans
+                        .iter()
+                        .any(|&(lo, hi)| lo <= h.offset && h.offset < hi)
+                })
+                .collect();
+            for threads in [1usize, 2, 3, 8] {
+                let threaded = scanner.fork().with_threads(threads);
+                assert_eq!(
+                    threaded.scan_spans(&hay, &spans),
+                    oracle,
+                    "round {round} x{threads}: {spans:?}"
+                );
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "span kinds seen: {seen:?}");
     }
 
     #[test]
@@ -1052,8 +1159,9 @@ mod tests {
         let serial = s.scan_bytes(&hay);
         assert_eq!(serial.len(), 6);
         for threads in [1usize, 2, 3, 4, 8, 64] {
-            assert_eq!(s.scan_bytes_sharded(&hay, threads), serial, "threads={threads}");
-            assert_eq!(s.count_matches_sharded(&hay, threads), serial.len());
+            let threaded = s.fork().with_threads(threads);
+            assert_eq!(threaded.scan_bytes(&hay), serial, "threads={threads}");
+            assert_eq!(threaded.count_matches(&hay), serial.len());
         }
     }
 

@@ -102,28 +102,47 @@ fn matches_straddling_chunk_ends_are_found() {
 }
 
 // ---------------------------------------------------------------------
-// SWAR prefilter and sharded scans vs. the same oracle
+// SWAR prefilter and threaded scans vs. the same oracle
 // ---------------------------------------------------------------------
 
+/// Thread counts the span walk is checked at: serial, even and odd splits,
+/// and more threads than cores.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+
 /// Both match cores — forced explicitly, bypassing the trigger-count
-/// dispatch — plus the sharded splitter at several widths, against naive.
+/// dispatch — plus every scan call at each of [`THREADS`], against naive.
 fn assert_all_cores_agree(scanner: &Scanner, hay: &[u8], ctx: &str) {
     let naive = scanner.scan_bytes_naive(hay);
     assert_eq!(scanner.scan_bytes_swar(hay), naive, "swar vs naive: {ctx}");
-    assert_eq!(scanner.scan_bytes_horspool(hay), naive, "horspool vs naive: {ctx}");
-    assert_eq!(scanner.scan_bytes(hay), naive, "dispatch vs naive: {ctx}");
-    for threads in [1usize, 2, 4, 8] {
+    assert_eq!(
+        scanner.scan_bytes_horspool(hay),
+        naive,
+        "horspool vs naive: {ctx}"
+    );
+    for threads in THREADS {
+        let threaded = scanner.fork().with_threads(threads);
         assert_eq!(
-            scanner.scan_bytes_sharded(hay, threads),
+            threaded.scan_bytes(hay),
             naive,
-            "sharded x{threads} vs naive: {ctx}"
+            "x{threads} vs naive: {ctx}"
         );
         assert_eq!(
-            scanner.count_matches_sharded(hay, threads),
+            threaded.count_matches(hay),
             naive.len(),
-            "sharded count x{threads}: {ctx}"
+            "count x{threads}: {ctx}"
+        );
+        assert_eq!(
+            threaded.dump_compromises_key(hay),
+            !naive.is_empty(),
+            "dump x{threads}: {ctx}"
         );
     }
+}
+
+/// Where a scan at `threads` cuts `0..len`: group sizes differ by at most
+/// one byte, the larger ones first.
+fn thread_splits(len: usize, threads: usize) -> impl Iterator<Item = usize> {
+    (1..threads.min(len)).map(move |i| i * (len / threads) + i.min(len % threads))
 }
 
 #[test]
@@ -140,6 +159,18 @@ fn fuzz_swar_and_sharded_match_naive_oracle() {
             if hay.len() > p.len() {
                 let at = (rng.next_u64() % (hay.len() - p.len()) as u64) as usize;
                 hay[at..at + p.len()].copy_from_slice(p);
+            }
+        }
+        // A copy across every cut a threaded scan makes, so each split's
+        // straddle window has a match to find.
+        for threads in THREADS {
+            for cut in thread_splits(hay_len, threads) {
+                let p = &pats[(rng.next_u64() % pats.len() as u64) as usize].bytes;
+                let lo = (cut + 1).saturating_sub(p.len());
+                let hi = (cut - 1).min(hay_len - p.len());
+                let at = lo + (rng.next_u64() % (hi - lo + 1) as u64) as usize;
+                hay[at..at + p.len()].copy_from_slice(p);
+                assert!(at < cut && cut < at + p.len());
             }
         }
         assert_all_cores_agree(&scanner, &hay, &format!("round {round}"));
@@ -209,7 +240,7 @@ fn sharded_scan_finds_matches_straddling_every_chunk_boundary() {
         hay[at..at + 8].copy_from_slice(p);
     }
     for threads in [1usize, 2, 3, 4, 8, 64] {
-        let hits = scanner.scan_bytes_sharded(&hay, threads);
+        let hits = scanner.fork().with_threads(threads).scan_bytes(&hay);
         let offs: Vec<usize> = hits.iter().map(|h| h.offset).collect();
         assert_eq!(offs, vec![1020, 2044, 3068, 4088], "threads {threads}");
     }

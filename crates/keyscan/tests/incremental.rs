@@ -284,11 +284,10 @@ fn threaded_incremental_scans_are_bit_identical_at_every_width() {
     // step — and all must equal the full-scan oracle.
     let (material, _) = material_and_scanner(29);
     let oracle = Scanner::from_material(&material);
-    let mut scanners: Vec<IncrementalScanner> = [1usize, 2, 4, 8]
+    let widths = [1usize, 2, 4, 8];
+    let mut scanners: Vec<IncrementalScanner> = widths
         .iter()
-        .map(|&t| {
-            IncrementalScanner::new(Scanner::from_material(&material)).with_threads(t)
-        })
+        .map(|&t| IncrementalScanner::new(Scanner::from_material(&material).with_threads(t)))
         .collect();
 
     let mut k = Kernel::new(MachineConfig::small());
@@ -296,10 +295,9 @@ fn threaded_incremental_scans_are_bit_identical_at_every_width() {
     let pid = k.spawn();
     let mut bufs: Vec<VAddr> = Vec::new();
 
-    let mut step = |k: &Kernel, scanners: &mut Vec<IncrementalScanner>, what: &str| {
+    let step = |k: &Kernel, scanners: &mut Vec<IncrementalScanner>, what: &str| {
         let full = oracle.scan_kernel(k);
-        for inc in scanners.iter_mut() {
-            let t = inc.threads();
+        for (inc, t) in scanners.iter_mut().zip(widths) {
             assert_eq!(inc.scan(k), full, "threads {t} diverged after {what}");
         }
     };

@@ -70,57 +70,6 @@ pub struct FrameView {
     pub cache_file: Option<FileId>,
 }
 
-/// A maximal run of physically adjacent frames sharing one allocation
-/// state, borrowing its bytes straight out of `phys` — the zero-copy view
-/// scanners walk instead of dispatching (and attributing) frame by frame.
-///
-/// Runs returned by [`Kernel::frame_runs`] partition physical memory: they
-/// are ascending, contiguous, non-empty, and adjacent runs always differ in
-/// state. A pattern may *straddle* the boundary between two runs (byte
-/// continuity does not break at a state change — `phys` is one allocation),
-/// so windowed consumers must extend each run by their straddle width; the
-/// whole-memory scanners simply walk `Kernel::phys` and use runs for
-/// attribution only.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameRun<'a> {
-    /// First frame of the run.
-    pub start: FrameId,
-    /// Number of frames in the run (>= 1).
-    pub frames: usize,
-    /// The allocation state every frame in the run shares.
-    pub state: FrameState,
-    /// The run's bytes, borrowed zero-copy from physical memory
-    /// (`frames * PAGE_SIZE` long).
-    pub bytes: &'a [u8],
-}
-
-impl FrameRun<'_> {
-    /// Physical byte offset of the run's first byte.
-    #[must_use]
-    pub fn base(&self) -> usize {
-        self.start.base()
-    }
-
-    /// One past the run's last frame index.
-    #[must_use]
-    pub fn end_frame(&self) -> usize {
-        self.start.0 + self.frames
-    }
-
-    /// Whether frame `f` lies inside the run.
-    #[must_use]
-    pub fn contains(&self, f: FrameId) -> bool {
-        self.start.0 <= f.0 && f.0 < self.end_frame()
-    }
-
-    /// Whether the run's frames count as allocated memory in the paper's
-    /// sense (process, kernel, or page cache) rather than free-list memory.
-    #[must_use]
-    pub fn allocated(&self) -> bool {
-        self.state != FrameState::Free
-    }
-}
-
 /// Event counters exposed for tests, ablations, and the performance model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -675,30 +624,6 @@ impl Kernel {
     #[must_use]
     pub fn is_allocated(&self, f: FrameId) -> bool {
         self.frames[f.0].state != FrameState::Free
-    }
-
-    /// The zero-copy frame-run view: adjacent frames with the same
-    /// allocation state coalesced into one contiguous borrowed slice each.
-    /// See [`FrameRun`] for the partition contract and the straddle caveat.
-    #[must_use]
-    pub fn frame_runs(&self) -> Vec<FrameRun<'_>> {
-        let mut runs: Vec<FrameRun<'_>> = Vec::new();
-        let mut start = 0usize;
-        while start < self.frames.len() {
-            let state = self.frames[start].state;
-            let mut end = start + 1;
-            while end < self.frames.len() && self.frames[end].state == state {
-                end += 1;
-            }
-            runs.push(FrameRun {
-                start: FrameId(start),
-                frames: end - start,
-                state,
-                bytes: &self.phys[start * PAGE_SIZE..end * PAGE_SIZE],
-            });
-            start = end;
-        }
-        runs
     }
 
     // ------------------------------------------------------------------

@@ -55,7 +55,7 @@ mod slab;
 mod vfs;
 
 pub use fault::{FaultDecision, FaultOp, FaultPlan};
-pub use kernel::{FrameRun, FrameView, Kernel, KernelStats};
+pub use kernel::{FrameView, Kernel, KernelStats};
 pub use process::Pid;
 pub use slab::{KObj, SLAB_CLASSES};
 pub use vfs::FileId;

@@ -24,26 +24,29 @@ cargo test --release -p simrng --test fork_properties
 
 echo "== scan-path equivalence (release) =="
 # The incremental dirty-frame scanner and the skip-loop match core must stay
-# bit-identical to their naive full-scan oracles: differential fuzzing at
-# the keyscan layer, the generation-counter contract at the memsim layer,
-# then the harness wiring (timelines, fault sweeps, executor cells) at
-# 2/4/8 worker threads. Sweep cells restore pooled spare machines by
+# bit-identical to their naive full-scan oracles: the generation-counter
+# contract at the memsim layer, the span walk's balancer and random span
+# lists at 1/2/3/8 threads (keyscan unit tests), differential fuzzing at
+# the keyscan layer, then the harness wiring (timelines, fault sweeps,
+# executor cells) at 2/4/8 worker threads. Sweep cells restore pooled spare machines by
 # copying only the frames whose generations moved, so the pooled sweeps
 # are checked against clone-per-cell runs: the harness unit tests, and the
 # benchmark's replica suite, a clone-per-cell program built from public
 # calls that must reproduce the harness sweeps result for result.
 cargo test --release -p memsim --test generations
-cargo test --release -p memsim --test frame_runs
+cargo test --release -p keyscan --lib
 cargo test --release -p keyscan --test differential
 cargo test --release -p keyscan --test incremental
 cargo test --release -p harness --test scan_equivalence
 cargo test --release -p harness --lib faultsweep
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --test replica
 
-echo "== scan bench smoke (BENCH_scan.json) =="
+echo "== scan bench smoke (target/BENCH_scan.json) =="
 # Machine-readable scan throughput: full-scan bytes/sec, SWAR-vs-Horspool
 # match-core speedup, intra-kernel sharded-scan speedups, incremental-vs-full
-# timeline speedup, frames rescanned. Written to the workspace root.
+# timeline speedup, frames rescanned. Written under target/, so the run
+# leaves the committed BENCH_scan.json (a deliberately re-recorded copy of
+# one such run) untouched.
 cargo bench -p bench --bench scan_cost -- --smoke
 
 # Sharded-scan floor: on a machine with >= 4 cores, splitting one kernel's
@@ -52,7 +55,7 @@ cargo bench -p bench --bench scan_cost -- --smoke
 # (the bit-identity tests above still ran either way).
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -ge 4 ]; then
-  sharded=$(awk -F: '/"sharded_scan_speedup"/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_scan.json)
+  sharded=$(awk -F: '/"sharded_scan_speedup"/ { gsub(/[ ,]/, "", $2); print $2 }' target/BENCH_scan.json)
   echo "ci: sharded_scan_speedup=${sharded} on ${cores} cores (floor 2.0)"
   awk -v s="$sharded" 'BEGIN { exit !(s >= 2.0) }' || {
     echo "ci: FAIL sharded scan speedup ${sharded} below 2.0x floor" >&2
