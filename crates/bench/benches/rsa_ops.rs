@@ -1,4 +1,5 @@
-//! RSA microbenchmarks and the Montgomery-cache ablation.
+//! RSA microbenchmarks, the Montgomery-cache ablation, and the cost of a
+//! server key: generated cold or read back from the derivation memo.
 //!
 //! The cache ablation quantifies the security/performance trade the paper's
 //! `RSA_memory_align()` makes when it clears `RSA_FLAG_CACHE_PRIVATE`:
@@ -6,7 +7,9 @@
 
 use bignum::BigUint;
 use bench::{BenchmarkId, Criterion};
+use keyguard::ProtectionLevel;
 use rsa_repro::{CrtEngine, RsaPrivateKey};
+use servers::ServerConfig;
 use simrng::Rng64;
 
 fn bench_handshakes(c: &mut Criterion) {
@@ -89,13 +92,6 @@ fn bench_mont_cache_ablation(c: &mut Criterion) {
 fn bench_keygen_and_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("rsa_key_lifecycle");
     group.sample_size(10);
-    group.bench_function("generate_512", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            RsaPrivateKey::generate(512, &mut Rng64::new(seed))
-        });
-    });
     let key = RsaPrivateKey::generate(1024, &mut Rng64::new(3));
     group.bench_function("to_pem_1024", |b| b.iter(|| key.to_pem()));
     let pem = key.to_pem();
@@ -105,10 +101,33 @@ fn bench_keygen_and_codec(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_key_derivation(c: &mut Criterion) {
+    // What a server start pays for its key: a cold generation (a fresh seed
+    // every iteration, so the prime search varies as it does across
+    // configurations), against the memo hit every start and rotation of an
+    // already-derived configuration reads (DESIGN.md §13).
+    let mut group = c.benchmark_group("key_derivation");
+    group.sample_size(10);
+    for bits in [512usize, 1024] {
+        group.bench_with_input(BenchmarkId::new("generate_cold", bits), &bits, |b, &bits| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                RsaPrivateKey::generate(bits, &mut Rng64::new(seed))
+            });
+        });
+    }
+    let cfg = ServerConfig::new(ProtectionLevel::None).with_key_bits(1024);
+    drop(cfg.derive_key("openssh"));
+    group.bench_function("derive_key_hit/1024", |b| b.iter(|| cfg.derive_key("openssh")));
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::from_args();
     bench_private_ops(&mut c);
     bench_mont_cache_ablation(&mut c);
     bench_keygen_and_codec(&mut c);
+    bench_key_derivation(&mut c);
     bench_handshakes(&mut c);
 }

@@ -81,8 +81,7 @@ impl Daemon {
         config: ServerConfig,
         id: Identity,
     ) -> SimResult<Self> {
-        let mut rng = config.key_rng(id.name(), 0);
-        let key = RsaPrivateKey::generate(config.key_bits, &mut rng);
+        let (key, rng) = config.derive_with_rng(id.name(), 0);
         let material = KeyMaterial::from_key(&key);
         let pem_file = kernel.create_file(id.pem_path(), material.pem_bytes());
         // Key files ship mode 0600: off-limits to the unprivileged disk scan.

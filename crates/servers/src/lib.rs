@@ -53,6 +53,9 @@ use keyguard::ProtectionLevel;
 use memsim::{Kernel, SimResult};
 use rsa_repro::material::KeyMaterial;
 use rsa_repro::RsaPrivateKey;
+use simrng::Rng64;
+use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 /// Counters for work a server shed on its error paths instead of letting a
 /// [`memsim::SimError`] escape `pump`/`set_concurrency`.
@@ -138,7 +141,8 @@ impl ServerConfig {
     /// Key generation is deterministic in the configuration, so experiment
     /// harnesses can build scanners for a server's key *before* the server
     /// is started (e.g. to scan the machine at timeline ticks preceding
-    /// server startup).
+    /// server startup). This is [`Self::derive_rotated_key`] at ordinal 0,
+    /// read through the same memo.
     #[must_use]
     pub fn derive_key(&self, server_name: &str) -> RsaPrivateKey {
         self.derive_rotated_key(server_name, 0)
@@ -147,18 +151,64 @@ impl ServerConfig {
     /// Derives the key a server with this configuration uses at rotation
     /// ordinal `ordinal` (0 = the boot key, 1 = the first successor, ...).
     ///
-    /// Like [`Self::derive_key`], this is a pure function of the
-    /// configuration, so sweep harnesses and scanners know every epoch's
+    /// The key is a pure function of `key_bits`, `seed`, the server name
+    /// and the ordinal, so sweep harnesses and scanners know every epoch's
     /// key before the server rotates to it.
+    ///
+    /// Being pure, a key is generated once and then read back: this call,
+    /// [`Self::derive_key`], and every server start and rotation go through
+    /// one process-wide memo keyed on the key size and the seed of the key's
+    /// generator. It keeps the last 32 keys derived, three times the most
+    /// any sweep re-derives (a rotating timeline batch's ten). The memo
+    /// lives on the host and moves no simulated byte, so no result depends
+    /// on whether a call hit it. A key leaves the memo only as a
+    /// [`RsaPrivateKey::clone_secret`] copy, and an evicted key is zeroized
+    /// by its `Drop`.
     #[must_use]
     pub fn derive_rotated_key(&self, server_name: &str, ordinal: u64) -> RsaPrivateKey {
-        RsaPrivateKey::generate(self.key_bits, &mut self.key_rng(server_name, ordinal))
+        self.derive_with_rng(server_name, ordinal).0
+    }
+
+    /// Epoch `ordinal`'s key together with its generator in the state the
+    /// key's draw left it: a starting server keeps drawing its handshake
+    /// seeds and shield prekeys from the boot key's generator. Served from
+    /// [`KEY_MEMO`], so a key is generated at most once while its draw
+    /// stays among the last [`KEY_MEMO_CAP`].
+    pub(crate) fn derive_with_rng(
+        &self,
+        server_name: &str,
+        ordinal: u64,
+    ) -> (RsaPrivateKey, Rng64) {
+        let (bits, seed) = (self.key_bits, self.key_rng(server_name, ordinal));
+        let memo = || KEY_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        let is_draw = |d: &KeyDraw| d.bits == bits && d.seed == seed;
+        if let Some(d) = memo().iter().find(|d| is_draw(d)) {
+            return (d.key.clone_secret(), d.after.clone());
+        }
+        // Generate outside the lock: a 1024-bit key takes 15–25 ms, and the
+        // executor's other workers must not wait on it. Two workers that
+        // miss the same draw both generate it, and the same key comes out
+        // of both.
+        let mut after = seed.clone();
+        let key = RsaPrivateKey::generate(bits, &mut after);
+        let mut draws = memo();
+        if !draws.iter().any(is_draw) {
+            if draws.len() == KEY_MEMO_CAP {
+                draws.pop_front();
+            }
+            draws.push_back(KeyDraw {
+                bits,
+                seed,
+                key: key.clone_secret(),
+                after: after.clone(),
+            });
+        }
+        (key, after)
     }
 
     /// The generator [`Self::derive_rotated_key`] draws epoch `ordinal`'s
-    /// key from. A starting server keeps drawing its handshake randomness
-    /// from the boot key's generator once the key is generated.
-    pub(crate) fn key_rng(&self, server_name: &str, ordinal: u64) -> simrng::Rng64 {
+    /// key from.
+    pub(crate) fn key_rng(&self, server_name: &str, ordinal: u64) -> Rng64 {
         let salt = match server_name {
             "apache" => 0xA9AC_4E00,
             _ => 0,
@@ -169,9 +219,31 @@ impl ServerConfig {
         } else {
             (0x07A7_E000 + ordinal).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
-        simrng::Rng64::new(self.seed ^ salt ^ rotation)
+        Rng64::new(self.seed ^ salt ^ rotation)
     }
 }
+
+/// Most keys the derivation memo keeps. The sweeps re-derive a handful of
+/// keys in every cell: two in `faultsweep`, four in `rotsweep`, eight in
+/// a `run_scenario --dir` batch, ten in a rotating timeline batch (two
+/// servers × five epochs). 32 holds the largest of these three times over.
+/// The tty sweeps' before/after pairs re-derive more keys (40 in
+/// `all_experiments --test`, hundreds at paper scale), but each only once,
+/// in cells that cost many key generations each; those keys cycle
+/// through the memo instead of piling up as host-side copies.
+const KEY_MEMO_CAP: usize = 32;
+
+/// One memoized draw: `RsaPrivateKey::generate(bits, &mut rng)` on a
+/// generator that started as `seed` produced `key` and left it at `after`.
+struct KeyDraw {
+    bits: usize,
+    seed: Rng64,
+    key: RsaPrivateKey,
+    after: Rng64,
+}
+
+/// The derivation memo, oldest draw first. Host-side only.
+static KEY_MEMO: Mutex<VecDeque<KeyDraw>> = Mutex::new(VecDeque::new());
 
 /// Common interface of the simulated servers, used by the experiment
 /// harness to sweep both.
@@ -319,5 +391,131 @@ mod tests {
         assert_eq!(c.key_bits, 256);
         assert_eq!(c.seed, 42);
         assert_eq!(ServerConfig::new(ProtectionLevel::None).key_bits, 1024);
+    }
+
+    // The memo is shared by every test in this process, so the tests below
+    // use seeds no other test derives and assert that each derivation
+    // equals a fresh generation — never how many calls hit the memo.
+
+    /// Asserts that `cfg`'s memoized derivation of `name`'s epoch `ordinal`
+    /// equals `RsaPrivateKey::generate` on a fresh generator: the same key
+    /// in DER, and a generator whose next 64 draws match the fresh one's.
+    fn assert_fresh(cfg: &ServerConfig, name: &str, ordinal: u64, when: &str) {
+        let (key, mut rng) = cfg.derive_with_rng(name, ordinal);
+        let mut fresh_rng = cfg.key_rng(name, ordinal);
+        let fresh = RsaPrivateKey::generate(cfg.key_bits, &mut fresh_rng);
+        let at = format!("{} bits, {name}, ordinal {ordinal}, {when}", cfg.key_bits);
+        assert!(key.to_der() == fresh.to_der(), "memoized key differs ({at})");
+        for draw in 0..64 {
+            assert!(
+                rng.next_u64() == fresh_rng.next_u64(),
+                "generator diverges at draw {draw} ({at})"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_equals_fresh_generation_on_miss_hit_and_after_eviction() {
+        // One seed for every size and both names, derived size after size
+        // while the others are still memoized: an entry keyed on too little
+        // of the configuration would hand out a wrong key.
+        let seed = 0x4D45_4D4F_0000;
+        let cfgs = [128, 256, 512].map(|bits| {
+            ServerConfig::new(ProtectionLevel::None)
+                .with_key_bits(bits)
+                .with_seed(seed)
+        });
+        for (half, name) in ["openssh", "apache"].into_iter().enumerate() {
+            for when in ["miss", "hit"] {
+                for ordinal in 0..=5 {
+                    for cfg in &cfgs {
+                        assert_fresh(cfg, name, ordinal, when);
+                    }
+                }
+            }
+            // Cap + 1 draws made nowhere else push all 18 out of the FIFO.
+            let evictors = seed + 0x1_0000 * (1 + half as u64);
+            for i in 0..=KEY_MEMO_CAP as u64 {
+                let other = ServerConfig::new(ProtectionLevel::None)
+                    .with_key_bits(128)
+                    .with_seed(evictors + i);
+                drop(other.derive_key("openssh"));
+            }
+            for ordinal in 0..=5 {
+                for cfg in &cfgs {
+                    assert_fresh(cfg, name, ordinal, "after eviction");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_derivations_in_opposite_orders_equal_fresh_generation() {
+        let cfg = ServerConfig::new(ProtectionLevel::None)
+            .with_key_bits(256)
+            .with_seed(0x4D45_4D4F_1000);
+        let configs: Vec<(&str, u64)> = ["openssh", "apache"]
+            .into_iter()
+            .flat_map(|name| (0..=5).map(move |ordinal| (name, ordinal)))
+            .collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for &(name, ordinal) in &configs {
+                    assert_fresh(&cfg, name, ordinal, "ascending thread");
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for &(name, ordinal) in configs.iter().rev() {
+                    assert_fresh(&cfg, name, ordinal, "descending thread");
+                }
+            });
+        });
+    }
+
+    /// Starts `cfg` on two clones of one booted machine — the second start
+    /// reads back the key the first put in the memo, unless a concurrent
+    /// test evicted it — drives both the same way, and asserts the two
+    /// machines end in the same state.
+    fn assert_hit_start_matches<S: SecureServer>(cfg: ServerConfig) {
+        let mut booted = Kernel::new(
+            memsim::MachineConfig::small().with_policy(cfg.level.kernel_policy()),
+        );
+        booted.age_memory(&mut Rng64::new(cfg.seed), 1.0);
+        let mut machines = [booted.clone(), booted];
+        let mut ends = Vec::new();
+        let mut name = "";
+        for kernel in &mut machines {
+            let mut server = S::start(kernel, cfg).expect("server starts");
+            server.set_concurrency(kernel, 3).expect("connections open");
+            server.pump(kernel, 6).expect("traffic");
+            server.set_concurrency(kernel, 1).expect("connections close");
+            ends.push((kernel.stats(), server.handshakes(), server.shedding()));
+            name = server.name();
+        }
+        assert_eq!(ends[0], ends[1], "{name} at {}", cfg.level);
+        assert!(
+            machines[0].phys() == machines[1].phys(),
+            "{name} at {}: physical memory differs",
+            cfg.level
+        );
+    }
+
+    #[test]
+    fn a_start_that_hits_the_memo_leaves_the_machine_a_fresh_start_leaves() {
+        // Shielded draws its prekeys from the generator the key's draw left,
+        // None caches Montgomery contexts in every worker.
+        for (i, level) in [ProtectionLevel::None, ProtectionLevel::Shielded]
+            .into_iter()
+            .enumerate()
+        {
+            let cfg = ServerConfig::new(level)
+                .with_key_bits(256)
+                .with_seed(0x4D45_4D4F_2000 + i as u64);
+            assert_hit_start_matches::<SshServer>(cfg);
+            assert_hit_start_matches::<ApacheServer>(cfg);
+        }
     }
 }

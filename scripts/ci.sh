@@ -28,11 +28,15 @@ echo "== scan-path equivalence (release) =="
 # contract at the memsim layer, the span walk's balancer and random span
 # lists at 1/2/3/8 threads (keyscan unit tests), differential fuzzing at
 # the keyscan layer, then the harness wiring (timelines, fault sweeps,
-# executor cells) at 2/4/8 worker threads. Sweep cells restore pooled spare machines by
-# copying only the frames whose generations moved, so the pooled sweeps
-# are checked against clone-per-cell runs: the harness unit tests, and the
-# benchmark's replica suite, a clone-per-cell program built from public
-# calls that must reproduce the harness sweeps result for result.
+# executor cells) at 2/4/8 worker threads. The keyscan unit tests also run
+# the cold-boot reconstructor in release: the zero-page-skipping harvest
+# and the one-add-per-k table against the byte-at-a-time and divide-per-k
+# code they replaced, kept as test oracles. Sweep cells restore pooled
+# spare machines by copying only the frames whose generations moved, so
+# the pooled sweeps are checked against clone-per-cell runs: the harness
+# unit tests, and the benchmark's replica suite, a clone-per-cell program
+# built from public calls that must reproduce the harness sweeps result
+# for result.
 cargo test --release -p memsim --test generations
 cargo test --release -p keyscan --lib
 cargo test --release -p keyscan --test differential
@@ -122,14 +126,11 @@ echo "== shielded keys & stronger attackers (release) =="
 # (memsim), the shielded region keeps ciphertext at rest and plaintext only
 # inside the unshield window (keyguard), and the CRT reconstructor corrects
 # decay without ever returning a wrong key (keyscan's table of decay rates
-# over decayed machine snapshots). The reconstructor's unit tests then run
-# in release: the zero-page-skipping harvest and the one-add-per-k table
-# against the byte-at-a-time and divide-per-k code they replaced, kept as
-# test oracles.
+# over decayed machine snapshots). The reconstructor's unit tests run in
+# the scan-path stage above.
 cargo test --release -p memsim --test coldboot
 cargo test --release -p keyguard --test shielded
 cargo test --release -p keyscan --test reconstruct
-cargo test --release -p keyscan --lib reconstruct
 
 echo "== attacker matrix smoke (release) =="
 # Every protection level against exact-free, exact-allocated, cold-boot
