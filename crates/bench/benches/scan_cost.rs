@@ -4,25 +4,47 @@
 //! the skip-loop core against the naive per-offset oracle, and measures the
 //! incremental dirty-frame scanner on a timeline-style workload.
 //!
+//! Every machine here is written from end to end with noise before the key
+//! copies are planted: scans skip frames known to be zero, so a machine of
+//! never-written frames would time the skip, not the scan.
+//!
 //! `cargo bench -p bench --bench scan_cost -- --smoke` runs a fixed smoke
 //! measurement instead and writes machine-readable JSON (full-scan
 //! bytes/sec, sharded and incremental-vs-full speedups, frames rescanned)
 //! to `target/BENCH_scan.json`, where `scripts/ci.sh` reads its sharded-scan
-//! floor. The committed `BENCH_scan.json` at the workspace root is a copy
-//! of one such run, re-recorded on purpose when the scan path changes.
+//! floor. Each timing there is the median of [`SMOKE_REPEATS`] runs. The
+//! committed `BENCH_scan.json` at the workspace root is a copy of one such
+//! run, re-recorded on purpose when the scan path changes.
 
 use bench::{BenchmarkId, Criterion, Throughput};
 use keyscan::{IncrementalScanner, Scanner};
-use memsim::{Kernel, MachineConfig};
+use memsim::{Kernel, MachineConfig, VAddr};
 use rsa_repro::material::{KeyMaterial, Pattern};
 use rsa_repro::RsaPrivateKey;
 use simrng::Rng64;
 use std::time::{Duration, Instant};
 
+/// Timed repeats per `--smoke` measurement; the median is recorded.
+const SMOKE_REPEATS: usize = 7;
+
+/// A machine of `mb` MiB whose frames all hold written noise, apart from a
+/// few hundred KiB of slack, plus eight planted key copies.
 fn populated_machine(mb: usize) -> (Kernel, KeyMaterial) {
+    const CHUNK: usize = 1 << 20;
     let mut k = Kernel::new(MachineConfig::small().with_mem_bytes(mb * 1024 * 1024));
     let key = RsaPrivateKey::generate(512, &mut Rng64::new(1));
     let material = KeyMaterial::from_key(&key);
+    let mut rng = Rng64::new(3);
+    let noise = k.spawn();
+    let len = mb * 1024 * 1024 - 256 * 1024;
+    let buf = k.heap_alloc(noise, len).expect("room for the noise");
+    let mut chunk = vec![0u8; CHUNK];
+    for at in (0..len).step_by(CHUNK) {
+        let n = CHUNK.min(len - at);
+        rng.fill_bytes(&mut chunk[..n]);
+        k.write_bytes(noise, VAddr(buf.0 + at as u64), &chunk[..n])
+            .expect("write noise");
+    }
     // Plant a handful of copies so the scan does some real matching work.
     let pid = k.spawn();
     for i in 0..8 {
@@ -147,15 +169,17 @@ fn bench_incremental_timeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Best-of-`n` wall clock of one closure.
-fn best_of(n: usize, mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed());
-    }
-    best
+/// Median wall clock of [`SMOKE_REPEATS`] runs of one closure.
+fn median_time(mut f: impl FnMut()) -> Duration {
+    let mut walls: Vec<Duration> = (0..SMOKE_REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    walls.sort_unstable();
+    walls[SMOKE_REPEATS / 2]
 }
 
 /// Fixed smoke measurement for CI: full-scan throughput, the SWAR-vs-Horspool
@@ -169,19 +193,19 @@ fn smoke() {
     let scanner = Scanner::from_material(&material);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    // Full-scan throughput over physical memory (best of 3; the scanner
-    // dispatches the SWAR prefilter core).
-    let best = best_of(3, || {
+    // Full-scan throughput over physical memory (the scanner dispatches
+    // the SWAR prefilter core).
+    let serial_wall = median_time(|| {
         std::hint::black_box(scanner.scan_kernel(&k).total());
     });
     let bytes = (MB * 1024 * 1024) as f64;
-    let full_bytes_per_sec = bytes / best.as_secs_f64().max(1e-9);
+    let full_bytes_per_sec = bytes / serial_wall.as_secs_f64().max(1e-9);
 
     // Match cores head to head on the same physical image.
-    let swar_wall = best_of(3, || {
+    let swar_wall = median_time(|| {
         std::hint::black_box(scanner.scan_bytes_swar(k.phys()).len());
     });
-    let horspool_wall = best_of(3, || {
+    let horspool_wall = median_time(|| {
         std::hint::black_box(scanner.scan_bytes_horspool(k.phys()).len());
     });
     let swar_bytes_per_sec = bytes / swar_wall.as_secs_f64().max(1e-9);
@@ -189,13 +213,10 @@ fn smoke() {
     let swar_speedup = horspool_wall.as_secs_f64() / swar_wall.as_secs_f64().max(1e-9);
 
     // Intra-kernel sharding: one machine's sweep split across N threads.
-    let serial_wall = best_of(3, || {
-        std::hint::black_box(scanner.scan_kernel(&k).total());
-    });
     let mut sharded = Vec::new(); // (threads, speedup vs serial)
     for threads in [2usize, 4, 8] {
         let threaded = scanner.fork().with_threads(threads);
-        let wall = best_of(3, || {
+        let wall = median_time(|| {
             std::hint::black_box(threaded.scan_kernel(&k).total());
         });
         sharded.push((threads, serial_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9)));

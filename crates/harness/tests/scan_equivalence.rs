@@ -1,7 +1,8 @@
 //! Scan-path equivalence under the parallel executor: every harness context
 //! that moved onto [`IncrementalScanner`] must stay **bit-identical** to the
-//! full-scan oracle (`Scanner::scan_kernel`), at 2, 4, and 8 worker threads
-//! as well as serially.
+//! full scan (`Scanner::scan_kernel`), at 2, 4, and 8 worker threads as well
+//! as serially, and both must report what a scan of the whole physical
+//! dump finds, which ignores the frames' known-zero bits.
 //!
 //! Layering: `keyscan/tests/incremental.rs` proves the scanner exact on one
 //! kernel lineage; this suite proves the *harness wiring* exact — warm-cache
@@ -13,17 +14,41 @@ use harness::faultsweep::{fault_sweep_on, FaultMode};
 use harness::timeline::{run_timeline, run_timelines_timed, Schedule};
 use harness::{ExperimentConfig, ServerKind};
 use keyguard::ProtectionLevel;
-use keyscan::{IncrementalScanner, Scanner};
-use memsim::{Kernel, MachineConfig, Pid, VAddr};
+use keyscan::{IncrementalScanner, KeyHit, Scanner};
+use memsim::{FrameId, FrameState, Kernel, MachineConfig, Pid, VAddr, PAGE_SIZE};
 use rsa_repro::material::KeyMaterial;
 use rsa_repro::RsaPrivateKey;
 use simrng::Rng64;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
+/// The hits every kernel scan must report, found without the frame bits:
+/// the span walk over the whole dump, each hit attributed from the
+/// `frame_view` of the frame holding its first byte.
+fn reference_hits(scanner: &Scanner, k: &Kernel) -> Vec<KeyHit> {
+    scanner
+        .scan_bytes(k.phys())
+        .into_iter()
+        .map(|h| {
+            let frame = FrameId(h.offset / PAGE_SIZE);
+            let view = k.frame_view(frame);
+            KeyHit {
+                pattern: h.pattern,
+                // keylint: allow(S005) -- the pattern *name* ("d", "pem") is a public label, not key bytes
+                name: scanner.pattern_name(h.pattern).to_owned(),
+                offset: h.offset,
+                frame,
+                state: view.state,
+                allocated: view.state != FrameState::Free,
+                owners: view.owners,
+            }
+        })
+        .collect()
+}
+
 /// Every cell runs its own random kernel-mutation sequence, scanning with a
-/// forked incremental scanner *and* the full-scan oracle at interleaved
-/// points, asserting equality as it goes; the cell's value is the final
+/// forked incremental scanner, the full scan and the whole-dump reference
+/// at interleaved points, asserting equality as it goes; the cell's value is the final
 /// report's location fingerprint. Serial and parallel runs must agree on
 /// every fingerprint — and every in-cell assertion must hold on a worker
 /// thread exactly as it does inline.
@@ -75,12 +100,16 @@ fn incremental_equals_oracle_inside_executor_cells() {
             if step % 5 == 0 {
                 let fast = inc.scan(&k);
                 let full = oracle.scan_kernel(&k);
+                let want = reference_hits(&oracle, &k);
+                assert_eq!(full.hits(), want, "cell {i} step {step}");
                 assert_eq!(fast, full, "cell {i} step {step}");
                 fingerprint = fast.locations();
             }
         }
         let fast = inc.scan(&k);
-        assert_eq!(fast, oracle.scan_kernel(&k), "cell {i} final");
+        let full = oracle.scan_kernel(&k);
+        assert_eq!(full.hits(), reference_hits(&oracle, &k), "cell {i} final");
+        assert_eq!(fast, full, "cell {i} final");
         assert!(
             inc.stats().frames_rescanned < inc.stats().frames_total,
             "cell {i} never skipped a frame: {:?}",
@@ -194,6 +223,7 @@ fn sharded_scan_kernel_is_bit_identical_to_serial() {
     let _ = bufs;
 
     let serial = scanner.scan_kernel(&k);
+    assert_eq!(serial.hits(), reference_hits(&scanner, &k));
     assert!(serial.total() > 0, "workload must produce hits");
     assert!(serial.unallocated() > 0, "freed copies must stay visible");
     for threads in [1usize, 2, 3, 4, 8, 64] {

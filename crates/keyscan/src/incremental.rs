@@ -1,26 +1,30 @@
 //! Incremental, dirty-frame kernel scanning.
 //!
-//! `Scanner::scan_kernel` re-reads *all* of simulated physical memory on
-//! every call — the paper's `scanmemory` behaviour, and exactly what the
-//! harness does after every timeline tick, sweep cell, and faultsweep op.
-//! Between two consecutive snapshots only a handful of frames actually
-//! change, and [`memsim::Kernel`] now stamps every byte mutation and every
-//! metadata change with a per-frame generation counter.
-//! [`IncrementalScanner`] exploits that: it caches per-frame raw hits keyed
-//! by write generation, rescans only frames whose generation moved (plus the
-//! neighbours a straddling match could reach from), and re-attributes
-//! allocation state from the metadata generation — producing a
-//! [`ScanReport`] that is **bit-identical** to the full-scan oracle
-//! (enforced by the differential suite in `tests/incremental.rs` and
-//! `harness/tests/scan_equivalence.rs`).
+//! `Scanner::scan_kernel` reads every frame of simulated physical memory
+//! that is not known to be zero on every call — the paper's `scanmemory`
+//! behaviour, and exactly what the harness does after every timeline tick,
+//! sweep cell, and faultsweep op. Between two consecutive snapshots only a
+//! handful of frames actually change, and [`memsim::Kernel`] stamps every
+//! byte mutation and every metadata change with a per-frame generation
+//! counter. [`IncrementalScanner`] exploits that: it caches raw hits keyed
+//! by write generation, refreshes the hits of only the frames whose
+//! generation moved (plus the neighbours a straddling match could reach
+//! from), and re-attributes allocation state from the metadata generation —
+//! producing a [`ScanReport`] that is **bit-identical** to a scan of the
+//! whole dump (enforced by the differential suite in `tests/incremental.rs`
+//! and `harness/tests/scan_equivalence.rs`). Of those frames it reads only
+//! the parts where a match can start ([`Scanner::live_spans`]), so
+//! known-zero frames cost nothing.
 //!
-//! The cache stores only pattern indices, page offsets, generations, and
-//! frame attribution — never pattern (key) bytes. `cache_audit_bytes`
-//! serializes the whole cache so tests can assert no key material leaks
-//! into it.
+//! The cache keeps one write generation per machine frame, and hits and
+//! attribution only for the frames that hold hits. It stores only pattern
+//! indices, page offsets, generations, and frame attribution — never
+//! pattern (key) bytes. `cache_audit_bytes` serializes the whole cache so
+//! tests can assert no key material leaks into it.
 
 use crate::{KeyHit, ScanReport, Scanner};
 use memsim::{FrameId, FrameState, Kernel, Pid, PAGE_SIZE};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Deterministic scan-effort counters, accumulated across every
@@ -32,7 +36,11 @@ use std::time::{Duration, Instant};
 pub struct ScanStats {
     /// Snapshots scanned.
     pub scans: u64,
-    /// Frames whose bytes were actually re-read (dirty + straddle).
+    /// Frames whose cached hits were refreshed: the frames whose write
+    /// generation moved, plus the frames before them that a straddling
+    /// match could start in. Of these, only the bytes where a match can
+    /// start are read, so a known-zero frame counts here without being
+    /// read.
     pub frames_rescanned: u64,
     /// Frames a full scan would have read: `num_frames × scans`.
     pub frames_total: u64,
@@ -56,27 +64,25 @@ impl ScanStats {
     }
 }
 
-/// Per-frame cache entry. `u64::MAX` generations mean "never scanned", which
-/// can never collide with a real generation (the clock starts at 0 and a
-/// 64-bit counter bumped once per operation does not wrap).
+/// Cached hits and attribution of one frame that holds hits. A
+/// `u64::MAX` state generation means "not yet attributed", which can never
+/// collide with a real generation (the clock starts at 0 and a 64-bit
+/// counter bumped once per operation does not wrap).
 #[derive(Debug, Clone)]
-struct FrameEntry {
-    /// Kernel write generation the cached `hits` were computed at.
-    write_gen: u64,
+struct HitFrame {
     /// Kernel state generation the cached attribution was refreshed at.
     state_gen: u64,
     /// Raw hits *starting* in this frame: `(pattern index, page offset)`.
     hits: Vec<(u32, u32)>,
-    /// Cached attribution (only meaningful when `hits` is non-empty).
+    /// Cached attribution.
     state: FrameState,
     allocated: bool,
     owners: Vec<Pid>,
 }
 
-impl FrameEntry {
-    fn unscanned() -> Self {
+impl HitFrame {
+    fn unattributed() -> Self {
         Self {
-            write_gen: u64::MAX,
             state_gen: u64::MAX,
             hits: Vec::new(),
             state: FrameState::Free,
@@ -96,21 +102,46 @@ struct ScanCache {
     /// moves backwards (or a frame-count change) means a different machine:
     /// the cache resets instead of trusting coincidental generations.
     clock: u64,
-    frames: Vec<FrameEntry>,
+    /// Per machine frame, the write generation its cached hits were
+    /// computed at; `u64::MAX` means never scanned (see [`HitFrame`]).
+    write_gens: Vec<u64>,
+    /// Hits and attribution of the frames that hold hits, in frame order.
+    hit_frames: BTreeMap<usize, HitFrame>,
 }
 
 impl ScanCache {
     fn reset(&mut self, num_frames: usize) {
         self.clock = 0;
-        self.frames.clear();
-        self.frames.resize_with(num_frames, FrameEntry::unscanned);
+        self.write_gens.clear();
+        self.write_gens.resize(num_frames, u64::MAX);
+        self.hit_frames.clear();
     }
 }
 
-/// A [`Scanner`] with a per-frame hit cache: scans the *same kernel lineage*
-/// repeatedly, re-reading only frames whose write generation moved since the
-/// previous call (plus up to `max_pattern_len - 1` straddle bytes' worth of
-/// preceding frames, whose matches could reach into a dirty frame).
+/// The parts of the ascending, disjoint spans `a` that also lie in the
+/// ascending, disjoint spans `b`, ascending.
+fn intersect_spans(a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (lo, hi) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+        if lo < hi {
+            out.push((lo, hi));
+        }
+        if a[i].1 < b[j].1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    out
+}
+
+/// A [`Scanner`] with a hit cache: scans the *same kernel lineage*
+/// repeatedly, refreshing the hits of only the frames whose write
+/// generation moved since the previous call (plus up to
+/// `max_pattern_len - 1` straddle bytes' worth of preceding frames, whose
+/// matches could reach into a dirty frame).
 ///
 /// **Contract:** one scanner follows one kernel lineage — the kernel passed
 /// to [`Self::scan`] must be the same machine (or a clone of the machine)
@@ -199,29 +230,27 @@ impl IncrementalScanner {
     pub fn scan(&mut self, kernel: &Kernel) -> ScanReport {
         let start = Instant::now();
         let num_frames = kernel.num_frames();
-        if self.cache.frames.len() != num_frames || kernel.generation_clock() < self.cache.clock {
-            self.cache.reset(num_frames);
+        let cache = &mut self.cache;
+        if cache.write_gens.len() != num_frames || kernel.generation_clock() < cache.clock {
+            cache.reset(num_frames);
         }
-        self.cache.clock = kernel.generation_clock();
+        cache.clock = kernel.generation_clock();
 
         // A match starting up to `max_len - 1` bytes before a dirty frame
         // can read dirty bytes, so that many *preceding* frames rescan too.
         let straddle = (self.scanner.max_pattern_len() - 1).div_ceil(PAGE_SIZE);
 
         // Pass 1 — dirty detection against *pre-scan* generations, then
-        // coalescing consecutive dirty frames into byte runs. A rescanned
-        // frame drops its cached hits; pass 2 refills them.
+        // coalescing consecutive dirty frames into byte runs.
         let mut rescanned = 0u64;
         let mut dirty_runs: Vec<(usize, usize)> = Vec::new(); // byte ranges [start, end)
         for i in 0..num_frames {
-            let dirty_near = (i..=(i + straddle).min(num_frames - 1)).any(|j| {
-                kernel.write_generation(FrameId(j)) != self.cache.frames[j].write_gen
-            });
+            let dirty_near = (i..=(i + straddle).min(num_frames - 1))
+                .any(|j| kernel.write_generation(FrameId(j)) != cache.write_gens[j]);
             if !dirty_near {
                 continue;
             }
             rescanned += 1;
-            self.cache.frames[i].hits.clear();
             let base = i * PAGE_SIZE;
             match dirty_runs.last_mut() {
                 Some(run) if run.1 == base => run.1 += PAGE_SIZE,
@@ -229,29 +258,37 @@ impl IncrementalScanner {
             }
         }
 
-        // Pass 2 — rescan the dirty runs through the scanner's span walk.
-        // Its hits ascend at any thread count, so each frame's cache entry
-        // is refilled in the same order.
-        for hit in self.scanner.scan_spans(kernel.phys(), &dirty_runs) {
-            self.cache.frames[hit.offset / PAGE_SIZE]
+        // Pass 2 — a rescanned frame drops its cached hits, then the parts
+        // of the dirty runs where a match can start go through the
+        // scanner's span walk. Its hits ascend at any thread count, so each
+        // frame's hits are refilled in the same order. Every frame whose
+        // generation moved lies in a dirty run, so the runs are all the
+        // generations there are to stamp.
+        for &(lo, hi) in &dirty_runs {
+            for (_, entry) in cache.hit_frames.range_mut(lo / PAGE_SIZE..hi / PAGE_SIZE) {
+                entry.hits.clear();
+            }
+        }
+        let spans = intersect_spans(&dirty_runs, &self.scanner.live_spans(kernel));
+        for hit in self.scanner.scan_spans(kernel.phys(), &spans) {
+            cache
+                .hit_frames
+                .entry(hit.offset / PAGE_SIZE)
+                .or_insert_with(HitFrame::unattributed)
                 .hits
                 .push((hit.pattern as u32, (hit.offset % PAGE_SIZE) as u32));
         }
-        // Post-pass: stamp every frame's write generation as seen. Done
-        // separately from the detection loop so `dirty_near` look-ahead
-        // reads the *pre-scan* generations for successor frames.
-        for i in 0..num_frames {
-            self.cache.frames[i].write_gen = kernel.write_generation(FrameId(i));
+        cache.hit_frames.retain(|_, entry| !entry.hits.is_empty());
+        for &(lo, hi) in &dirty_runs {
+            for i in lo / PAGE_SIZE..hi / PAGE_SIZE {
+                cache.write_gens[i] = kernel.write_generation(FrameId(i));
+            }
         }
 
-        // Attribution: refresh state/owners for frames that carry hits and
-        // whose metadata generation moved.
+        // Attribution: refresh state/owners for frames whose metadata
+        // generation moved.
         let mut hits = Vec::new();
-        for i in 0..num_frames {
-            let entry = &mut self.cache.frames[i];
-            if entry.hits.is_empty() {
-                continue;
-            }
+        for (&i, entry) in &mut cache.hit_frames {
             let frame = FrameId(i);
             let state_gen = kernel.state_generation(frame);
             if entry.state_gen != state_gen {
@@ -287,14 +324,17 @@ impl IncrementalScanner {
 
     /// Serializes the entire cache body — every byte the cache retains
     /// between scans — so tests can assert it contains no key material.
-    /// (Generations, counts, pattern indices, page offsets, frame states,
-    /// and owner pids; nothing else is stored.)
+    /// (Generations, frame indices, counts, pattern indices, page offsets,
+    /// frame states, and owner pids; nothing else is stored.)
     #[must_use]
     pub fn cache_audit_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&self.cache.clock.to_le_bytes());
-        for e in &self.cache.frames {
-            out.extend_from_slice(&e.write_gen.to_le_bytes());
+        for gen in &self.cache.write_gens {
+            out.extend_from_slice(&gen.to_le_bytes());
+        }
+        for (&i, e) in &self.cache.hit_frames {
+            out.extend_from_slice(&(i as u64).to_le_bytes());
             out.extend_from_slice(&e.state_gen.to_le_bytes());
             out.extend_from_slice(&(e.hits.len() as u64).to_le_bytes());
             for &(pi, off) in &e.hits {

@@ -260,6 +260,10 @@ pub struct Scanner {
     swar_zero_skip: bool,
     /// Longest pattern length (straddle width for windowed scans).
     max_len: usize,
+    /// The most leading zero bytes of any pattern: how far before a
+    /// written frame a match can start. `None` when some pattern is all
+    /// zeros, which can match anywhere in zero memory.
+    zero_lead: Option<usize>,
     /// Worker threads the span walk splits a scan's bytes across (>= 1).
     threads: usize,
 }
@@ -376,6 +380,9 @@ impl Scanner {
             .map(|(b, _)| splat(b as u8))
             .collect();
         let swar_zero_skip = tail[0].is_empty();
+        let zero_lead = patterns.iter().try_fold(0, |lead: usize, p| {
+            p.bytes.iter().position(|&b| b != 0).map(|n| lead.max(n))
+        });
         Self {
             patterns,
             window,
@@ -385,6 +392,7 @@ impl Scanner {
             trigger_splats,
             swar_zero_skip,
             max_len,
+            zero_lead,
             threads: 1,
         }
     }
@@ -794,14 +802,38 @@ impl Scanner {
         out
     }
 
-    /// Scans the simulated machine's entire physical memory, attributing
-    /// each match to its frame, owners, and allocation state — the full
+    /// The ascending, disjoint byte spans of `kernel`'s physical memory
+    /// where a match can start: each run of frames not known to be zero
+    /// ([`Kernel::frame_known_zero`]), widened backwards by the most
+    /// leading zero bytes of any pattern. A match's first non-zero byte
+    /// lies in a frame not known to be zero, and at most that many zeros
+    /// come before it; its trailing zeros are the span walk's straddle
+    /// reach past each span's end. With an all-zero pattern every byte is
+    /// a possible start.
+    pub(crate) fn live_spans(&self, kernel: &Kernel) -> Vec<(usize, usize)> {
+        let Some(lead) = self.zero_lead else {
+            return vec![(0, kernel.phys().len())];
+        };
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for f in (0..kernel.num_frames()).filter(|&f| !kernel.frame_known_zero(FrameId(f))) {
+            let (lo, hi) = ((f * PAGE_SIZE).saturating_sub(lead), (f + 1) * PAGE_SIZE);
+            match spans.last_mut() {
+                Some(last) if last.1 >= lo => last.1 = hi,
+                _ => spans.push((lo, hi)),
+            }
+        }
+        spans
+    }
+
+    /// Scans the simulated machine's physical memory, attributing each
+    /// match to its frame, owners, and allocation state — the full
     /// `scanmemory` experience. A match straddling two frames is attributed
-    /// to the frame holding its first byte.
+    /// to the frame holding its first byte. Only the [`Self::live_spans`]
+    /// are read: a match cannot start anywhere else.
     #[must_use]
     pub fn scan_kernel(&self, kernel: &Kernel) -> ScanReport {
         let hits = self
-            .scan_bytes(kernel.phys())
+            .scan_spans(kernel.phys(), &self.live_spans(kernel))
             .into_iter()
             .map(|r| {
                 let frame = FrameId(r.offset / PAGE_SIZE);

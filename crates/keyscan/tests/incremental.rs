@@ -1,12 +1,16 @@
-//! Differential suite for [`IncrementalScanner`]: after *any* sequence of
-//! kernel mutations — spawns, writes, frees, forks, COW breaks, evictions,
-//! injected faults — the incremental scan must be **bit-identical** to the
-//! full-scan oracle `Scanner::scan_kernel`, while the cache retains zero
+//! Differential suite for [`IncrementalScanner`] and `Scanner::scan_kernel`:
+//! after *any* sequence of kernel mutations — spawns, writes, frees, forks,
+//! COW breaks, evictions, injected faults, clears — both must be
+//! **bit-identical** to a scan of the whole physical dump that ignores the
+//! frames' known-zero bits, while the incremental cache retains zero
 //! key-derived bytes.
 
-use keyscan::{IncrementalScanner, Scanner};
-use memsim::{FaultPlan, Kernel, MachineConfig, Pid, VAddr};
-use rsa_repro::{material::KeyMaterial, RsaPrivateKey};
+use keyscan::{IncrementalScanner, KeyHit, Scanner};
+use memsim::{
+    FaultPlan, FrameId, FrameState, Kernel, KernelPolicy, MachineConfig, Pid, VAddr, PAGE_SIZE,
+};
+use rsa_repro::material::{KeyMaterial, Pattern};
+use rsa_repro::RsaPrivateKey;
 use simrng::Rng64;
 
 fn material_and_scanner(seed: u64) -> (KeyMaterial, Scanner) {
@@ -16,12 +20,36 @@ fn material_and_scanner(seed: u64) -> (KeyMaterial, Scanner) {
     (material, scanner)
 }
 
-/// Asserts incremental == oracle on the current snapshot, and that the
-/// incremental report is internally identical (hits, counts, locations).
+/// The hits every kernel scan must report, found without the frame bits:
+/// the span walk over the whole dump, each hit attributed from the
+/// `frame_view` of the frame holding its first byte.
+fn reference_hits(scanner: &Scanner, k: &Kernel) -> Vec<KeyHit> {
+    scanner
+        .scan_bytes(k.phys())
+        .into_iter()
+        .map(|h| {
+            let frame = FrameId(h.offset / PAGE_SIZE);
+            let view = k.frame_view(frame);
+            KeyHit {
+                pattern: h.pattern,
+                // keylint: allow(S005) -- the pattern *name* ("d", "pem") is a public label, not key bytes
+                name: scanner.pattern_name(h.pattern).to_owned(),
+                offset: h.offset,
+                frame,
+                state: view.state,
+                allocated: view.state != FrameState::Free,
+                owners: view.owners,
+            }
+        })
+        .collect()
+}
+
+/// Asserts that the full scan reports the reference hits and that the
+/// incremental report equals the full one on the current snapshot.
 fn check(inc: &mut IncrementalScanner, oracle: &Scanner, k: &Kernel) {
-    let fast = inc.scan(k);
     let full = oracle.scan_kernel(k);
-    assert_eq!(fast, full);
+    assert_eq!(full.hits(), reference_hits(oracle, k));
+    assert_eq!(inc.scan(k), full);
 }
 
 #[test]
@@ -329,5 +357,163 @@ fn threaded_incremental_scans_are_bit_identical_at_every_width() {
             }
         }
         step(&k, &mut scanners, &format!("round {round}"));
+    }
+}
+
+/// Leading and trailing zero bytes of the synthetic edge patterns.
+const LEAD: usize = 3;
+const TRAIL: usize = 2;
+
+/// Patterns whose matches reach into known-zero frames: `lead` starts with
+/// [`LEAD`] zero bytes, `trail` ends with [`TRAIL`], and the real key's
+/// `d` (seed 15) ends with one, its top byte being zero. `d`, `p` and `q`
+/// are odd, so a real key's little-endian images never start with a zero
+/// byte; the leading-zero edge needs the synthetic pattern. `zeros`, when
+/// asked for, is all zeros and matches anywhere in zero memory.
+fn edge_scanner(with_zeros: bool) -> (Scanner, KeyMaterial) {
+    let material = KeyMaterial::from_key(&RsaPrivateKey::generate(128, &mut Rng64::new(15)));
+    assert_eq!(
+        material.d_bytes().last(),
+        Some(&0),
+        "seed 15's d ends in a zero byte"
+    );
+    let mut lead = vec![0u8; LEAD];
+    lead.extend(1..=13u8);
+    let mut trail: Vec<u8> = (101..=114u8).collect();
+    trail.extend([0; TRAIL]);
+    let mut patterns = vec![
+        Pattern::new("lead", lead),
+        Pattern::new("trail", trail),
+        Pattern::new("d", material.d_bytes().to_vec()),
+    ];
+    if with_zeros {
+        patterns.push(Pattern::new("zeros", vec![0; 16]));
+    }
+    (Scanner::new(patterns), material)
+}
+
+/// Full scans at 1/2/3/8 threads and one incremental scanner per thread
+/// count, followed from boot, all checked against the reference hits.
+struct EdgeCheck {
+    oracle: Scanner,
+    full: [Scanner; 4],
+    incremental: [IncrementalScanner; 4],
+}
+
+impl EdgeCheck {
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    fn new(oracle: Scanner) -> Self {
+        Self {
+            full: Self::THREADS.map(|t| oracle.fork().with_threads(t)),
+            incremental: Self::THREADS
+                .map(|t| IncrementalScanner::new(oracle.fork().with_threads(t))),
+            oracle,
+        }
+    }
+
+    /// Checks every scanner and returns the reference hits.
+    fn step(&mut self, k: &Kernel, what: &str) -> Vec<KeyHit> {
+        let want = reference_hits(&self.oracle, k);
+        for (s, t) in self.full.iter().zip(Self::THREADS) {
+            assert_eq!(s.scan_kernel(k).hits(), want, "full x{t} after {what}");
+        }
+        for (s, t) in self.incremental.iter_mut().zip(Self::THREADS) {
+            assert_eq!(s.scan(k).hits(), want, "incremental x{t} after {what}");
+        }
+        want
+    }
+}
+
+fn has_hit(hits: &[KeyHit], name: &str, offset: usize) -> bool {
+    hits.iter().any(|h| h.name == name && h.offset == offset)
+}
+
+/// Plants matches whose zero bytes lie in known-zero frames next to written
+/// ones, then clears and rewrites them. They live on kernel pages, which a
+/// fresh machine hands out in frame order and does not clear: `lead` starts
+/// in the last bytes of frame 1, which stays known-zero, and goes on in
+/// frame 2; `trail` and `d` start in frames 4 and 6 and end with their zero
+/// bytes in frames 5 and 7.
+fn known_zero_edges(policy: KernelPolicy, mem_bytes: usize, with_zeros: bool) {
+    let (oracle, material) = edge_scanner(with_zeros);
+    let lead = oracle.patterns()[0].bytes.clone();
+    let trail = oracle.patterns()[1].bytes.clone();
+    let d = material.d_bytes();
+    // The bytes written: each pattern without the zeros the frame bit holds.
+    let (lead_tail, trail_head, d_head) = (
+        &lead[LEAD..],
+        &trail[..trail.len() - TRAIL],
+        &d[..d.len() - 1],
+    );
+    let (lead_at, trail_at, d_at) = (
+        2 * PAGE_SIZE - LEAD,
+        5 * PAGE_SIZE - trail_head.len(),
+        7 * PAGE_SIZE - d_head.len(),
+    );
+    let mut k = Kernel::new(
+        MachineConfig::small()
+            .with_mem_bytes(mem_bytes)
+            .with_policy(policy),
+    );
+    let mut edges = EdgeCheck::new(oracle);
+    edges.step(&k, "boot");
+    let frames = k.alloc_kernel_pages(8).unwrap();
+    assert_eq!(frames, (0..8).map(FrameId).collect::<Vec<_>>());
+
+    k.write_kernel_page(frames[2], 0, lead_tail);
+    assert!(k.frame_known_zero(frames[1]));
+    assert!(has_hit(&edges.step(&k, "lead planted"), "lead", lead_at));
+
+    k.write_kernel_page(frames[4], trail_at % PAGE_SIZE, trail_head);
+    k.write_kernel_page(frames[6], d_at % PAGE_SIZE, d_head);
+    assert!(k.frame_known_zero(frames[5]) && k.frame_known_zero(frames[7]));
+    let hits = edges.step(&k, "trail and d planted");
+    assert!(has_hit(&hits, "trail", trail_at) && has_hit(&hits, "d", d_at));
+
+    // Zeros written over zeros: frame 1 reads zero without the bit.
+    k.write_kernel_page(frames[1], 0, &[0; PAGE_SIZE]);
+    assert!(!k.frame_known_zero(frames[1]));
+    let hits = edges.step(&k, "frame 1 zero-written");
+    assert!(has_hit(&hits, "lead", lead_at));
+
+    k.write_kernel_page(frames[2], 0, &[0; 16]);
+    k.write_kernel_page(frames[5], 0, &[0xEE]);
+    let hits = edges.step(&k, "lead and trail overwritten");
+    assert!(!has_hit(&hits, "lead", lead_at) && !has_hit(&hits, "trail", trail_at));
+    k.write_kernel_page(frames[2], 0, lead_tail);
+    k.write_kernel_page(frames[5], 0, &[0]);
+    let hits = edges.step(&k, "lead and trail rewritten");
+    assert!(has_hit(&hits, "lead", lead_at) && has_hit(&hits, "trail", trail_at));
+
+    // Freed: cleared (and known-zero again) under zero-on-free, left in
+    // unallocated memory otherwise. Reallocated pages come back last
+    // freed first, uncleared, and are written again.
+    k.free_kernel_pages(&frames[1..=2]);
+    k.free_kernel_pages(&frames[4..=5]);
+    assert_eq!(k.frame_known_zero(frames[2]), policy.zero_on_free);
+    let hits = edges.step(&k, "frames 1, 2, 4 and 5 freed");
+    assert_eq!(has_hit(&hits, "lead", lead_at), !policy.zero_on_free);
+    let again = k.alloc_kernel_pages(4).unwrap();
+    assert_eq!(again, [5, 4, 2, 1].map(FrameId));
+    k.write_kernel_page(frames[2], 0, lead_tail);
+    k.write_kernel_page(frames[4], trail_at % PAGE_SIZE, trail_head);
+    let hits = edges.step(&k, "lead and trail rewritten after the free");
+    assert!(has_hit(&hits, "lead", lead_at) && has_hit(&hits, "trail", trail_at));
+    assert!(has_hit(&hits, "d", d_at));
+}
+
+#[test]
+fn matches_into_known_zero_frames_are_found_across_clears_and_rewrites() {
+    for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
+        known_zero_edges(policy, MachineConfig::small().mem_bytes, false);
+    }
+}
+
+#[test]
+fn an_all_zero_pattern_is_found_in_known_zero_frames() {
+    // Matches at nearly every offset: a 16-frame machine keeps them few.
+    for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
+        known_zero_edges(policy, 16 * PAGE_SIZE, true);
     }
 }

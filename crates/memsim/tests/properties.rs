@@ -1,7 +1,7 @@
 //! Property-based tests: simulator invariants under randomized operation
 //! sequences — frame conservation, no aliasing, COW correctness, the
-//! zeroing guarantee, `clone` reproducing its source, and `clone_from`
-//! restoring a diverged spare exactly.
+//! zeroing guarantee, known-zero frames reading zero, `clone` reproducing
+//! its source, and `clone_from` restoring a diverged spare exactly.
 //!
 //! Runs on `simrng::propcheck` (pure std) so the suite works with no
 //! registry access.
@@ -23,12 +23,14 @@ enum Op {
     Alloc { proc_idx: usize, size: usize },
     Free { proc_idx: usize, alloc_idx: usize },
     Write { proc_idx: usize, alloc_idx: usize, byte: u8 },
+    /// Faults a live allocation back in off swap, with no write.
+    Touch { proc_idx: usize, alloc_idx: usize },
     KernelPageCycle { n: usize },
     SwapOut { pages: usize },
 }
 
 fn gen_op(g: &mut Gen) -> Op {
-    match g.usize_in(0..8) {
+    match g.usize_in(0..9) {
         0 => Op::Spawn,
         1 => Op::Fork(g.usize_in(0..8)),
         2 => Op::Exit(g.usize_in(0..8)),
@@ -47,6 +49,10 @@ fn gen_op(g: &mut Gen) -> Op {
         },
         6 => Op::KernelPageCycle {
             n: g.usize_in(1..16),
+        },
+        7 => Op::Touch {
+            proc_idx: g.usize_in(0..8),
+            alloc_idx: g.usize_in(0..8),
         },
         _ => Op::SwapOut {
             pages: g.usize_in(1..64),
@@ -150,6 +156,15 @@ fn apply(kernel: &mut Kernel, m: &mut Mirror, op: &Op) -> Result<(), SimError> {
                 }
             }
         }
+        Op::Touch { proc_idx, alloc_idx } => {
+            if !m.procs.is_empty() {
+                let idx = proc_idx % m.procs.len();
+                if !m.allocs[idx].is_empty() {
+                    let (addr, size, _) = m.allocs[idx][alloc_idx % m.allocs[idx].len()];
+                    kernel.touch_pages(m.procs[idx], addr, size)?;
+                }
+            }
+        }
         Op::KernelPageCycle { n } => {
             if let Ok(frames) = kernel.alloc_kernel_pages(n) {
                 kernel.free_kernel_pages(&frames);
@@ -232,6 +247,41 @@ fn hardened_policy_keeps_free_memory_zero() {
     });
 }
 
+/// Asserts that every frame whose known-zero bit is set reads all zero.
+fn assert_known_zero_frames_read_zero(kernel: &Kernel, after: &dyn std::fmt::Debug) {
+    const ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+    for i in 0..kernel.num_frames() {
+        let f = FrameId(i);
+        assert!(
+            !kernel.frame_known_zero(f) || kernel.frame_bytes(f) == ZERO_PAGE,
+            "{f} is marked known-zero but holds data after {after:?}"
+        );
+    }
+}
+
+/// The known-zero bit is conservative: after every op of a random workload,
+/// under stock and hardened policies and a plan that kills whichever
+/// process performs one of the ops, a frame with the bit set reads all
+/// zero.
+#[test]
+fn known_zero_frames_read_zero_after_every_op() {
+    propcheck::cases(48, |g| {
+        let ops = gen_ops(g, 120);
+        let kill_at = g.u64_below(200);
+        for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
+            let mut k = machine(policy);
+            k.install_fault_plan(FaultPlan::new().kill_at_index(kill_at));
+            let mut m = Mirror::default();
+            assert_known_zero_frames_read_zero(&k, &"boot");
+            for op in &ops {
+                let _ = apply(&mut k, &mut m, op);
+                m.forget_dead(&k);
+                assert_known_zero_frames_read_zero(&k, op);
+            }
+        }
+    });
+}
+
 /// Exited processes are gone and their frames reclaimed: allocating the
 /// whole machine afterwards succeeds.
 #[test]
@@ -282,8 +332,9 @@ fn fork_preserves_contents() {
     });
 }
 
-/// Every observable of two machines agrees: bytes, per-frame metadata and
-/// generations, clock, counters, swap device, processes and free lists.
+/// Every observable of two machines agrees: bytes, per-frame metadata,
+/// generations and known-zero bits, clock, counters, swap device, processes
+/// and free lists.
 fn assert_same_machine(got: &Kernel, want: &Kernel) {
     assert_eq!(got.num_frames(), want.num_frames());
     assert!(got.phys() == want.phys(), "phys bytes differ");
@@ -299,6 +350,11 @@ fn assert_same_machine(got: &Kernel, want: &Kernel) {
             got.state_generation(f),
             want.state_generation(f),
             "{f} state gen"
+        );
+        assert_eq!(
+            got.frame_known_zero(f),
+            want.frame_known_zero(f),
+            "{f} known-zero bit"
         );
     }
     assert_eq!(got.generation_clock(), want.generation_clock());
