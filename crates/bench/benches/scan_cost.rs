@@ -100,11 +100,8 @@ fn bench_match_cores(c: &mut Criterion) {
     let scanner = Scanner::from_material(&material);
     let hay = k.phys().to_vec();
     group.throughput(Throughput::Bytes(hay.len() as u64));
-    group.bench_function("swar_prefilter", |b| {
-        b.iter(|| scanner.scan_bytes_swar(std::hint::black_box(&hay)).len());
-    });
-    group.bench_function("horspool_skip_loop", |b| {
-        b.iter(|| scanner.scan_bytes_horspool(std::hint::black_box(&hay)).len());
+    group.bench_function("skip_walk", |b| {
+        b.iter(|| scanner.scan_bytes(std::hint::black_box(&hay)).len());
     });
     group.bench_function("naive_per_offset", |b| {
         b.iter(|| scanner.scan_bytes_naive(std::hint::black_box(&hay)).len());
@@ -182,10 +179,9 @@ fn median_time(mut f: impl FnMut()) -> Duration {
     walls[SMOKE_REPEATS / 2]
 }
 
-/// Fixed smoke measurement for CI: full-scan throughput, the SWAR-vs-Horspool
-/// match-core speedup, the intra-kernel sharded-scan speedup per thread
-/// count, and the incremental-vs-full timeline speedup, written to
-/// `target/BENCH_scan.json`.
+/// Fixed smoke measurement for CI: full-scan throughput, the intra-kernel
+/// sharded-scan speedup per thread count, and the incremental-vs-full
+/// timeline speedup, written to `target/BENCH_scan.json`.
 fn smoke() {
     const MB: usize = 32;
     const TICKS: usize = 24;
@@ -193,24 +189,12 @@ fn smoke() {
     let scanner = Scanner::from_material(&material);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    // Full-scan throughput over physical memory (the scanner dispatches
-    // the SWAR prefilter core).
+    // Full-scan throughput over physical memory.
     let serial_wall = median_time(|| {
         std::hint::black_box(scanner.scan_kernel(&k).total());
     });
     let bytes = (MB * 1024 * 1024) as f64;
     let full_bytes_per_sec = bytes / serial_wall.as_secs_f64().max(1e-9);
-
-    // Match cores head to head on the same physical image.
-    let swar_wall = median_time(|| {
-        std::hint::black_box(scanner.scan_bytes_swar(k.phys()).len());
-    });
-    let horspool_wall = median_time(|| {
-        std::hint::black_box(scanner.scan_bytes_horspool(k.phys()).len());
-    });
-    let swar_bytes_per_sec = bytes / swar_wall.as_secs_f64().max(1e-9);
-    let horspool_bytes_per_sec = bytes / horspool_wall.as_secs_f64().max(1e-9);
-    let swar_speedup = horspool_wall.as_secs_f64() / swar_wall.as_secs_f64().max(1e-9);
 
     // Intra-kernel sharding: one machine's sweep split across N threads.
     let mut sharded = Vec::new(); // (threads, speedup vs serial)
@@ -238,7 +222,7 @@ fn smoke() {
     let speedup = full_wall.as_secs_f64() / inc_wall.as_secs_f64().max(1e-9);
 
     let json = format!(
-        "{{\n  \"mem_mb\": {MB},\n  \"ticks\": {TICKS},\n  \"cores\": {cores},\n  \"full_scan_bytes_per_sec\": {full_bytes_per_sec:.0},\n  \"swar_bytes_per_sec\": {swar_bytes_per_sec:.0},\n  \"horspool_bytes_per_sec\": {horspool_bytes_per_sec:.0},\n  \"swar_filter_speedup\": {swar_speedup:.2},\n  \"sharded_scan_speedup_2\": {:.2},\n  \"sharded_scan_speedup_4\": {sharded_speedup_4:.2},\n  \"sharded_scan_speedup_8\": {:.2},\n  \"sharded_scan_speedup\": {sharded_speedup_4:.2},\n  \"timeline_full_wall_s\": {:.6},\n  \"timeline_incremental_wall_s\": {:.6},\n  \"incremental_speedup\": {speedup:.2},\n  \"scans\": {},\n  \"frames_rescanned\": {},\n  \"frames_total\": {},\n  \"rescan_fraction\": {:.6}\n}}\n",
+        "{{\n  \"mem_mb\": {MB},\n  \"ticks\": {TICKS},\n  \"cores\": {cores},\n  \"full_scan_bytes_per_sec\": {full_bytes_per_sec:.0},\n  \"sharded_scan_speedup_2\": {:.2},\n  \"sharded_scan_speedup_4\": {sharded_speedup_4:.2},\n  \"sharded_scan_speedup_8\": {:.2},\n  \"sharded_scan_speedup\": {sharded_speedup_4:.2},\n  \"timeline_full_wall_s\": {:.6},\n  \"timeline_incremental_wall_s\": {:.6},\n  \"incremental_speedup\": {speedup:.2},\n  \"scans\": {},\n  \"frames_rescanned\": {},\n  \"frames_total\": {},\n  \"rescan_fraction\": {:.6}\n}}\n",
         sharded[0].1,
         sharded[2].1,
         full_wall.as_secs_f64(),
@@ -256,8 +240,7 @@ fn smoke() {
     std::fs::write(format!("{dir}/BENCH_scan.json"), &json).expect("write BENCH_scan.json");
     print!("{json}");
     println!(
-        "smoke: full scan {:.0} MB/s ({cores} core(s)); swar/horspool {swar_speedup:.2}x; \
-         sharded x4 {sharded_speedup_4:.2}x; timeline speedup {speedup:.2}x ({} of {} frames rescanned)",
+        "smoke: full scan {:.0} MB/s ({cores} core(s)); sharded x4 {sharded_speedup_4:.2}x; timeline speedup {speedup:.2}x ({} of {} frames rescanned)",
         full_bytes_per_sec / (1024.0 * 1024.0),
         stats.frames_rescanned,
         stats.frames_total,

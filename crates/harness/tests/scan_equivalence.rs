@@ -23,8 +23,11 @@ use simrng::Rng64;
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// The hits every kernel scan must report, found without the frame bits:
-/// the span walk over the whole dump, each hit attributed from the
-/// `frame_view` of the frame holding its first byte.
+/// the dump scan of all of physical memory, which finds all-zero pages by
+/// reading them, each hit attributed from the `frame_view` of the frame
+/// holding its first byte. The dump scan shares the span builder with the
+/// kernel scans; `keyscan/tests/incremental.rs` checks the known-zero edge
+/// cases against the naive oracle, which does not.
 fn reference_hits(scanner: &Scanner, k: &Kernel) -> Vec<KeyHit> {
     scanner
         .scan_bytes(k.phys())

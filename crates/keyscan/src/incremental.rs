@@ -13,8 +13,8 @@
 //! producing a [`ScanReport`] that is **bit-identical** to a scan of the
 //! whole dump (enforced by the differential suite in `tests/incremental.rs`
 //! and `harness/tests/scan_equivalence.rs`). Of those frames it reads only
-//! the parts where a match can start ([`Scanner::live_spans`]), so
-//! known-zero frames cost nothing.
+//! the parts where a match can start ([`Scanner::live_spans`] over the
+//! frames not known to be zero), so known-zero frames cost nothing.
 //!
 //! The cache keeps one write generation per machine frame, and hits and
 //! attribution only for the frames that hold hits. It stores only pattern
@@ -269,8 +269,9 @@ impl IncrementalScanner {
                 entry.hits.clear();
             }
         }
-        let spans = intersect_spans(&dirty_runs, &self.scanner.live_spans(kernel));
-        for hit in self.scanner.scan_spans(kernel.phys(), &spans) {
+        let live: Vec<_> = self.scanner.kernel_spans(kernel).collect();
+        let spans = intersect_spans(&dirty_runs, &live);
+        for hit in self.scanner.scan_spans(kernel.phys(), spans) {
             cache
                 .hit_frames
                 .entry(hit.offset / PAGE_SIZE)

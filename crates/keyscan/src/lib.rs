@@ -210,36 +210,22 @@ impl ScanReport {
 
 /// Multi-pattern linear memory scanner.
 ///
-/// Construction precomputes two match cores over the pattern set and
-/// dispatches per scan:
-///
-/// * **SWAR prefilter** (default when the distinct window-end byte count is
-///   small): a `u64`-at-a-time broadcast-compare filter. Each 8-byte word of
-///   the haystack is XORed against every broadcast trigger byte; a zero byte
-///   lane marks a candidate position, which is handed to the exact verifier.
-///   64-byte blocks are first OR-reduced so all-zero memory — the dominant
-///   content of simulated physical memory — is rejected eight bytes per
-///   instruction without per-trigger work.
-/// * **Boyer–Moore–Horspool skip walk** (fallback for large trigger sets):
-///   a bad-character shift table (block size 1, window = the shortest
-///   pattern length); the loop examines the byte at the *end* of the current
-///   window and either skips ahead by its shift or — when the byte can
-///   terminate a window (`shift == 0`, a "trigger" byte) — verifies the few
-///   candidate patterns whose window-end byte it is. When every pattern
-///   shares one trigger byte this degenerates to a plain `position()` search
-///   (the `memchr` idiom).
-///
-/// Both cores feed the same exact verifier and emit hits in identical order
-/// (ascending offset, ties in ascending pattern order), so every scan result
-/// is bit-identical regardless of dispatch. Worst case stays O(n·k) like the
-/// paper's LKM; the common case rejects most of memory a word at a time.
+/// Construction precomputes one match core over the pattern set, a
+/// Boyer–Moore–Horspool skip walk: a bad-character shift table (block size
+/// 1, window = the shortest pattern length). The walk examines the byte at
+/// the *end* of the current window and either skips ahead by its shift or —
+/// when the byte can terminate a window (`shift == 0`, a "trigger" byte) —
+/// verifies the few candidate patterns whose window-end byte it is. Hits
+/// come in ascending offset order, ties in ascending pattern order. Worst
+/// case stays O(n·k) like the paper's LKM.
 ///
 /// Every scan runs through one span walk over ascending byte spans of its
-/// haystack (the whole dump, all of physical memory, or an
-/// [`IncrementalScanner`]'s dirty runs), which splits the spans' bytes
-/// across the thread count fixed by [`Self::with_threads`]. Results are
-/// bit-identical at any thread count.
-// keylint: allow(S003) -- the patterns vector drops its elements and each Pattern zeroes its own bytes; the shift/tail/trigger tables hold only byte-frequency structure, single window-end byte values, and pattern indices, not key bytes
+/// haystack, which splits the spans' bytes across the thread count fixed
+/// by [`Self::with_threads`]. The spans come from one crate-private
+/// builder, `live_spans`, which leaves out memory where no match can
+/// start: a machine's frames known to be zero, a dump's all-zero pages.
+/// Results are bit-identical at any thread count.
+// keylint: allow(S003) -- the patterns vector drops its elements and each Pattern zeroes its own bytes; the shift and tail tables hold only byte-frequency structure and pattern indices, not key bytes
 pub struct Scanner {
     patterns: Vec<Pattern>,
     /// Window length: the shortest pattern length (>= 8 by `Pattern::new`).
@@ -250,55 +236,25 @@ pub struct Scanner {
     /// For each trigger byte, the patterns whose `window - 1` byte it is —
     /// the only candidates that can match at the current alignment.
     tail: Vec<Vec<u32>>,
-    /// When every pattern has the same window-end byte, that byte.
-    single_trigger: Option<u8>,
-    /// Each distinct trigger byte broadcast into all eight `u64` lanes —
-    /// the SWAR prefilter's compare operands, precomputed once.
-    trigger_splats: Vec<u64>,
-    /// Whether `0x00` is *not* a trigger byte, enabling the all-zero
-    /// 64-byte-block fast reject in the SWAR core.
-    swar_zero_skip: bool,
     /// Longest pattern length (straddle width for windowed scans).
     max_len: usize,
     /// The most leading zero bytes of any pattern: how far before a
-    /// written frame a match can start. `None` when some pattern is all
+    /// non-zero page a match can start. `None` when some pattern is all
     /// zeros, which can match anywhere in zero memory.
     zero_lead: Option<usize>,
     /// Worker threads the span walk splits a scan's bytes across (>= 1).
     threads: usize,
 }
 
-/// SWAR block width in bytes: one cache line, OR-reduced per iteration for
-/// the all-zero fast reject before per-word trigger comparison.
-const SWAR_BLOCK: usize = 64;
-
-/// Above this many distinct trigger bytes the per-word SWAR compare chain
-/// costs more than the Horspool skip walk, so `for_each_match` falls back.
-const SWAR_MAX_TRIGGERS: usize = 8;
-
-/// Broadcasts a byte into all eight lanes of a `u64`.
-const fn splat(b: u8) -> u64 {
-    (b as u64) * 0x0101_0101_0101_0101
-}
-
-/// Reads the little-endian `u64` at `bytes[i..i + 8]`. Little-endian lane
-/// order means `trailing_zeros() / 8` on a lane mask walks ascending memory
-/// offsets, preserving the serial hit order.
-#[inline]
-fn word_at(bytes: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8-byte slice"))
-}
-
-/// SWAR byte-equality: `0x80` in (at least) every lane of `word` equal to
-/// the pre-broadcast trigger `t_splat`. The three-op zero-byte detector can
-/// raise spurious `0x80` bits in lanes *above* a genuine match (borrow
-/// propagation); that is harmless here because every flagged lane goes
-/// through the exact verifier, which checks the real byte — correctness
-/// never rests on this mask, only the skip rate does.
-#[inline]
-fn swar_eq(word: u64, t_splat: u64) -> u64 {
-    let x = word ^ t_splat;
-    x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080
+/// Whether `page` holds a non-zero byte, tested 64 bytes at a time up to
+/// the first block that does. The page source of dump scans, and of the
+/// cold-boot harvest's page map.
+pub(crate) fn page_is_nonzero(page: &[u8]) -> bool {
+    let (blocks, tail) = page.as_chunks::<64>();
+    blocks
+        .iter()
+        .any(|b| b.iter().fold(0, |acc, &x| acc | x) != 0)
+        || tail.iter().any(|&x| x != 0)
 }
 
 /// Splits ascending, disjoint byte spans into at most `shards` groups of
@@ -327,16 +283,6 @@ fn shard_spans(spans: &[(usize, usize)], shards: usize) -> Vec<Vec<(usize, usize
         }
     }
     groups
-}
-
-/// Collects a match core's `(pattern, offset)` callbacks into raw hits.
-fn hits_of(scan: impl FnOnce(&mut dyn FnMut(usize, usize) -> bool)) -> Vec<RawHit> {
-    let mut hits = Vec::new();
-    scan(&mut |pattern, offset| {
-        hits.push(RawHit { pattern, offset });
-        true
-    });
-    hits
 }
 
 /// The patterns are the key material being hunted, so `{:?}` stops at a count.
@@ -368,18 +314,6 @@ impl Scanner {
         for (i, p) in patterns.iter().enumerate() {
             tail[p.bytes[window - 1] as usize].push(i as u32);
         }
-        let first_end = patterns[0].bytes[window - 1];
-        let single_trigger = patterns
-            .iter()
-            .all(|p| p.bytes[window - 1] == first_end)
-            .then_some(first_end);
-        let trigger_splats: Vec<u64> = tail
-            .iter()
-            .enumerate()
-            .filter(|(_, pis)| !pis.is_empty())
-            .map(|(b, _)| splat(b as u8))
-            .collect();
-        let swar_zero_skip = tail[0].is_empty();
         let zero_lead = patterns.iter().try_fold(0, |lead: usize, p| {
             p.bytes.iter().position(|&b| b != 0).map(|n| lead.max(n))
         });
@@ -388,9 +322,6 @@ impl Scanner {
             window,
             shift,
             tail,
-            single_trigger,
-            trigger_splats,
-            swar_zero_skip,
             max_len,
             zero_lead,
             threads: 1,
@@ -445,108 +376,13 @@ impl Scanner {
         &self.patterns[pi].name
     }
 
-    /// The allocation-free matching core every byte-scanning API shares.
-    ///
-    /// Invokes `on_hit(pattern_index, offset)` for every full match, in
-    /// ascending offset order (ties in ascending pattern order). The callback
-    /// returns `false` to stop early. Dispatches between the SWAR prefilter
-    /// and the Horspool skip walk (see the type docs); both emit the exact
-    /// same hit sequence, so callers cannot observe which core ran.
-    fn for_each_match(&self, haystack: &[u8], on_hit: impl FnMut(usize, usize) -> bool) {
-        if self.trigger_splats.len() <= SWAR_MAX_TRIGGERS {
-            self.for_each_match_swar(haystack, on_hit);
-        } else {
-            self.for_each_match_horspool(haystack, on_hit);
-        }
-    }
-
-    /// SWAR match core: 64-byte blocks are OR-reduced for the all-zero fast
-    /// reject, then each `u64` word is broadcast-compared against every
-    /// distinct trigger byte; flagged lanes (ascending, via
-    /// `trailing_zeros`) feed the exact verifier.
-    fn for_each_match_swar(&self, haystack: &[u8], mut on_hit: impl FnMut(usize, usize) -> bool) {
+    /// The allocation-free match core every scan shares: the Horspool skip
+    /// walk (see the type docs). Invokes `on_hit(pattern_index, offset)`
+    /// for every full match, in ascending offset order (ties in ascending
+    /// pattern order), until the callback returns `false`.
+    fn for_each_match(&self, haystack: &[u8], mut on_hit: impl FnMut(usize, usize) -> bool) {
         let w = self.window;
-        let n = haystack.len();
-        if n < w {
-            return;
-        }
         let mut pos = w - 1; // index of the current window's last byte
-        while pos + SWAR_BLOCK <= n {
-            let block = &haystack[pos..pos + SWAR_BLOCK];
-            if self.swar_zero_skip {
-                let mut acc = 0u64;
-                let mut j = 0;
-                while j < SWAR_BLOCK {
-                    acc |= word_at(block, j);
-                    j += 8;
-                }
-                if acc == 0 {
-                    // No nonzero byte in the block, and 0x00 triggers
-                    // nothing: no window can end here.
-                    pos += SWAR_BLOCK;
-                    continue;
-                }
-            }
-            let mut j = 0;
-            while j < SWAR_BLOCK {
-                let word = word_at(block, j);
-                let mut mask = 0u64;
-                for &t in &self.trigger_splats {
-                    mask |= swar_eq(word, t);
-                }
-                while mask != 0 {
-                    let lane = (mask.trailing_zeros() / 8) as usize;
-                    mask &= mask - 1;
-                    let p = pos + j + lane;
-                    // `swar_eq` may over-flag; `verify_at` re-reads the real
-                    // byte, so a spurious lane just finds an empty bucket.
-                    if !self.verify_at(haystack, p + 1 - w, haystack[p], &mut on_hit) {
-                        return;
-                    }
-                }
-                j += 8;
-            }
-            pos += SWAR_BLOCK;
-        }
-        // Bytewise tail: fewer than SWAR_BLOCK window-end positions remain.
-        while pos < n {
-            let b = haystack[pos];
-            if !self.tail[b as usize].is_empty()
-                && !self.verify_at(haystack, pos + 1 - w, b, &mut on_hit)
-            {
-                return;
-            }
-            pos += 1;
-        }
-    }
-
-    /// Horspool match core: bad-character skip walk, with the vectorizable
-    /// `position()` degenerate path when all patterns share one trigger.
-    fn for_each_match_horspool(
-        &self,
-        haystack: &[u8],
-        mut on_hit: impl FnMut(usize, usize) -> bool,
-    ) {
-        let w = self.window;
-        if haystack.len() < w {
-            return;
-        }
-        let mut pos = w - 1; // index of the current window's last byte
-        if let Some(t) = self.single_trigger {
-            // Every pattern requires byte `t` at the window end: a plain
-            // forward search for `t` (vectorizable) replaces the shift walk.
-            while pos < haystack.len() {
-                match haystack[pos..].iter().position(|&b| b == t) {
-                    None => return,
-                    Some(k) => pos += k,
-                }
-                if !self.verify_at(haystack, pos + 1 - w, t, &mut on_hit) {
-                    return;
-                }
-                pos += 1;
-            }
-            return;
-        }
         while pos < haystack.len() {
             let b = haystack[pos];
             let s = self.shift[b as usize];
@@ -597,10 +433,10 @@ impl Scanner {
     fn walk(
         &self,
         haystack: &[u8],
-        spans: &[(usize, usize)],
+        spans: impl IntoIterator<Item = (usize, usize)>,
         mut on_hit: impl FnMut(usize, usize) -> bool,
     ) -> bool {
-        spans.iter().all(|&(lo, hi)| {
+        spans.into_iter().all(|(lo, hi)| {
             let end = (hi + self.max_len - 1).min(haystack.len());
             let mut go_on = true;
             self.for_each_match(&haystack[lo..end], |pi, off| {
@@ -619,13 +455,20 @@ impl Scanner {
     /// Every match starting inside `spans`, in ascending order: the span
     /// walk with its bytes split by [`shard_spans`] across the scanner's
     /// threads, and the groups' hits concatenated in span order.
-    pub(crate) fn scan_spans(&self, haystack: &[u8], spans: &[(usize, usize)]) -> Vec<RawHit> {
+    pub(crate) fn scan_spans(
+        &self,
+        haystack: &[u8],
+        spans: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Vec<RawHit> {
         let scan_group = |group: &[(usize, usize)]| {
-            hits_of(|on_hit| {
-                self.walk(haystack, group, on_hit);
-            })
+            let mut hits = Vec::new();
+            self.walk(haystack, group.iter().copied(), |pattern, offset| {
+                hits.push(RawHit { pattern, offset });
+                true
+            });
+            hits
         };
-        let groups = shard_spans(spans, self.threads);
+        let groups = shard_spans(&spans.into_iter().collect::<Vec<_>>(), self.threads);
         if let [group] = groups.as_slice() {
             return scan_group(group);
         }
@@ -641,35 +484,69 @@ impl Scanner {
         })
     }
 
+    /// The ascending, disjoint byte spans of a `len`-byte haystack where a
+    /// match can start, built lazily from `page_live(p)`, which says
+    /// whether page `p` may hold a non-zero byte: each run of such pages,
+    /// widened backwards by the most leading zero bytes of any pattern and
+    /// clamped to the previous span's end. A match's first non-zero byte
+    /// lies in a live page, and at most that many zeros come before it; its
+    /// trailing zeros are the span walk's straddle reach past each span's
+    /// end. With an all-zero pattern every page is live.
+    ///
+    /// A span is yielded once the page after its run has been tested, so a
+    /// walk that stops inside it tests no later page.
+    pub(crate) fn live_spans(
+        &self,
+        len: usize,
+        mut page_live: impl FnMut(usize) -> bool,
+    ) -> impl Iterator<Item = (usize, usize)> {
+        let lead = self.zero_lead;
+        let mut pages =
+            (0..len.div_ceil(PAGE_SIZE)).map(move |p| (p, lead.is_none() || page_live(p)));
+        let lead = lead.unwrap_or(0);
+        let mut end = 0;
+        std::iter::from_fn(move || {
+            let (first, _) = pages.find(|&(_, live)| live)?;
+            let lo = (first * PAGE_SIZE).saturating_sub(lead).max(end);
+            end = pages
+                .find(|&(_, live)| !live)
+                .map_or(len, |(p, _)| p * PAGE_SIZE);
+            Some((lo, end))
+        })
+    }
+
+    /// [`Self::live_spans`] of a dump, whose pages are live unless all
+    /// zero ([`page_is_nonzero`]).
+    fn dump_spans<'a>(&self, dump: &'a [u8]) -> impl Iterator<Item = (usize, usize)> + 'a {
+        self.live_spans(dump.len(), |p| {
+            page_is_nonzero(&dump[p * PAGE_SIZE..dump.len().min((p + 1) * PAGE_SIZE)])
+        })
+    }
+
+    /// [`Self::live_spans`] of a machine's physical memory, whose frames
+    /// are live unless known to be zero ([`Kernel::frame_known_zero`]).
+    pub(crate) fn kernel_spans<'k>(
+        &self,
+        kernel: &'k Kernel,
+    ) -> impl Iterator<Item = (usize, usize)> + 'k {
+        self.live_spans(kernel.phys().len(), |f| {
+            !kernel.frame_known_zero(FrameId(f))
+        })
+    }
+
     /// Scans an arbitrary byte dump (an attacker's USB capture, a memory
-    /// dump, swap contents) and returns every match.
+    /// dump, swap contents) and returns every match. All-zero pages are
+    /// tested, not scanned, apart from the leading zeros a match may carry
+    /// into them.
     #[must_use]
     pub fn scan_bytes(&self, haystack: &[u8]) -> Vec<RawHit> {
-        self.scan_spans(haystack, &[(0, haystack.len())])
-    }
-
-    /// Forces the SWAR prefilter core regardless of trigger count, for the
-    /// core-vs-core measurement in `crates/bench/benches/scan_cost.rs` and
-    /// the differential tests.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn scan_bytes_swar(&self, haystack: &[u8]) -> Vec<RawHit> {
-        hits_of(|on_hit| self.for_each_match_swar(haystack, on_hit))
-    }
-
-    /// Forces the Horspool skip-walk core regardless of trigger count, for
-    /// the same two callers as [`Self::scan_bytes_swar`]: `scan_cost` and
-    /// the differential tests.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn scan_bytes_horspool(&self, haystack: &[u8]) -> Vec<RawHit> {
-        hits_of(|on_hit| self.for_each_match_horspool(haystack, on_hit))
+        self.scan_spans(haystack, self.dump_spans(haystack))
     }
 
     /// Reference oracle: the obvious per-offset, per-pattern comparison the
     /// paper's LKM performs. Kept public so differential tests (and anyone
-    /// doubting the fast cores) can check SWAR, Horspool, and the span walk
-    /// at any thread count against it.
+    /// doubting the fast scans) can check the skip walk, the span builder
+    /// and the span walk at any thread count against it.
     #[must_use]
     pub fn scan_bytes_naive(&self, haystack: &[u8]) -> Vec<RawHit> {
         let mut hits = Vec::new();
@@ -759,11 +636,12 @@ impl Scanner {
     }
 
     /// Whether a dump contains at least one full key copy — "attack success"
-    /// in the paper's experiments. A serial walk that stops at the first hit
-    /// without allocating, over the same span walk as [`Self::scan_bytes`].
+    /// in the paper's experiments. A serial walk over the same spans as
+    /// [`Self::scan_bytes`] that stops at the first hit without allocating,
+    /// and without testing the pages after the one that closes its span.
     #[must_use]
     pub fn dump_compromises_key(&self, haystack: &[u8]) -> bool {
-        !self.walk(haystack, &[(0, haystack.len())], |_, _| false)
+        !self.walk(haystack, self.dump_spans(haystack), |_, _| false)
     }
 
     /// Renders a report in the exact format the paper's LKM wrote to its
@@ -802,38 +680,15 @@ impl Scanner {
         out
     }
 
-    /// The ascending, disjoint byte spans of `kernel`'s physical memory
-    /// where a match can start: each run of frames not known to be zero
-    /// ([`Kernel::frame_known_zero`]), widened backwards by the most
-    /// leading zero bytes of any pattern. A match's first non-zero byte
-    /// lies in a frame not known to be zero, and at most that many zeros
-    /// come before it; its trailing zeros are the span walk's straddle
-    /// reach past each span's end. With an all-zero pattern every byte is
-    /// a possible start.
-    pub(crate) fn live_spans(&self, kernel: &Kernel) -> Vec<(usize, usize)> {
-        let Some(lead) = self.zero_lead else {
-            return vec![(0, kernel.phys().len())];
-        };
-        let mut spans: Vec<(usize, usize)> = Vec::new();
-        for f in (0..kernel.num_frames()).filter(|&f| !kernel.frame_known_zero(FrameId(f))) {
-            let (lo, hi) = ((f * PAGE_SIZE).saturating_sub(lead), (f + 1) * PAGE_SIZE);
-            match spans.last_mut() {
-                Some(last) if last.1 >= lo => last.1 = hi,
-                _ => spans.push((lo, hi)),
-            }
-        }
-        spans
-    }
-
     /// Scans the simulated machine's physical memory, attributing each
     /// match to its frame, owners, and allocation state — the full
     /// `scanmemory` experience. A match straddling two frames is attributed
-    /// to the frame holding its first byte. Only the [`Self::live_spans`]
-    /// are read: a match cannot start anywhere else.
+    /// to the frame holding its first byte. Frames known to be zero are
+    /// not read, apart from the leading zeros a match may carry into them.
     #[must_use]
     pub fn scan_kernel(&self, kernel: &Kernel) -> ScanReport {
         let hits = self
-            .scan_spans(kernel.phys(), &self.live_spans(kernel))
+            .scan_spans(kernel.phys(), self.kernel_spans(kernel))
             .into_iter()
             .map(|r| {
                 let frame = FrameId(r.offset / PAGE_SIZE);
@@ -1007,18 +862,6 @@ mod tests {
         let _ = s.scan_bytes_partial(b"x", 0);
     }
 
-    #[test]
-    fn swar_eq_flags_matching_lanes() {
-        let word = u64::from_le_bytes(*b"aXbXcXdX");
-        let mask = swar_eq(word, splat(b'X'));
-        // Lanes 1, 3, 5, 7 hold b'X'; each must be flagged.
-        for lane in [1u32, 3, 5, 7] {
-            assert_ne!(mask & (0x80u64 << (lane * 8)), 0, "lane {lane} unflagged");
-        }
-        assert_eq!(swar_eq(word, splat(b'Z')), 0);
-        assert_eq!(swar_eq(0, splat(0)), 0x8080_8080_8080_8080);
-    }
-
     /// Random ascending span lists over `0..len`: consecutive cuts become
     /// spans or gaps, repeated cuts make empty spans, a cut pair `c, c + 1`
     /// makes a one-byte span, and a cut at `len` ends a span flush with the
@@ -1154,7 +997,7 @@ mod tests {
             for threads in [1usize, 2, 3, 8] {
                 let threaded = scanner.fork().with_threads(threads);
                 assert_eq!(
-                    threaded.scan_spans(&hay, &spans),
+                    threaded.scan_spans(&hay, spans.iter().copied()),
                     oracle,
                     "round {round} x{threads}: {spans:?}"
                 );
@@ -1164,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn swar_and_horspool_agree_with_naive_on_small_cases() {
+    fn skip_walk_agrees_with_naive_on_small_cases() {
         let s = Scanner::new(vec![pat("a", b"AAAAAAAA"), pat("b", b"ABABABAB")]);
         for hay in [
             vec![b'A'; 100],
@@ -1173,9 +1016,35 @@ mod tests {
             b"short".to_vec(),
         ] {
             let oracle = s.scan_bytes_naive(&hay);
-            assert_eq!(s.scan_bytes_swar(&hay), oracle);
-            assert_eq!(s.scan_bytes_horspool(&hay), oracle);
+            // The whole haystack as one span, so all-zero pages reach the
+            // skip walk too.
+            assert_eq!(s.scan_spans(&hay, [(0, hay.len())]), oracle);
             assert_eq!(s.scan_bytes(&hay), oracle);
+        }
+    }
+
+    #[test]
+    fn a_dump_walk_stopped_by_a_hit_tests_no_page_past_its_span() {
+        // Pages 0 and 2 are all zero, pages 1 and 3.. hold noise and the
+        // hit is in page 1: its span closes at page 2, the last page the
+        // builder may test. An all-zero dump tests every page and finds
+        // nothing.
+        let ps = PAGE_SIZE;
+        let s = Scanner::new(vec![pat("k", b"\0\0NEEDLE")]);
+        let mut dump = vec![0x5Au8; 8 * ps];
+        dump[..ps].fill(0);
+        dump[2 * ps..3 * ps].fill(0);
+        dump[ps + 100..ps + 108].copy_from_slice(b"\0\0NEEDLE");
+        for (dump, hit, last_tested) in [(dump, true, 2), (vec![0; 8 * ps + 7], false, 8)] {
+            let mut tested = Vec::new();
+            let mut page_test = |p: usize| {
+                tested.push(p);
+                page_is_nonzero(&dump[p * ps..dump.len().min((p + 1) * ps)])
+            };
+            let spans = s.live_spans(dump.len(), &mut page_test);
+            assert_eq!(!s.walk(&dump, spans, |_, _| false), hit);
+            assert_eq!(tested, (0..=last_tested).collect::<Vec<_>>());
+            assert_eq!(s.dump_compromises_key(&dump), hit);
         }
     }
 
@@ -1199,7 +1068,8 @@ mod tests {
 
     #[test]
     fn pattern_with_zero_trigger_byte_disables_zero_skip_correctly() {
-        // Window-end byte 0x00: the all-zero block reject must not fire.
+        // Window-end byte 0x00: the skip walk verifies at every zero byte,
+        // and the match ends in zero memory.
         let mut bytes = vec![1u8; 8];
         bytes[7] = 0;
         let s = Scanner::new(vec![pat("z", &bytes)]);

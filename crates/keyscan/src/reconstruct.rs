@@ -232,11 +232,9 @@ fn is_filler(dump: &[u8], off: usize, len: usize) -> bool {
 }
 
 /// Which pages of the dump hold a non-zero byte (the last page may be
-/// short), from one word-wise OR-fold over the dump.
+/// short), by the page test of the dump scans.
 fn nonzero_pages(dump: &[u8]) -> Vec<bool> {
-    dump.chunks(PAGE_SIZE)
-        .map(|page| words(page).fold(0, |acc, w| acc | w) != 0)
-        .collect()
+    dump.chunks(PAGE_SIZE).map(crate::page_is_nonzero).collect()
 }
 
 /// The chunk-aligned offsets whose `len`-byte window passes [`is_filler`],

@@ -1,9 +1,11 @@
-//! Differential property suite for the fast multi-pattern core: on random
-//! haystacks with planted, truncated, and overlapping patterns, the
-//! optimized skip-loop scan must agree exactly with the naive per-offset
-//! oracle — hit for hit, in the same order.
+//! Differential property suite for the fast multi-pattern scans: on random
+//! haystacks with planted, truncated, and overlapping patterns, and on
+//! dumps whose all-zero pages the scans test instead of scanning, the
+//! skip-walk scan must agree exactly with the naive per-offset oracle —
+//! hit for hit, in the same order.
 
 use keyscan::Scanner;
+use memsim::PAGE_SIZE;
 use rsa_repro::material::Pattern;
 use simrng::Rng64;
 
@@ -102,23 +104,16 @@ fn matches_straddling_chunk_ends_are_found() {
 }
 
 // ---------------------------------------------------------------------
-// SWAR prefilter and threaded scans vs. the same oracle
+// Threaded scans vs. the same oracle
 // ---------------------------------------------------------------------
 
 /// Thread counts the span walk is checked at: serial, even and odd splits,
 /// and more threads than cores.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
-/// Both match cores — forced explicitly, bypassing the trigger-count
-/// dispatch — plus every scan call at each of [`THREADS`], against naive.
-fn assert_all_cores_agree(scanner: &Scanner, hay: &[u8], ctx: &str) {
+/// Every dump scan call at each of [`THREADS`], against naive.
+fn assert_scans_agree(scanner: &Scanner, hay: &[u8], ctx: &str) {
     let naive = scanner.scan_bytes_naive(hay);
-    assert_eq!(scanner.scan_bytes_swar(hay), naive, "swar vs naive: {ctx}");
-    assert_eq!(
-        scanner.scan_bytes_horspool(hay),
-        naive,
-        "horspool vs naive: {ctx}"
-    );
     for threads in THREADS {
         let threaded = scanner.fork().with_threads(threads);
         assert_eq!(
@@ -146,7 +141,7 @@ fn thread_splits(len: usize, threads: usize) -> impl Iterator<Item = usize> {
 }
 
 #[test]
-fn fuzz_swar_and_sharded_match_naive_oracle() {
+fn fuzz_sharded_scans_match_naive_oracle() {
     let mut rng = Rng64::new(0x5AAE);
     for round in 0..120 {
         let alphabet = [2u8, 3, 5, 251][round % 4];
@@ -173,15 +168,15 @@ fn fuzz_swar_and_sharded_match_naive_oracle() {
                 assert!(at < cut && cut < at + p.len());
             }
         }
-        assert_all_cores_agree(&scanner, &hay, &format!("round {round}"));
+        assert_scans_agree(&scanner, &hay, &format!("round {round}"));
     }
 }
 
 #[test]
-fn swar_on_repetitive_memory_agrees_with_oracle() {
-    // All-0xAA memory with a pattern that *ends* in 0xAA: every SWAR block
-    // lights up every lane, maximizing prefilter false-positive pressure and
-    // borrow-propagation artifacts. Must still be hit-for-hit identical.
+fn repetitive_memory_agrees_with_oracle() {
+    // All-0xAA memory with a pattern that *ends* in 0xAA: every window of
+    // the skip walk ends in a trigger byte, so the verifier runs at every
+    // offset. Must still be hit-for-hit identical.
     let scanner = Scanner::new(vec![
         pat("tail_aa", b"BAAAAAAA\xAA"),
         pat("all_aa", b"\xAA\xAA\xAA\xAA\xAA\xAA\xAA\xAA"),
@@ -189,30 +184,30 @@ fn swar_on_repetitive_memory_agrees_with_oracle() {
     let mut hay = vec![0xAAu8; 4096];
     hay[1000] = b'B';
     hay[2048] = b'B';
-    assert_all_cores_agree(&scanner, &hay, "0xAA memory");
+    assert_scans_agree(&scanner, &hay, "0xAA memory");
     // And the degenerate case: memory that is *entirely* matches.
     let hay2 = vec![0xAAu8; 4096];
-    assert_all_cores_agree(&scanner, &hay2, "pure 0xAA memory");
+    assert_scans_agree(&scanner, &hay2, "pure 0xAA memory");
 }
 
 #[test]
 fn zero_trigger_byte_disables_zero_skip_without_missing_hits() {
-    // A pattern ending in 0x00 makes 0x00 a trigger byte, so the all-zero
-    // 64-byte fast-reject must stay off; matches buried in zero memory must
-    // all be found.
+    // A pattern ending in 0x00 makes 0x00 a trigger byte, so the skip walk
+    // verifies at every zero byte; matches buried in zero memory must all
+    // be found.
     let scanner = Scanner::new(vec![pat("zt", b"KEY\x00\x00\x00\x00\x00")]);
     let mut hay = vec![0u8; 8192];
     for at in [0usize, 60, 68, 124, 4000, 8184] {
         hay[at..at + 8].copy_from_slice(b"KEY\x00\x00\x00\x00\x00");
     }
-    assert_all_cores_agree(&scanner, &hay, "zero trigger byte");
+    assert_scans_agree(&scanner, &hay, "zero trigger byte");
     assert_eq!(scanner.count_matches(&hay), 6);
 }
 
 #[test]
 fn near_miss_haystacks_produce_no_false_hits() {
     // Memory saturated with 7-of-8-byte near misses of the pattern: the
-    // prefilter fires constantly but the verifier must reject every one.
+    // verifier runs constantly but must reject every one.
     let p = b"SECRETK1";
     let scanner = Scanner::new(vec![pat("nm", p)]);
     let mut hay = Vec::with_capacity(8 * 1024);
@@ -221,12 +216,12 @@ fn near_miss_haystacks_produce_no_false_hits() {
         copy[i % 8] ^= 0xFF; // corrupt a rotating byte
         hay.extend_from_slice(&copy);
     }
-    assert_all_cores_agree(&scanner, &hay, "near misses");
+    assert_scans_agree(&scanner, &hay, "near misses");
     assert_eq!(scanner.count_matches(&hay), 0);
     // Now repair one copy; exactly one hit, found by every core.
     hay[512 * 8..512 * 8 + 8].copy_from_slice(p);
     assert_eq!(scanner.count_matches(&hay), 1);
-    assert_all_cores_agree(&scanner, &hay, "one repaired");
+    assert_scans_agree(&scanner, &hay, "one repaired");
 }
 
 #[test]
@@ -244,7 +239,175 @@ fn sharded_scan_finds_matches_straddling_every_chunk_boundary() {
         let offs: Vec<usize> = hits.iter().map(|h| h.offset).collect();
         assert_eq!(offs, vec![1020, 2044, 3068, 4088], "threads {threads}");
     }
-    assert_all_cores_agree(&scanner, &hay, "straddles");
+    assert_scans_agree(&scanner, &hay, "straddles");
+}
+
+// ---------------------------------------------------------------------
+// The dump page rule: all-zero pages are tested, not scanned
+// ---------------------------------------------------------------------
+
+/// A `len`-byte dump, all zero but for 500 bytes of noise at `at` for each
+/// `at` in `noise`.
+fn zero_dump_with_noise(len: usize, noise: &[usize], rng: &mut Rng64) -> Vec<u8> {
+    let mut dump = vec![0u8; len];
+    for &at in noise {
+        rng.fill_bytes(&mut dump[at..at + 500]);
+    }
+    dump
+}
+
+/// `bytes` preceded by `lead` zeros and followed by `trail` zeros.
+fn zero_padded(lead: usize, bytes: &[u8], trail: usize) -> Vec<u8> {
+    [vec![0; lead], bytes.to_vec(), vec![0; trail]].concat()
+}
+
+/// Asserts the scans agree with naive on `dump` and that naive finds each
+/// pattern of `scanner` at the offset `want` gives it.
+fn assert_dump_hits(scanner: &Scanner, dump: &[u8], want: &[(usize, usize)], ctx: &str) {
+    let naive = scanner.scan_bytes_naive(dump);
+    for &(pattern, offset) in want {
+        assert!(
+            naive
+                .iter()
+                .any(|h| (h.pattern, h.offset) == (pattern, offset)),
+            "{ctx}: no {} hit at {offset}",
+            scanner.pattern_name(pattern)
+        );
+    }
+    assert_scans_agree(scanner, dump, ctx);
+}
+
+#[test]
+fn leading_and_trailing_zeros_reach_into_all_zero_pages() {
+    let ps = PAGE_SIZE;
+    let mut rng = Rng64::new(0x2E20);
+    // Three leading zeros; more leading zeros than a page; trailing zeros.
+    let near = zero_padded(3, b"LEADING3", 0);
+    let far = zero_padded(ps + 904, b"FARLEAD!", 0);
+    let trail = zero_padded(0, b"TRAILING", 40);
+    let scanner = Scanner::new(vec![
+        pat("near", &near),
+        pat("far", &far),
+        pat("trail", &trail),
+    ]);
+    // Pages 1, 3, 5 and 6 are all zero.
+    let mut dump = zero_dump_with_noise(8 * ps, &[0, 2 * ps + 1000, 7 * ps + 300], &mut rng);
+    // `near` starts in all-zero page 3 and goes on in page 4.
+    dump[4 * ps..4 * ps + 8].copy_from_slice(b"LEADING3");
+    // `trail` starts in page 4 and runs on into all-zero page 5.
+    dump[5 * ps - 20..5 * ps - 12].copy_from_slice(b"TRAILING");
+    // `far` starts in page 0 past its noise, with all of page 1 among its
+    // zeros: page 2's span is widened back over page 1 and clamped to the
+    // end of page 0's. It also starts in all-zero page 5 and ends in page 7.
+    dump[2 * ps + 500..2 * ps + 508].copy_from_slice(b"FARLEAD!");
+    dump[7 * ps + 200..7 * ps + 208].copy_from_slice(b"FARLEAD!");
+    let want = [
+        (0, 4 * ps - 3),
+        (2, 5 * ps - 20),
+        (1, 2 * ps + 508 - far.len()),
+        (1, 7 * ps + 208 - far.len()),
+    ];
+    assert!(want[3].1 / ps == 5 && want[2].1 > 1000);
+    assert_dump_hits(&scanner, &dump, &want, "leading and trailing zeros");
+    // Each match alone, so `dump_compromises_key` must find that one.
+    for (i, &(pattern, at)) in want.iter().enumerate() {
+        let pattern_bytes = &scanner.patterns()[pattern].bytes;
+        let mut alone = vec![0u8; dump.len()];
+        alone[at..at + pattern_bytes.len()].copy_from_slice(pattern_bytes);
+        assert_dump_hits(&scanner, &alone, &want[i..=i], &format!("match {i} alone"));
+    }
+}
+
+#[test]
+fn an_all_zero_pattern_is_found_in_all_zero_pages() {
+    let ps = PAGE_SIZE;
+    let mut rng = Rng64::new(0x2E21);
+    let scanner = Scanner::new(vec![pat("zeros", &[0; 16]), pat("key", b"KEYBYTES")]);
+    let mut dump = zero_dump_with_noise(4 * ps, &[ps + 2000], &mut rng);
+    dump[3 * ps - 4..3 * ps + 4].copy_from_slice(b"KEYBYTES");
+    let want = [(0, 0), (0, 2 * ps), (0, 4 * ps - 16), (1, 3 * ps - 4)];
+    assert_dump_hits(&scanner, &dump, &want, "all-zero pattern");
+    let all_zero = vec![0; 3 * ps + 5];
+    assert_dump_hits(&scanner, &all_zero, &[(0, 3 * ps - 11)], "all-zero dump");
+}
+
+#[test]
+fn a_short_last_page_is_scanned_like_any_other() {
+    // Dumps that end inside a page, as ext2 captures do (multiples of
+    // 4,072 bytes): one match per dump, in, across into, or flush with the
+    // end of the short last page, after all-zero pages.
+    let ps = PAGE_SIZE;
+    let mut rng = Rng64::new(0x2E22);
+    let lead = zero_padded(6, b"LEADKEY!", 0);
+    let trail = zero_padded(0, b"TAILKEY!", 30);
+    let scanner = Scanner::new(vec![
+        pat("end", b"ENDMATCH"),
+        pat("lead", &lead),
+        pat("trail", &trail),
+    ]);
+    for len in [
+        3 * 4072,
+        5 * 4072,
+        2 * ps + 1,
+        2 * ps + 7,
+        2 * ps + 64,
+        2 * ps + 100,
+    ] {
+        let last = len / ps * ps; // start of the short last page
+        let short = len - last;
+        let mut cases = vec![(0, len - 8), (1, len - lead.len()), (2, len - trail.len())];
+        if short >= 4 {
+            cases.push((0, last - 4)); // across the edge into the short page
+        }
+        if short >= 11 {
+            cases.push((1, last - 3)); // leading zeros in the page before
+        }
+        for (pattern, at) in cases {
+            let bytes = &scanner.patterns()[pattern].bytes;
+            let mut dump = zero_dump_with_noise(len, &[0], &mut rng);
+            dump[at..at + bytes.len()].copy_from_slice(bytes);
+            assert_dump_hits(&scanner, &dump, &[(pattern, at)], &format!("{len}: {at}"));
+        }
+    }
+}
+
+#[test]
+fn fuzz_paged_dumps_match_naive_oracle() {
+    // Random dumps of up to 12 pages and a short tail, each page all zero
+    // or holding a little noise, with patterns padded by up to a page and
+    // a half of leading or trailing zeros planted near page edges.
+    let ps = PAGE_SIZE;
+    let mut rng = Rng64::new(0x2E23);
+    for round in 0..40 {
+        let pats: Vec<Vec<u8>> = (0..1 + rng.gen_index(3))
+            .map(|_| {
+                let lead = [0, 1, 7, rng.gen_index(ps + ps / 2)][rng.gen_index(4)];
+                let trail = [0, 5, rng.gen_index(ps + ps / 2)][rng.gen_index(3)];
+                let body: Vec<u8> = rng.gen_bytes(8).iter().map(|b| b | 1).collect();
+                zero_padded(lead, &body, trail)
+            })
+            .collect();
+        let scanner = Scanner::new(pats.iter().map(|p| pat("p", p)).collect());
+        let len = (1 + rng.gen_index(12)) * ps + [0, 1, 64, rng.gen_index(ps)][rng.gen_index(4)];
+        let mut dump = vec![0u8; len];
+        for page in 0..len.div_ceil(ps) {
+            if rng.gen_bool(0.4) {
+                let at = page * ps + rng.gen_index(ps.min(len - page * ps));
+                let n = (1 + rng.gen_index(64)).min(len - at);
+                rng.fill_bytes(&mut dump[at..at + n]);
+            }
+        }
+        for _ in 0..rng.gen_index(5) {
+            let p = &pats[rng.gen_index(pats.len())];
+            if p.len() <= len {
+                let edge = rng.gen_index(len.div_ceil(ps) + 1) * ps;
+                let at = (edge + rng.gen_index(64)).saturating_sub(rng.gen_index(p.len() + 64));
+                let at = at.min(len - p.len());
+                dump[at..at + p.len()].copy_from_slice(p);
+            }
+        }
+        assert_scans_agree(&scanner, &dump, &format!("round {round}"));
+    }
 }
 
 // ---------------------------------------------------------------------

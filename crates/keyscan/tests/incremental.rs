@@ -3,9 +3,10 @@
 //! COW breaks, evictions, injected faults, clears — both must be
 //! **bit-identical** to a scan of the whole physical dump that ignores the
 //! frames' known-zero bits, while the incremental cache retains zero
-//! key-derived bytes.
+//! key-derived bytes. The known-zero edge cases take that scan from the
+//! naive oracle, which shares no code with the kernel scans.
 
-use keyscan::{IncrementalScanner, KeyHit, Scanner};
+use keyscan::{IncrementalScanner, KeyHit, RawHit, Scanner};
 use memsim::{
     FaultPlan, FrameId, FrameState, Kernel, KernelPolicy, MachineConfig, Pid, VAddr, PAGE_SIZE,
 };
@@ -21,12 +22,18 @@ fn material_and_scanner(seed: u64) -> (KeyMaterial, Scanner) {
 }
 
 /// The hits every kernel scan must report, found without the frame bits:
-/// the span walk over the whole dump, each hit attributed from the
-/// `frame_view` of the frame holding its first byte.
+/// the dump scan of all of physical memory, which finds all-zero pages by
+/// reading them, each hit attributed by [`attributed`]. The dump scan
+/// shares the span builder with the kernel scans, so the edge cases below
+/// check against the naive oracle instead.
 fn reference_hits(scanner: &Scanner, k: &Kernel) -> Vec<KeyHit> {
-    scanner
-        .scan_bytes(k.phys())
-        .into_iter()
+    attributed(scanner, k, scanner.scan_bytes(k.phys()))
+}
+
+/// Raw hits in `k`'s physical memory, each attributed from the
+/// `frame_view` of the frame holding its first byte.
+fn attributed(scanner: &Scanner, k: &Kernel, raw: Vec<RawHit>) -> Vec<KeyHit> {
+    raw.into_iter()
         .map(|h| {
             let frame = FrameId(h.offset / PAGE_SIZE);
             let view = k.frame_view(frame);
@@ -393,7 +400,7 @@ fn edge_scanner(with_zeros: bool) -> (Scanner, KeyMaterial) {
 }
 
 /// Full scans at 1/2/3/8 threads and one incremental scanner per thread
-/// count, followed from boot, all checked against the reference hits.
+/// count, followed from boot, all checked against the naive oracle's hits.
 struct EdgeCheck {
     oracle: Scanner,
     full: [Scanner; 4],
@@ -412,9 +419,9 @@ impl EdgeCheck {
         }
     }
 
-    /// Checks every scanner and returns the reference hits.
+    /// Checks every scanner and returns the naive oracle's hits.
     fn step(&mut self, k: &Kernel, what: &str) -> Vec<KeyHit> {
-        let want = reference_hits(&self.oracle, k);
+        let want = attributed(&self.oracle, k, self.oracle.scan_bytes_naive(k.phys()));
         for (s, t) in self.full.iter().zip(Self::THREADS) {
             assert_eq!(s.scan_kernel(k).hits(), want, "full x{t} after {what}");
         }

@@ -26,8 +26,9 @@ echo "== scan-path equivalence (release) =="
 # The incremental dirty-frame scanner and the skip-loop match core must stay
 # bit-identical to their naive full-scan oracles: the generation-counter
 # contract at the memsim layer, the span walk's balancer and random span
-# lists at 1/2/3/8 threads (keyscan unit tests), differential fuzzing at
-# the keyscan layer, then the harness wiring (timelines, fault sweeps,
+# lists at 1/2/3/8 threads and the lazy span builder (keyscan unit tests),
+# differential fuzzing at the keyscan layer (dump scans that skip all-zero
+# pages included), then the harness wiring (timelines, fault sweeps,
 # executor cells) at 2/4/8 worker threads. The keyscan unit tests also run
 # the cold-boot reconstructor in release: the zero-page-skipping harvest
 # and the one-add-per-k table against the byte-at-a-time and divide-per-k
@@ -46,9 +47,9 @@ cargo test --release -p harness --lib faultsweep
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --test replica
 
 echo "== scan bench smoke (target/BENCH_scan.json) =="
-# Machine-readable scan throughput: full-scan bytes/sec, SWAR-vs-Horspool
-# match-core speedup, intra-kernel sharded-scan speedups, incremental-vs-full
-# timeline speedup, frames rescanned. Written under target/, so the run
+# Machine-readable scan throughput: full-scan bytes/sec of the one match
+# core, intra-kernel sharded-scan speedups, incremental-vs-full timeline
+# speedup, frames rescanned. Written under target/, so the run
 # leaves the committed BENCH_scan.json (a deliberately re-recorded copy of
 # one such run) untouched.
 cargo bench -p bench --bench scan_cost -- --smoke
