@@ -2,10 +2,15 @@
 //! the hot-list ablation (why freshly freed pages dominate the ext2 leak).
 //!
 //! `coldboot_reconstruct` times the cold-boot attacker's key reconstruction
-//! on two dumps: the attacker matrix's (a kernel-level 64 MB machine with a
-//! started server, decayed at the matrix's default rate, almost every page
-//! all zero), and a dense 4 MB random dump with no all-zero page that holds
-//! one decayed heap-layout key, where skipping zero pages cannot help.
+//! on two dumps as plain bytes: the attacker matrix's (a kernel-level 64 MB
+//! machine with a started server, decayed at the matrix's default rate,
+//! almost every page all zero), and a dense 4 MB random dump with no
+//! all-zero page that holds one decayed heap-layout key, where skipping
+//! zero pages cannot help. Both reuse one dump, whose pages the first
+//! iteration faults in, so they time the page test on mapped memory.
+//! `cold_boot_cell_64mb` times a matrix cell's whole cold-boot attack on
+//! the same machine as the matrix runs it: a fresh snapshot, the exact
+//! scan and the reconstruction over it, and its drop.
 
 use bench::{BenchmarkId, Criterion};
 use exploits::{Ext2DirentLeak, TtyMemoryDump};
@@ -169,6 +174,15 @@ fn bench_coldboot_reconstruct(c: &mut Criterion) {
     );
     group.bench_function("matrix_dump_64mb", |b| {
         b.iter(|| attempt(&matrix_dump, &public).key.is_some());
+    });
+    let scanner = Scanner::from_material(ssh.material());
+    group.bench_function("cold_boot_cell_64mb", |b| {
+        b.iter(|| {
+            let dump = kernel.snapshot_decayed(14, DEFAULT_DECAY_RATE);
+            let exact = scanner.dump_compromises_key(&dump);
+            let rebuilt = reconstruct(&dump, &public, &ReconstructConfig::default());
+            exact || rebuilt.key.is_some()
+        });
     });
 
     let key = RsaPrivateKey::generate(cfg.key_bits, &mut rng);

@@ -28,13 +28,19 @@
 //!   while new handshakes already use the successor. Every level below
 //!   `Shielded` keeps a plaintext working copy of the *outgoing* key
 //!   somewhere until its last connection drains; `Shielded` keeps both
-//!   epochs ciphertext at rest, so even the widest window discloses
-//!   nothing.
+//!   epochs ciphertext at rest, so even the widest window shows the
+//!   exact-pattern scan nothing.
 //!
 //! The matrix pins the headline claim of the shielded tier: levels up to
 //! `Integrated` keep a plaintext working copy *somewhere* in allocated
 //! memory, so the stronger attackers defeat them; `Shielded` keeps the
-//! region ciphertext at rest and survives all five.
+//! region ciphertext at rest, and no class as run here recovers it. Its
+//! HELD verdicts against `exact-allocated` and `rotation-window` hold
+//! against the exact-pattern scanner only: both read all of memory, where
+//! the 16 KiB prekey sits beside the ciphertext, and a probe reader that
+//! knows the scheme recovered the key in 6 of 6 such cells (ROADMAP
+//! item 2). The tier's margin is against readers with bit errors, such as
+//! cold boot.
 //!
 //! Every cell is an independent executor task seeded purely from the cell
 //! coordinates, so the matrix is bit-identical at any thread count.
@@ -148,8 +154,11 @@ impl AttackerClass {
     ///   drained connection is still in flight the outgoing key's working
     ///   copy stays plaintext-resident, and the window is the attacker's to
     ///   time. `Shielded` holds both epochs ciphertext at rest;
-    /// * `Shielded` survives all six: ciphertext at rest, and the
-    ///   plaintext window is closed whenever the machine can be seized.
+    /// * `Shielded` survives all six as they run here: ciphertext at rest,
+    ///   and the plaintext window is closed whenever the machine can be
+    ///   seized. Against the two all-memory readers that holds for the
+    ///   exact-pattern scan only, not for a reader that knows the scheme
+    ///   (see the module docs).
     #[must_use]
     pub fn expected_to_defeat(self, level: ProtectionLevel) -> bool {
         match self {
@@ -420,7 +429,8 @@ mod tests {
         for l in [L::None, L::Kernel, L::Shielded] {
             assert!(!A::Dedup.expected_to_defeat(l), "{l}");
         }
-        // No tier-ordering inversion: Shielded survives every class.
+        // No tier-ordering inversion: Shielded survives every class as the
+        // matrix runs it.
         for a in AttackerClass::ALL {
             assert!(!a.expected_to_defeat(L::Shielded), "{a}");
         }

@@ -17,9 +17,13 @@
 //! cipher key requires *every one* of the 16384 prekey bytes intact, so a
 //! memory image with even a tiny per-bit decay rate loses the prekey with
 //! overwhelming probability — while the ciphertext it protects is useless
-//! on its own. An attacker reading **allocated** memory (the class that
-//! defeats kernel zeroing) captures ciphertext except during the narrow
-//! unshield window.
+//! on its own. An exact-pattern scan of **allocated** memory (the class
+//! that defeats kernel zeroing) finds only ciphertext outside the narrow
+//! unshield window. That is not secrecy against an exact reader of all
+//! memory: the prekey is allocated memory too, so a reader who knows the
+//! scheme can hash it and decrypt the region, as a probe did in 6 of 6
+//! attacker-matrix cells (ROADMAP item 2). The scheme's threat model is a
+//! channel with bit errors, such as cold boot.
 
 use crate::host::{secure_zero, SecretBuf};
 use crate::region::SecureKeyRegion;

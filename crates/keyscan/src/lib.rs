@@ -33,11 +33,13 @@
 #![warn(missing_docs)]
 
 mod dedup;
+mod dump;
 mod entropy;
 mod incremental;
 pub mod reconstruct;
 
 pub use dedup::{dedup_probe, DedupProbe};
+use dump::Dump;
 pub use entropy::{EntropyRegion, EntropyScanner};
 pub use incremental::{IncrementalScanner, ScanStats};
 
@@ -223,8 +225,9 @@ impl ScanReport {
 /// haystack, which splits the spans' bytes across the thread count fixed
 /// by [`Self::with_threads`]. The spans come from one crate-private
 /// builder, `live_spans`, which leaves out memory where no match can
-/// start: a machine's frames known to be zero, a dump's all-zero pages.
-/// Results are bit-identical at any thread count.
+/// start: a machine's or a [`memsim::Snapshot`]'s frames known to be zero,
+/// a plain dump's all-zero pages. Results are bit-identical at any thread
+/// count.
 // keylint: allow(S003) -- the patterns vector drops its elements and each Pattern zeroes its own bytes; the shift and tail tables hold only byte-frequency structure and pattern indices, not key bytes
 pub struct Scanner {
     patterns: Vec<Pattern>,
@@ -244,17 +247,6 @@ pub struct Scanner {
     zero_lead: Option<usize>,
     /// Worker threads the span walk splits a scan's bytes across (>= 1).
     threads: usize,
-}
-
-/// Whether `page` holds a non-zero byte, tested 64 bytes at a time up to
-/// the first block that does. The page source of dump scans, and of the
-/// cold-boot harvest's page map.
-pub(crate) fn page_is_nonzero(page: &[u8]) -> bool {
-    let (blocks, tail) = page.as_chunks::<64>();
-    blocks
-        .iter()
-        .any(|b| b.iter().fold(0, |acc, &x| acc | x) != 0)
-        || tail.iter().any(|&x| x != 0)
 }
 
 /// Splits ascending, disjoint byte spans into at most `shards` groups of
@@ -515,12 +507,13 @@ impl Scanner {
         })
     }
 
-    /// [`Self::live_spans`] of a dump, whose pages are live unless all
-    /// zero ([`page_is_nonzero`]).
-    fn dump_spans<'a>(&self, dump: &'a [u8]) -> impl Iterator<Item = (usize, usize)> + 'a {
-        self.live_spans(dump.len(), |p| {
-            page_is_nonzero(&dump[p * PAGE_SIZE..dump.len().min((p + 1) * PAGE_SIZE)])
-        })
+    /// [`Self::live_spans`] of a dump, from its page source
+    /// ([`Dump::page_live`]).
+    fn dump_spans<'a, D: Dump + ?Sized>(
+        &self,
+        dump: &'a D,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        self.live_spans(dump.bytes().len(), |p| dump.page_live(p))
     }
 
     /// [`Self::live_spans`] of a machine's physical memory, whose frames
@@ -535,12 +528,13 @@ impl Scanner {
     }
 
     /// Scans an arbitrary byte dump (an attacker's USB capture, a memory
-    /// dump, swap contents) and returns every match. All-zero pages are
-    /// tested, not scanned, apart from the leading zeros a match may carry
-    /// into them.
+    /// dump, swap contents, a cold-boot [`memsim::Snapshot`]) and returns
+    /// every match. All-zero pages are left out, apart from the leading
+    /// zeros a match may carry into them: a plain dump's pages are tested,
+    /// and a snapshot's known-zero frames are not read at all.
     #[must_use]
-    pub fn scan_bytes(&self, haystack: &[u8]) -> Vec<RawHit> {
-        self.scan_spans(haystack, self.dump_spans(haystack))
+    pub fn scan_bytes<D: Dump + ?Sized>(&self, haystack: &D) -> Vec<RawHit> {
+        self.scan_spans(haystack.bytes(), self.dump_spans(haystack))
     }
 
     /// Reference oracle: the obvious per-offset, per-pattern comparison the
@@ -566,7 +560,7 @@ impl Scanner {
     /// Number of full matches in a byte dump: the length of
     /// [`Self::scan_bytes`].
     #[must_use]
-    pub fn count_matches(&self, haystack: &[u8]) -> usize {
+    pub fn count_matches<D: Dump + ?Sized>(&self, haystack: &D) -> usize {
         self.scan_bytes(haystack).len()
     }
 
@@ -640,8 +634,8 @@ impl Scanner {
     /// [`Self::scan_bytes`] that stops at the first hit without allocating,
     /// and without testing the pages after the one that closes its span.
     #[must_use]
-    pub fn dump_compromises_key(&self, haystack: &[u8]) -> bool {
-        !self.walk(haystack, self.dump_spans(haystack), |_, _| false)
+    pub fn dump_compromises_key<D: Dump + ?Sized>(&self, haystack: &D) -> bool {
+        !self.walk(haystack.bytes(), self.dump_spans(haystack), |_, _| false)
     }
 
     /// Renders a report in the exact format the paper's LKM wrote to its
@@ -1039,7 +1033,7 @@ mod tests {
             let mut tested = Vec::new();
             let mut page_test = |p: usize| {
                 tested.push(p);
-                page_is_nonzero(&dump[p * ps..dump.len().min((p + 1) * ps)])
+                dump.page_live(p)
             };
             let spans = s.live_spans(dump.len(), &mut page_test);
             assert_eq!(!s.walk(&dump, spans, |_, _| false), hit);

@@ -17,8 +17,10 @@
 //!    a scattered `d2i_RSAPrivateKey` load (anchored on the `0xC3` filler
 //!    the derived-CRT chunks carry). Every test a window must pass demands
 //!    at least one surviving 1-bit per byte of a prime's length, so a
-//!    window lying wholly in all-zero pages never passes: the harvest
-//!    visits only heap anchors whose filler window reaches a non-zero page.
+//!    window lying wholly in all-zero pages never passes: the harvest reads
+//!    only windows that reach a page the dump's page source calls live (a
+//!    plain dump's non-zero pages, a snapshot's frames not known to be
+//!    zero).
 //! 2. **k prefilter** — for `e·d = 1 + k·φ(n)`, the integer `k < e` also
 //!    satisfies `d̃(k) = ⌊(1 + k(n+1))/e⌋ ≥ d` with `d̃(k) − d < p + q`,
 //!    so the *top* bits of `d` equal the top bits of `d̃(k)`. One-sided
@@ -38,6 +40,7 @@
 //!    the reconstructor *never returns a wrong key*: above the decay
 //!    threshold it reports failure (budget exhaustion), not garbage.
 
+use crate::dump::Dump;
 use bignum::BigUint;
 use memsim::PAGE_SIZE;
 use rsa_repro::{RsaPrivateKey, RsaPublicKey};
@@ -231,28 +234,37 @@ fn is_filler(dump: &[u8], off: usize, len: usize) -> bool {
     ones >= len
 }
 
-/// Which pages of the dump hold a non-zero byte (the last page may be
-/// short), by the page test of the dump scans.
-fn nonzero_pages(dump: &[u8]) -> Vec<bool> {
-    dump.chunks(PAGE_SIZE).map(crate::page_is_nonzero).collect()
+/// Which pages of the dump may hold a non-zero byte (the last page may be
+/// short), by the page source of the dump scans ([`Dump::page_live`]).
+fn live_pages<D: Dump + ?Sized>(dump: &D) -> Vec<bool> {
+    (0..dump.bytes().len().div_ceil(PAGE_SIZE))
+        .map(|p| dump.page_live(p))
+        .collect()
+}
+
+/// Whether the `len`-byte window at `off` reaches a live page. A window
+/// that does not, or that runs past the dump's end, holds no 1-bit the
+/// harvest could use.
+fn reaches_live(live: &[bool], off: usize, len: usize) -> bool {
+    live.get(off / PAGE_SIZE..(off + len).div_ceil(PAGE_SIZE))
+        .is_some_and(|pages| pages.contains(&true))
 }
 
 /// The chunk-aligned offsets whose `len`-byte window passes [`is_filler`],
 /// ascending. The test needs `len` one-bits, so a window lying wholly in
-/// all-zero pages never passes: only offsets whose window reaches a
-/// non-zero page are tried.
+/// all-zero pages never passes: only offsets whose window reaches a live
+/// page are tried.
 fn filler_anchors<'a>(
     dump: &'a [u8],
-    nonzero: &'a [bool],
+    live: &'a [bool],
     len: usize,
 ) -> impl Iterator<Item = usize> + 'a {
-    // First offset not yet tried, so consecutive non-zero pages try each
+    // First offset not yet tried, so consecutive live pages try each
     // offset once.
     let mut next = 0;
-    nonzero
-        .iter()
+    live.iter()
         .enumerate()
-        .filter(|&(_, &nz)| nz)
+        .filter(|&(_, &live)| live)
         .flat_map(move |(page, _)| {
             // Windows starting up to `len − 1` bytes before the page reach it.
             let first = (page * PAGE_SIZE + 1)
@@ -282,9 +294,12 @@ fn round_chunk(len: usize) -> usize {
 /// `dq`) anchors the walk back to `q`, `p`, and `d`.
 ///
 /// The cheap byte tests run before any bignum is built. Every window test
-/// demands `pl` one-bits, so only anchors whose `dp` window reaches a
-/// non-zero page are visited.
-fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candidate> {
+/// demands `pl` one-bits, so a region window is read only when its `p`
+/// window reaches a live page, and a heap anchor only when its `dp`
+/// window does.
+fn harvest<D: Dump + ?Sized>(dump: &D, layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candidate> {
+    let live = live_pages(dump);
+    let dump = dump.bytes();
     let mut out = Vec::new();
     let d_lens = if layout.dl > 8 {
         vec![layout.dl, layout.dl - 8]
@@ -294,8 +309,12 @@ fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candida
 
     // Reject windows too sparse to be decayed key material: at decay rate
     // r the expected 1-bit density is (1 − r)/2, so even 75% decay keeps
-    // ~12.5% of bits — one per byte.
-    let dense = |off: usize| window(dump, off, layout.pl).is_some_and(|w| ones(w) >= layout.pl);
+    // ~12.5% of bits — one per byte. A window that reaches no live page
+    // has none, and is not read.
+    let dense = |off: usize| {
+        reaches_live(&live, off, layout.pl)
+            && window(dump, off, layout.pl).is_some_and(|w| ones(w) >= layout.pl)
+    };
     let push = |out: &mut Vec<Candidate>, d_off: usize, dl: usize, p_off: usize, q_off: usize| {
         if !(dense(p_off) && dense(q_off)) {
             return;
@@ -323,8 +342,7 @@ fn harvest(dump: &[u8], layout: &Layout, cfg: &ReconstructConfig) -> Vec<Candida
 
     // Heap layout: anchor on the dp/dq filler chunks.
     let pc = round_chunk(layout.pl);
-    let nonzero = nonzero_pages(dump);
-    for anchor in filler_anchors(dump, &nonzero, layout.pl) {
+    for anchor in filler_anchors(dump, &live, layout.pl) {
         if !is_filler(dump, anchor + pc, layout.pl) {
             continue;
         }
@@ -505,15 +523,16 @@ impl Search<'_> {
 }
 
 /// Attempts to rebuild the private key behind `public` from a decayed
-/// physical memory image.
+/// physical memory image: plain bytes, or a [`memsim::Snapshot`], whose
+/// known-zero frames the harvest does not read.
 ///
 /// The returned key, when present, is exact — verified against `n` and the
 /// key equation — so callers can treat `Some` as full compromise. `None`
 /// with [`ReconstructStats::truncated`] set means the search was priced
 /// out, the expected outcome above the decay threshold.
 #[must_use]
-pub fn reconstruct(
-    dump: &[u8],
+pub fn reconstruct<D: Dump + ?Sized>(
+    dump: &D,
     public: &RsaPublicKey,
     cfg: &ReconstructConfig,
 ) -> Reconstruction {
@@ -837,7 +856,7 @@ mod tests {
     /// accepts, and returns the oracle's candidates in the oracle's order,
     /// also when the candidate cap cuts either layout's loop short.
     fn assert_harvest_matches_oracle(dump: &[u8], layout: &Layout, what: &str) {
-        let anchors: Vec<usize> = filler_anchors(dump, &nonzero_pages(dump), layout.pl).collect();
+        let anchors: Vec<usize> = filler_anchors(dump, &live_pages(dump), layout.pl).collect();
         let oracle_anchors: Vec<usize> = (0..dump.len())
             .step_by(CHUNK_ALIGN)
             .filter(|&a| oracle::looks_like_filler(dump, a, layout.pl))
@@ -879,9 +898,9 @@ mod tests {
             let scene = page_edge_scene(&KeyMaterial::from_key(&key), &mut rng);
             // The page-crossing filler windows anchor in the pristine scene
             // (a 16-byte window at a 16-aligned anchor crosses no page edge).
-            let nonzero = nonzero_pages(&scene);
-            assert!(!nonzero[12] && !nonzero[13] && nonzero[11] && nonzero[14]);
-            let anchors: Vec<usize> = filler_anchors(&scene, &nonzero, layout.pl).collect();
+            let live = live_pages(&scene);
+            assert!(!live[12] && !live[13] && live[11] && live[14]);
+            let anchors: Vec<usize> = filler_anchors(&scene, &live, layout.pl).collect();
             if layout.pl > CHUNK_ALIGN {
                 assert!(anchors.contains(&(12 * ps - 16)) && anchors.contains(&(14 * ps - 16)));
             }

@@ -1,11 +1,12 @@
 //! Differential property suite for the fast multi-pattern scans: on random
-//! haystacks with planted, truncated, and overlapping patterns, and on
-//! dumps whose all-zero pages the scans test instead of scanning, the
-//! skip-walk scan must agree exactly with the naive per-offset oracle —
-//! hit for hit, in the same order.
+//! haystacks with planted, truncated, and overlapping patterns, on dumps
+//! whose all-zero pages the scans test instead of scanning, and on machine
+//! snapshots whose known-zero frames they do not read, the skip-walk scan
+//! must agree exactly with the naive per-offset oracle — hit for hit, in
+//! the same order.
 
 use keyscan::Scanner;
-use memsim::PAGE_SIZE;
+use memsim::{FrameId, Kernel, MachineConfig, Snapshot, PAGE_SIZE};
 use rsa_repro::material::Pattern;
 use simrng::Rng64;
 
@@ -407,6 +408,101 @@ fn fuzz_paged_dumps_match_naive_oracle() {
             }
         }
         assert_scans_agree(&scanner, &dump, &format!("round {round}"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshots: the known-zero frame bits are the page source
+// ---------------------------------------------------------------------
+
+/// The dump scans over `snapshot` at each of [`THREADS`] against naive,
+/// and the same calls over its bytes, which test every page instead.
+fn assert_snapshot_scans_agree(scanner: &Scanner, snapshot: &Snapshot, ctx: &str) {
+    let naive = scanner.scan_bytes_naive(snapshot);
+    for threads in THREADS {
+        let threaded = scanner.fork().with_threads(threads);
+        assert_eq!(
+            threaded.scan_bytes(snapshot),
+            naive,
+            "snapshot x{threads} vs naive: {ctx}"
+        );
+        assert_eq!(
+            threaded.count_matches(snapshot),
+            naive.len(),
+            "snapshot count x{threads}: {ctx}"
+        );
+        assert_eq!(
+            threaded.dump_compromises_key(snapshot),
+            !naive.is_empty(),
+            "snapshot dump x{threads}: {ctx}"
+        );
+    }
+    assert_scans_agree(scanner, &snapshot[..], ctx);
+}
+
+#[test]
+fn snapshot_scans_agree_with_their_bytes_and_naive() {
+    // 16-frame machines whose frames are all kernel pages, handed out in
+    // frame order and never cleared. Each round plants some of three
+    // matches: `lead` starts with its zeros in known-zero frame `a - 1`,
+    // `trail` runs with its zeros into known-zero frame `b + 1`, and
+    // `last` lies in the last frame, at its end half of the time. The
+    // other frames get a little noise, a page of written zeros (which
+    // reads zero without the bit) or nothing.
+    const FRAMES: usize = 16;
+    let ps = PAGE_SIZE;
+    let lead = zero_padded(5, b"LEADBODY", 0);
+    let trail = zero_padded(0, b"TRAILBDY", 9);
+    let last = b"LASTPAGE";
+    let scanners = [
+        Scanner::new(vec![pat("lead", &lead), pat("trail", &trail), pat("last", last)]),
+        Scanner::new(vec![pat("zeros", &[0; 16]), pat("last", last)]),
+    ];
+    let mut rng = Rng64::new(0x5A95);
+    for round in 0..24 {
+        let mut k = Kernel::new(MachineConfig::small().with_mem_bytes(FRAMES * ps));
+        let frames = k.alloc_kernel_pages(FRAMES).unwrap();
+        let (a, b) = (2 + rng.gen_index(4), 8 + rng.gen_index(4));
+        let planted = 1 + rng.gen_index(7);
+        for (i, &f) in frames.iter().enumerate() {
+            if [a - 1, a, b, b + 1, FRAMES - 1].contains(&i) {
+                continue;
+            }
+            match rng.gen_index(3) {
+                0 => {
+                    let len = 1 + rng.gen_index(64);
+                    let noise = rng.gen_bytes(len);
+                    k.write_kernel_page(f, rng.gen_index(ps - noise.len()), &noise);
+                }
+                1 => k.write_kernel_page(f, 0, &[0; PAGE_SIZE]),
+                _ => {}
+            }
+        }
+        let last_at = if rng.gen_bool(0.5) { ps - last.len() } else { rng.gen_index(ps - 8) };
+        let mut want = Vec::new();
+        if planted & 1 != 0 {
+            k.write_kernel_page(frames[a], 0, b"LEADBODY");
+            want.push((0, a * ps - 5));
+        }
+        if planted & 2 != 0 {
+            k.write_kernel_page(frames[b], ps - 8, b"TRAILBDY");
+            want.push((1, b * ps + ps - 8));
+        }
+        if planted & 4 != 0 {
+            k.write_kernel_page(frames[FRAMES - 1], last_at, last);
+            want.push((2, (FRAMES - 1) * ps + last_at));
+        }
+        assert!(k.frame_known_zero(FrameId(a - 1)) && k.frame_known_zero(FrameId(b + 1)));
+        for rate in [0.0, 0.02] {
+            let snapshot = k.snapshot_decayed(round, rate);
+            let ctx = format!("round {round} at rate {rate}");
+            if rate == 0.0 {
+                assert_dump_hits(&scanners[0], &snapshot, &want, &ctx);
+            }
+            for scanner in &scanners {
+                assert_snapshot_scans_agree(scanner, &snapshot, &ctx);
+            }
+        }
     }
 }
 

@@ -7,12 +7,16 @@
 //!   key even though the exact-pattern scanner finds nothing;
 //! * above it the search fails *cleanly* — it never fabricates a key —
 //!   and the failure is a budget/statistics story, not a wrong answer.
+//!
+//! Every reconstruction here runs twice, over the snapshot and over its
+//! bytes: the snapshot's known-zero frame bits may spare the harvest pages
+//! to read, but must not change a candidate, a search step or the key.
 
 use keyscan::reconstruct::{reconstruct, ReconstructConfig, Reconstruction};
 use keyscan::Scanner;
-use memsim::{Kernel, MachineConfig, Pid};
+use memsim::{Kernel, MachineConfig, Pid, Snapshot};
 use rsa_repro::material::KeyMaterial;
-use rsa_repro::RsaPrivateKey;
+use rsa_repro::{RsaPrivateKey, RsaPublicKey};
 use simrng::Rng64;
 
 /// Replays the scattered loader's allocation pattern: six bump-heap chunks
@@ -49,9 +53,27 @@ fn victim(seed: u64) -> (Kernel, RsaPrivateKey, KeyMaterial) {
     (kernel, key, material)
 }
 
+/// [`reconstruct`] over `dump`, asserted equal — stats and key — to the
+/// same call over the dump's bytes, which tests every page instead.
+fn reconstruct_both(
+    dump: &Snapshot,
+    public: &RsaPublicKey,
+    cfg: &ReconstructConfig,
+) -> Reconstruction {
+    let fast = reconstruct(dump, public, cfg);
+    let bytes = reconstruct(&dump[..], public, cfg);
+    assert_eq!(fast.stats, bytes.stats, "snapshot vs its bytes: stats");
+    let same_key = match (&fast.key, &bytes.key) {
+        (Some(a), Some(b)) => a.d() == b.d() && a.p() == b.p() && a.q() == b.q(),
+        (a, b) => a.is_none() && b.is_none(),
+    };
+    assert!(same_key, "snapshot vs its bytes: key");
+    fast
+}
+
 fn attempt(kernel: &Kernel, key: &RsaPrivateKey, seed: u64, rate: f64) -> Reconstruction {
     let dump = kernel.snapshot_decayed(seed, rate);
-    reconstruct(&dump, &key.public_key(), &ReconstructConfig::default())
+    reconstruct_both(&dump, &key.public_key(), &ReconstructConfig::default())
 }
 
 #[test]
@@ -84,7 +106,7 @@ fn reconstruction_beats_the_exact_scanner_on_decayed_dumps() {
         "exact scan must find nothing in a decayed image"
     );
     // The arithmetic attacker still wins.
-    let rec = reconstruct(&dump, &key.public_key(), &ReconstructConfig::default());
+    let rec = reconstruct_both(&dump, &key.public_key(), &ReconstructConfig::default());
     assert_eq!(rec.key.expect("reconstruction succeeds").d(), key.d());
 }
 
@@ -99,7 +121,7 @@ fn fails_cleanly_above_threshold_never_wrong() {
     for rate in [0.75, 0.9] {
         for seed in [1u64, 2, 3] {
             let dump = kernel.snapshot_decayed(seed, rate);
-            let rec = reconstruct(&dump, &key.public_key(), &cfg);
+            let rec = reconstruct_both(&dump, &key.public_key(), &cfg);
             // `Some` would have been verified exact; at these rates the only
             // acceptable outcome is an honest failure.
             assert!(
@@ -129,7 +151,7 @@ fn wrong_public_key_reconstructs_nothing() {
     let other = RsaPrivateKey::generate(256, &mut Rng64::new(4242));
     assert_ne!(other.n(), key.n());
     let dump = kernel.snapshot_decayed(9, 0.05);
-    let rec = reconstruct(&dump, &other.public_key(), &ReconstructConfig::default());
+    let rec = reconstruct_both(&dump, &other.public_key(), &ReconstructConfig::default());
     assert!(
         rec.key.is_none(),
         "a dump of someone else's key must not satisfy this modulus"

@@ -6,6 +6,7 @@ use crate::alloc::FreeLists;
 use crate::fault::{FaultDecision, FaultOp, FaultPlan};
 use crate::process::{Process, VmaKind, SPECIAL_BASE};
 use crate::slab::{class_for, SlabAllocator};
+use crate::snapshot::Snapshot;
 use crate::vfs::Vfs;
 use crate::KObj;
 use crate::{
@@ -158,7 +159,7 @@ impl Lineage {
 /// stay cached while a boot frees every frame in random order (a byte per
 /// frame made that boot ~6% slower).
 #[derive(Debug, Clone)]
-struct FrameBits(Vec<u64>);
+pub(crate) struct FrameBits(Vec<u64>);
 
 impl FrameBits {
     /// Bits for `frames` frames, all set.
@@ -166,7 +167,7 @@ impl FrameBits {
         Self(vec![u64::MAX; frames.div_ceil(64)])
     }
 
-    fn get(&self, f: usize) -> bool {
+    pub(crate) fn get(&self, f: usize) -> bool {
         (self.0[f / 64] >> (f % 64)) & 1 == 1
     }
 
@@ -556,6 +557,8 @@ impl Kernel {
     /// to `0` independently with probability `decay_rate`, modeling DRAM
     /// remanence loss after power-off (Halderman et al.'s ground state;
     /// decay is one-sided, so an observed `1` in the image is certain).
+    /// The [`Snapshot`] carries a copy of the known-zero frame bits, so a
+    /// reader can skip the frames known to hold only zeros unread.
     ///
     /// Deterministic in `(seed, decay_rate)` and the current memory
     /// contents: each frame decays under its own [`Rng64`] forked from the
@@ -563,13 +566,13 @@ impl Kernel {
     /// parallelism. `decay_rate <= 0` returns a bit-identical copy of
     /// [`Self::phys`]; the capture itself never mutates machine state.
     #[must_use]
-    pub fn snapshot_decayed(&self, seed: u64, decay_rate: f64) -> Vec<u8> {
-        if decay_rate <= 0.0 {
-            return self.copy_phys(|_, _| ());
-        }
+    pub fn snapshot_decayed(&self, seed: u64, decay_rate: f64) -> Snapshot {
         // The copy leaves out known-zero frames, which have no 1-bits to
         // decay; every other frame draws from a stream of its own.
-        self.copy_phys(|frame, page| {
+        let image = self.copy_phys(|frame, page| {
+            if decay_rate <= 0.0 {
+                return;
+            }
             let mut rng = Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             for word in page.chunks_exact_mut(8) {
                 // Zero bytes have no 1-bits to decay and draw no randomness,
@@ -588,7 +591,8 @@ impl Kernel {
                     *byte &= !mask;
                 }
             }
-        })
+        });
+        Snapshot::new(image, self.known_zero.clone())
     }
 
     /// A copy of `phys` built on a zeroed allocation, into which only the

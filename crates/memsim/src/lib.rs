@@ -52,12 +52,14 @@ mod heap;
 mod kernel;
 mod process;
 mod slab;
+mod snapshot;
 mod vfs;
 
 pub use fault::{FaultDecision, FaultOp, FaultPlan};
 pub use kernel::{FrameView, Kernel, KernelStats};
 pub use process::Pid;
 pub use slab::{KObj, SLAB_CLASSES};
+pub use snapshot::Snapshot;
 pub use vfs::FileId;
 
 use core::fmt;

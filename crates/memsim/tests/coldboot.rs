@@ -7,9 +7,11 @@
 //! * `decay_rate = 0` is exactly `Kernel::phys()`;
 //! * the realized flip rate over the machine's 1-bits matches the configured
 //!   rate within binomial concentration bounds;
-//! * capturing is a pure read — machine state is untouched.
+//! * capturing is a pure read — machine state is untouched;
+//! * the snapshot's known-zero frame bits are its own copy: later clears
+//!   and writes on the machine leave them as they were.
 
-use memsim::{Kernel, KernelPolicy, MachineConfig, PAGE_SIZE};
+use memsim::{FrameId, Kernel, KernelPolicy, MachineConfig, Snapshot, PAGE_SIZE};
 use simrng::{propcheck, Rng64};
 
 mod common;
@@ -39,15 +41,15 @@ fn snapshots_are_deterministic_per_seed() {
         let seed = g.u64();
         let rate = f64::from(g.u64_below(300) as u32) / 1000.0;
         assert_eq!(
-            kernel.snapshot_decayed(seed, rate),
-            kernel.snapshot_decayed(seed, rate),
+            kernel.snapshot_decayed(seed, rate)[..],
+            kernel.snapshot_decayed(seed, rate)[..],
             "same seed+rate must reproduce the image exactly"
         );
     });
     // Different seeds decay different bits (at any non-trivial rate).
     assert_ne!(
-        kernel.snapshot_decayed(1, 0.1),
-        kernel.snapshot_decayed(2, 0.1)
+        kernel.snapshot_decayed(1, 0.1)[..],
+        kernel.snapshot_decayed(2, 0.1)[..]
     );
 }
 
@@ -69,8 +71,8 @@ fn zero_rate_is_bit_identical_to_phys() {
     ] {
         propcheck::cases(8, |g| {
             let seed = g.u64();
-            assert_eq!(kernel.snapshot_decayed(seed, 0.0), kernel.phys());
-            assert_eq!(kernel.snapshot_decayed(seed, -1.0), kernel.phys());
+            assert_eq!(&kernel.snapshot_decayed(seed, 0.0)[..], kernel.phys());
+            assert_eq!(&kernel.snapshot_decayed(seed, -1.0)[..], kernel.phys());
         });
     }
 }
@@ -161,6 +163,41 @@ fn capture_does_not_mutate_machine_state() {
     assert_eq!(kernel.stats(), stats);
 }
 
+/// The snapshot's known-zero bit of every frame.
+fn snapshot_bits(snapshot: &Snapshot, frames: usize) -> Vec<bool> {
+    (0..frames).map(|f| snapshot.frame_known_zero(FrameId(f))).collect()
+}
+
+/// A clear made after the capture would mark a frame zero that the
+/// snapshot holds written, and a write would unmark one it holds zero: the
+/// snapshot keeps the bits, and the bytes, it was taken with.
+#[test]
+fn later_clears_and_writes_leave_a_snapshots_bits_as_they_were() {
+    for rate in [0.0, 0.02] {
+        let mut kernel = Kernel::new(MachineConfig::small().with_policy(KernelPolicy::hardened()));
+        let frames = kernel.alloc_kernel_pages(2).unwrap();
+        kernel.write_kernel_page(frames[0], 100, &[0xFF; 64]);
+        let snapshot = kernel.snapshot_decayed(3, rate);
+        let (bits, image) = (snapshot_bits(&snapshot, kernel.num_frames()), snapshot.to_vec());
+        let kernel_bits: Vec<bool> = (0..kernel.num_frames())
+            .map(|f| kernel.frame_known_zero(FrameId(f)))
+            .collect();
+        assert_eq!(bits, kernel_bits, "rate {rate}: the capture copies the bits");
+        assert!(!bits[frames[0].0] && bits[frames[1].0]);
+
+        // Frame 0 is cleared by zero-on-free, frame 1 written.
+        kernel.free_kernel_pages(&frames[..1]);
+        kernel.write_kernel_page(frames[1], 0, &[0xFF; 64]);
+        assert!(kernel.frame_known_zero(frames[0]) && !kernel.frame_known_zero(frames[1]));
+        assert_eq!(
+            snapshot_bits(&snapshot, kernel.num_frames()),
+            bits,
+            "rate {rate}"
+        );
+        assert!(snapshot[..] == image[..], "rate {rate}: the image moved");
+    }
+}
+
 /// The property that makes shielding work: even at tiny decay rates, a
 /// 16 KiB high-entropy region almost surely loses at least one bit, while
 /// plenty of individual bytes survive for the scanner to chew on.
@@ -169,7 +206,7 @@ fn large_buffers_lose_bits_even_at_low_rates() {
     let kernel = busy_machine(7);
     propcheck::cases(8, |g| {
         let image = kernel.snapshot_decayed(g.u64(), 0.01);
-        assert_ne!(image, kernel.phys(), "1% decay must touch a busy machine");
+        assert_ne!(&image[..], kernel.phys(), "1% decay must touch a busy machine");
     });
 }
 
@@ -213,7 +250,7 @@ fn capture_is_bit_identical_to_the_bytewise_reference() {
     for seed in [1, 0xC01D_B007, u64::MAX] {
         for rate in [0.001, 0.02, 0.3, 1.0] {
             assert!(
-                kernel.snapshot_decayed(seed, rate) == snapshot_bytewise(&kernel, seed, rate),
+                kernel.snapshot_decayed(seed, rate)[..] == snapshot_bytewise(&kernel, seed, rate),
                 "seed {seed:#x}, rate {rate}: capture differs from the bytewise reference"
             );
         }

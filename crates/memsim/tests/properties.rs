@@ -1,7 +1,8 @@
 //! Property-based tests: simulator invariants under randomized operation
 //! sequences — frame conservation, no aliasing, COW correctness, the
-//! zeroing guarantee, known-zero frames reading zero, `clone` reproducing
-//! its source, and `clone_from` restoring a diverged spare exactly.
+//! zeroing guarantee, known-zero frames reading zero (in the machine and in
+//! its cold-boot snapshots), `clone` reproducing its source, and
+//! `clone_from` restoring a diverged spare exactly.
 //!
 //! Runs on `simrng::propcheck` (pure std) so the suite works with no
 //! registry access.
@@ -247,9 +248,10 @@ fn hardened_policy_keeps_free_memory_zero() {
     });
 }
 
+const ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 /// Asserts that every frame whose known-zero bit is set reads all zero.
 fn assert_known_zero_frames_read_zero(kernel: &Kernel, after: &dyn std::fmt::Debug) {
-    const ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
     for i in 0..kernel.num_frames() {
         let f = FrameId(i);
         assert!(
@@ -259,10 +261,28 @@ fn assert_known_zero_frames_read_zero(kernel: &Kernel, after: &dyn std::fmt::Deb
     }
 }
 
+/// Asserts that every frame a snapshot of `kernel` marks known-zero reads
+/// all zero in the snapshot, undecayed and at the attacker matrix's rate.
+fn assert_snapshot_known_zero_frames_read_zero(kernel: &Kernel, after: &dyn std::fmt::Debug) {
+    for rate in [0.0, 0.02] {
+        let snapshot = kernel.snapshot_decayed(0x5EED, rate);
+        for i in 0..kernel.num_frames() {
+            let f = FrameId(i);
+            let page = &snapshot[f.base()..f.base() + PAGE_SIZE];
+            assert!(
+                !snapshot.frame_known_zero(f) || page == ZERO_PAGE,
+                "{f} is marked known-zero but holds data in a snapshot at rate {rate} \
+                 after {after:?}"
+            );
+        }
+    }
+}
+
 /// The known-zero bit is conservative: after every op of a random workload,
 /// under stock and hardened policies and a plan that kills whichever
 /// process performs one of the ops, a frame with the bit set reads all
-/// zero.
+/// zero, in the machine and in a snapshot of it (whose copy of the bits is
+/// a reader's licence to skip the frame).
 #[test]
 fn known_zero_frames_read_zero_after_every_op() {
     propcheck::cases(48, |g| {
@@ -273,10 +293,12 @@ fn known_zero_frames_read_zero_after_every_op() {
             k.install_fault_plan(FaultPlan::new().kill_at_index(kill_at));
             let mut m = Mirror::default();
             assert_known_zero_frames_read_zero(&k, &"boot");
+            assert_snapshot_known_zero_frames_read_zero(&k, &"boot");
             for op in &ops {
                 let _ = apply(&mut k, &mut m, op);
                 m.forget_dead(&k);
                 assert_known_zero_frames_read_zero(&k, op);
+                assert_snapshot_known_zero_frames_read_zero(&k, op);
             }
         }
     });

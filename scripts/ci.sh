@@ -27,8 +27,10 @@ echo "== scan-path equivalence (release) =="
 # bit-identical to their naive full-scan oracles: the generation-counter
 # contract at the memsim layer, the span walk's balancer and random span
 # lists at 1/2/3/8 threads and the lazy span builder (keyscan unit tests),
-# differential fuzzing at the keyscan layer (dump scans that skip all-zero
-# pages included), then the harness wiring (timelines, fault sweeps,
+# differential fuzzing at the keyscan layer (dump scans included: plain
+# bytes test each page and skip the all-zero ones, cold-boot snapshots
+# skip their known-zero frames without reading them, and both must equal
+# the naive oracle), then the harness wiring (timelines, fault sweeps,
 # executor cells) at 2/4/8 worker threads. The keyscan unit tests also run
 # the cold-boot reconstructor in release: the zero-page-skipping harvest
 # and the one-add-per-k table against the byte-at-a-time and divide-per-k
@@ -123,12 +125,15 @@ cargo test --release -p memsim --test properties
 cargo test --release -p harness --lib scenario
 
 echo "== shielded keys & stronger attackers (release) =="
-# The PR-7 test wall: cold-boot decay is one-sided/seeded/deterministic
-# (memsim), the shielded region keeps ciphertext at rest and plaintext only
-# inside the unshield window (keyguard), and the CRT reconstructor corrects
-# decay without ever returning a wrong key (keyscan's table of decay rates
-# over decayed machine snapshots). The reconstructor's unit tests run in
-# the scan-path stage above.
+# The shielded-tier test wall: cold-boot decay is one-sided/seeded/
+# deterministic and a snapshot keeps its own known-zero frame bits
+# (memsim), the shielded region keeps ciphertext at rest and plaintext
+# only inside the unshield window (keyguard), and the CRT reconstructor
+# corrects decay without ever returning a wrong key (keyscan's table of
+# decay rates over decayed machine snapshots, each reconstruction run over
+# the snapshot, whose known-zero frames the harvest does not read, and
+# over its bytes, with equal keys and stats). The reconstructor's unit
+# tests run in the scan-path stage above.
 cargo test --release -p memsim --test coldboot
 cargo test --release -p keyguard --test shielded
 cargo test --release -p keyscan --test reconstruct
