@@ -2,7 +2,8 @@
 //! scan is O(n) and took ~5 s for 256 MB on 2007 hardware. This bench
 //! measures our equivalent across memory sizes and pattern counts, compares
 //! the skip-loop core against the naive per-offset oracle, and measures the
-//! incremental dirty-frame scanner on a timeline-style workload.
+//! incremental dirty-frame scanner on a timeline-style workload and per
+//! fault-sweep cell (`scan_per_cell`).
 //!
 //! Every machine here is written from end to end with noise before the key
 //! copies are planted: scans skip frames known to be zero, so a machine of
@@ -16,12 +17,16 @@
 //! committed `BENCH_scan.json` at the workspace root is a copy of one such
 //! run, re-recorded on purpose when the scan path changes.
 
-use bench::{BenchmarkId, Criterion, Throughput};
+use bench::{BatchSize, BenchmarkId, Criterion, Throughput};
+use harness::ExperimentConfig;
+use keyguard::ProtectionLevel;
 use keyscan::{IncrementalScanner, Scanner};
 use memsim::{Kernel, MachineConfig, VAddr};
 use rsa_repro::material::{KeyMaterial, Pattern};
 use rsa_repro::RsaPrivateKey;
+use servers::{SecureServer, ServerConfig, SshServer};
 use simrng::Rng64;
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Timed repeats per `--smoke` measurement; the median is recorded.
@@ -166,6 +171,62 @@ fn bench_incremental_timeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fault-sweep cell's unfaulted workload: start, two standing
+/// connections, four transfer cycles, drain, stop.
+fn sweep_cell_workload(kernel: &mut Kernel, server_cfg: ServerConfig) {
+    let mut server = SshServer::start(kernel, server_cfg).unwrap();
+    server.set_concurrency(kernel, 2).unwrap();
+    server.pump(kernel, 4).unwrap();
+    server.set_concurrency(kernel, 0).unwrap();
+    server.stop(kernel).unwrap();
+}
+
+/// The incremental scanner's cost per fault-sweep cell, on the sweeps'
+/// 64 MB, RSA-512 boot image at the kernel level: a scan of a machine that
+/// has not changed since the last scan (a started server on it), and one
+/// whole cell on a spare restored from the boot image: fork the warm
+/// scanner, run the workload, scan.
+fn bench_scan_per_cell(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scan_per_cell");
+    let cfg = ExperimentConfig::quick();
+    let level = ProtectionLevel::Kernel;
+    let server_cfg = ServerConfig::new(level).with_key_bits(cfg.key_bits);
+    let material = KeyMaterial::from_key(&server_cfg.derive_key("openssh"));
+    let template = cfg.boot_machine(level, &mut Rng64::new(cfg.seed));
+
+    let mut started = template.clone();
+    let _server = SshServer::start(&mut started, server_cfg).unwrap();
+    let mut scanner = IncrementalScanner::new(Scanner::from_material(&material));
+    assert!(scanner.scan(&started).total() > 0, "the server's key is found");
+    group.bench_function("unchanged_64mb", |b| {
+        b.iter(|| scanner.scan(std::hint::black_box(&started)).total());
+    });
+
+    let mut warm = IncrementalScanner::new(Scanner::from_material(&material));
+    let _ = warm.scan(&template);
+    // The spare lives in the slot between samples, so its restore lands
+    // outside the timed cell, as in `memsim_ops`' `restore_spare`.
+    let slot = RefCell::new(Some(template.clone()));
+    group.bench_function("fault_sweep_cell", |b| {
+        b.iter_batched(
+            || {
+                let mut spare = slot.borrow_mut().take().unwrap();
+                spare.clone_from(&template);
+                spare
+            },
+            |mut spare| {
+                let mut scanner = warm.fork();
+                sweep_cell_workload(&mut spare, server_cfg);
+                let hits = scanner.scan(&spare).total();
+                *slot.borrow_mut() = Some(spare);
+                hits
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
 /// Median wall clock of [`SMOKE_REPEATS`] runs of one closure.
 fn median_time(mut f: impl FnMut()) -> Duration {
     let mut walls: Vec<Duration> = (0..SMOKE_REPEATS)
@@ -258,4 +319,5 @@ fn main() {
     bench_match_cores(&mut c);
     bench_sharded_scan(&mut c);
     bench_incremental_timeline(&mut c);
+    bench_scan_per_cell(&mut c);
 }

@@ -6,25 +6,27 @@
 //! sweep cell, and faultsweep op. Between two consecutive snapshots only a
 //! handful of frames actually change, and [`memsim::Kernel`] stamps every
 //! byte mutation and every metadata change with a per-frame generation
-//! counter. [`IncrementalScanner`] exploits that: it caches raw hits keyed
-//! by write generation, refreshes the hits of only the frames whose
-//! generation moved (plus the neighbours a straddling match could reach
-//! from), and re-attributes allocation state from the metadata generation —
-//! producing a [`ScanReport`] that is **bit-identical** to a scan of the
-//! whole dump (enforced by the differential suite in `tests/incremental.rs`
-//! and `harness/tests/scan_equivalence.rs`). Of those frames it reads only
-//! the parts where a match can start ([`Scanner::live_spans`] over the
-//! frames not known to be zero), so known-zero frames cost nothing.
+//! from one clock. [`IncrementalScanner`] exploits that: it keeps the clock
+//! of its last scan, refreshes the hits of only the frames written since
+//! ([`Kernel::frames_written_since`], plus the neighbours a straddling
+//! match could reach from), and re-attributes allocation state from the
+//! metadata generation — producing a [`ScanReport`] that is
+//! **bit-identical** to a scan of the whole dump (enforced by the
+//! differential suite in `tests/incremental.rs` and
+//! `harness/tests/scan_equivalence.rs`). Of those frames it reads only the
+//! parts where a match can start ([`Scanner::live_spans`] over the frames
+//! not known to be zero), so known-zero frames cost nothing.
 //!
-//! The cache keeps one write generation per machine frame, and hits and
-//! attribution only for the frames that hold hits. It stores only pattern
+//! The cache is one clock, plus hits and attribution for the frames that
+//! hold hits; it keeps nothing per machine frame. It stores only pattern
 //! indices, page offsets, generations, and frame attribution — never
 //! pattern (key) bytes. `cache_audit_bytes` serializes the whole cache so
 //! tests can assert no key material leaks into it.
 
-use crate::{KeyHit, ScanReport, Scanner};
-use memsim::{FrameId, FrameState, Kernel, Pid, PAGE_SIZE};
+use crate::{ScanReport, Scanner};
+use memsim::{FrameId, FrameView, Kernel, PAGE_SIZE};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Deterministic scan-effort counters, accumulated across every
@@ -36,8 +38,8 @@ use std::time::{Duration, Instant};
 pub struct ScanStats {
     /// Snapshots scanned.
     pub scans: u64,
-    /// Frames whose cached hits were refreshed: the frames whose write
-    /// generation moved, plus the frames before them that a straddling
+    /// Frames whose cached hits were refreshed: the frames written since
+    /// the previous scan, plus the frames before them that a straddling
     /// match could start in. Of these, only the bytes where a match can
     /// start are read, so a known-zero frame counts here without being
     /// read.
@@ -64,84 +66,53 @@ impl ScanStats {
     }
 }
 
-/// Cached hits and attribution of one frame that holds hits. A
-/// `u64::MAX` state generation means "not yet attributed", which can never
-/// collide with a real generation (the clock starts at 0 and a 64-bit
-/// counter bumped once per operation does not wrap).
-#[derive(Debug, Clone)]
+/// Cached hits and attribution of one frame that holds hits.
+#[derive(Debug, Clone, Default)]
 struct HitFrame {
-    /// Kernel state generation the cached attribution was refreshed at.
-    state_gen: u64,
     /// Raw hits *starting* in this frame: `(pattern index, page offset)`.
     hits: Vec<(u32, u32)>,
-    /// Cached attribution.
-    state: FrameState,
-    allocated: bool,
-    owners: Vec<Pid>,
+    /// The frame's attribution and the kernel state generation it was read
+    /// at; `None` until the frame is first attributed.
+    view: Option<(u64, FrameView)>,
 }
 
-impl HitFrame {
-    fn unattributed() -> Self {
-        Self {
-            state_gen: u64::MAX,
-            hits: Vec::new(),
-            state: FrameState::Free,
-            allocated: false,
-            owners: Vec::new(),
-        }
-    }
-}
-
-/// The non-secret cache body: generations, offsets, indices, attribution.
+/// The non-secret cache body: a clock, offsets, indices, attribution.
 /// Deliberately a separate struct from [`IncrementalScanner`] so the scanner
 /// remains a pure delegation wrapper around [`Scanner`] under keylint S003 —
 /// no buffer-typed field sits next to the secret patterns.
 #[derive(Debug, Clone, Default)]
 struct ScanCache {
-    /// `Kernel::generation_clock` observed at the last scan. A clock that
-    /// moves backwards (or a frame-count change) means a different machine:
-    /// the cache resets instead of trusting coincidental generations.
+    /// Frame count and `Kernel::generation_clock` of the machine at the
+    /// last scan (no frames before the first). A frame-count change or a
+    /// clock that moves backwards means a different machine: the cache
+    /// resets instead of trusting coincidental generations.
+    frames: usize,
     clock: u64,
-    /// Per machine frame, the write generation its cached hits were
-    /// computed at; `u64::MAX` means never scanned (see [`HitFrame`]).
-    write_gens: Vec<u64>,
     /// Hits and attribution of the frames that hold hits, in frame order.
     hit_frames: BTreeMap<usize, HitFrame>,
 }
 
-impl ScanCache {
-    fn reset(&mut self, num_frames: usize) {
-        self.clock = 0;
-        self.write_gens.clear();
-        self.write_gens.resize(num_frames, u64::MAX);
-        self.hit_frames.clear();
-    }
-}
-
-/// The parts of the ascending, disjoint spans `a` that also lie in the
-/// ascending, disjoint spans `b`, ascending.
-fn intersect_spans(a: &[(usize, usize)], b: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (lo, hi) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
-        if lo < hi {
-            out.push((lo, hi));
-        }
-        if a[i].1 < b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
+/// The frames to rescan, as ascending, disjoint runs of frame indices:
+/// each `written` frame (ascending) widened back by `straddle` frames,
+/// with overlapping and adjacent runs joined.
+fn rescan_runs(written: impl Iterator<Item = FrameId>, straddle: usize) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for FrameId(f) in written {
+        let lo = f.saturating_sub(straddle);
+        match runs.last_mut() {
+            Some(run) if run.end >= lo => run.end = f + 1,
+            _ => runs.push(lo..f + 1),
         }
     }
-    out
+    runs
 }
 
 /// A [`Scanner`] with a hit cache: scans the *same kernel lineage*
-/// repeatedly, refreshing the hits of only the frames whose write
-/// generation moved since the previous call (plus up to
-/// `max_pattern_len - 1` straddle bytes' worth of preceding frames, whose
-/// matches could reach into a dirty frame).
+/// repeatedly, refreshing the hits of only the frames written since the
+/// previous call (plus up to `max_pattern_len - 1` straddle bytes' worth of
+/// preceding frames, whose matches could reach into a written frame). The
+/// cache is the clock of the last scan plus the frames that hold hits; it
+/// keeps nothing per machine frame.
 ///
 /// **Contract:** one scanner follows one kernel lineage — the kernel passed
 /// to [`Self::scan`] must be the same machine (or a clone of the machine)
@@ -230,86 +201,58 @@ impl IncrementalScanner {
     pub fn scan(&mut self, kernel: &Kernel) -> ScanReport {
         let start = Instant::now();
         let num_frames = kernel.num_frames();
+        let clock = kernel.generation_clock();
         let cache = &mut self.cache;
-        if cache.write_gens.len() != num_frames || kernel.generation_clock() < cache.clock {
-            cache.reset(num_frames);
-        }
-        cache.clock = kernel.generation_clock();
 
-        // A match starting up to `max_len - 1` bytes before a dirty frame
-        // can read dirty bytes, so that many *preceding* frames rescan too.
+        // A match starting up to `max_len - 1` bytes before a written frame
+        // can read its bytes, so that many *preceding* frames rescan too.
         let straddle = (self.scanner.max_pattern_len() - 1).div_ceil(PAGE_SIZE);
+        let runs = if cache.frames == num_frames && clock >= cache.clock {
+            rescan_runs(kernel.frames_written_since(cache.clock), straddle)
+        } else {
+            cache.hit_frames.clear();
+            rescan_runs((0..num_frames).map(FrameId), straddle)
+        };
+        cache.frames = num_frames;
+        cache.clock = clock;
 
-        // Pass 1 — dirty detection against *pre-scan* generations, then
-        // coalescing consecutive dirty frames into byte runs.
+        // A rescanned frame drops its cached hits, then the parts of the
+        // runs where a match can start go through the scanner's span walk.
+        // Its hits ascend at any thread count, so each frame's hits are
+        // refilled in the same order.
         let mut rescanned = 0u64;
-        let mut dirty_runs: Vec<(usize, usize)> = Vec::new(); // byte ranges [start, end)
-        for i in 0..num_frames {
-            let dirty_near = (i..=(i + straddle).min(num_frames - 1))
-                .any(|j| kernel.write_generation(FrameId(j)) != cache.write_gens[j]);
-            if !dirty_near {
-                continue;
-            }
-            rescanned += 1;
-            let base = i * PAGE_SIZE;
-            match dirty_runs.last_mut() {
-                Some(run) if run.1 == base => run.1 += PAGE_SIZE,
-                _ => dirty_runs.push((base, base + PAGE_SIZE)),
-            }
-        }
-
-        // Pass 2 — a rescanned frame drops its cached hits, then the parts
-        // of the dirty runs where a match can start go through the
-        // scanner's span walk. Its hits ascend at any thread count, so each
-        // frame's hits are refilled in the same order. Every frame whose
-        // generation moved lies in a dirty run, so the runs are all the
-        // generations there are to stamp.
-        for &(lo, hi) in &dirty_runs {
-            for (_, entry) in cache.hit_frames.range_mut(lo / PAGE_SIZE..hi / PAGE_SIZE) {
+        for run in &runs {
+            rescanned += run.len() as u64;
+            for (_, entry) in cache.hit_frames.range_mut(run.clone()) {
                 entry.hits.clear();
             }
         }
-        let live: Vec<_> = self.scanner.kernel_spans(kernel).collect();
-        let spans = intersect_spans(&dirty_runs, &live);
+        let spans = runs
+            .iter()
+            .flat_map(|run| self.scanner.kernel_spans(kernel, run.clone()));
         for hit in self.scanner.scan_spans(kernel.phys(), spans) {
             cache
                 .hit_frames
                 .entry(hit.offset / PAGE_SIZE)
-                .or_insert_with(HitFrame::unattributed)
+                .or_default()
                 .hits
                 .push((hit.pattern as u32, (hit.offset % PAGE_SIZE) as u32));
         }
         cache.hit_frames.retain(|_, entry| !entry.hits.is_empty());
-        for &(lo, hi) in &dirty_runs {
-            for i in lo / PAGE_SIZE..hi / PAGE_SIZE {
-                cache.write_gens[i] = kernel.write_generation(FrameId(i));
-            }
-        }
 
-        // Attribution: refresh state/owners for frames whose metadata
+        // Attribution: refresh the view of frames whose metadata
         // generation moved.
         let mut hits = Vec::new();
         for (&i, entry) in &mut cache.hit_frames {
             let frame = FrameId(i);
             let state_gen = kernel.state_generation(frame);
-            if entry.state_gen != state_gen {
-                let view = kernel.frame_view(frame);
-                entry.state = view.state;
-                entry.allocated = view.state != FrameState::Free;
-                entry.owners = view.owners;
-                entry.state_gen = state_gen;
+            if entry.view.as_ref().map(|&(gen, _)| gen) != Some(state_gen) {
+                entry.view = Some((state_gen, kernel.frame_view(frame)));
             }
+            let (_, view) = entry.view.as_ref().expect("attributed above");
             for &(pi, off) in &entry.hits {
-                hits.push(KeyHit {
-                    pattern: pi as usize,
-                    // keylint: allow(S005) -- the pattern *name* ("d", "pem") is a public label, not key bytes
-                    name: self.scanner.patterns()[pi as usize].name.clone(),
-                    offset: frame.base() + off as usize,
-                    frame,
-                    state: entry.state,
-                    allocated: entry.allocated,
-                    owners: entry.owners.clone(),
-                });
+                let offset = frame.base() + off as usize;
+                hits.push(self.scanner.key_hit(pi as usize, offset, view.clone()));
             }
         }
 
@@ -325,27 +268,32 @@ impl IncrementalScanner {
 
     /// Serializes the entire cache body — every byte the cache retains
     /// between scans — so tests can assert it contains no key material.
-    /// (Generations, frame indices, counts, pattern indices, page offsets,
-    /// frame states, and owner pids; nothing else is stored.)
+    /// (The frame count and clock, frame indices, counts, pattern indices,
+    /// page offsets, and each hit frame's attribution: its generation, state,
+    /// refcount, lock bit, owner pids and cached file; nothing else is
+    /// stored.)
     #[must_use]
     pub fn cache_audit_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        out.extend_from_slice(&(self.cache.frames as u64).to_le_bytes());
         out.extend_from_slice(&self.cache.clock.to_le_bytes());
-        for gen in &self.cache.write_gens {
-            out.extend_from_slice(&gen.to_le_bytes());
-        }
         for (&i, e) in &self.cache.hit_frames {
             out.extend_from_slice(&(i as u64).to_le_bytes());
-            out.extend_from_slice(&e.state_gen.to_le_bytes());
             out.extend_from_slice(&(e.hits.len() as u64).to_le_bytes());
             for &(pi, off) in &e.hits {
                 out.extend_from_slice(&pi.to_le_bytes());
                 out.extend_from_slice(&off.to_le_bytes());
             }
-            out.push(e.state as u8);
-            out.push(u8::from(e.allocated));
-            for p in &e.owners {
-                out.extend_from_slice(&p.0.to_le_bytes());
+            if let Some((gen, view)) = &e.view {
+                out.extend_from_slice(&gen.to_le_bytes());
+                out.extend([view.state as u8, u8::from(view.locked)]);
+                out.extend_from_slice(&view.refcount.to_le_bytes());
+                for p in &view.owners {
+                    out.extend_from_slice(&p.0.to_le_bytes());
+                }
+                if let Some(fid) = view.cache_file {
+                    out.extend_from_slice(&fid.0.to_le_bytes());
+                }
             }
         }
         out

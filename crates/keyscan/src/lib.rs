@@ -43,8 +43,9 @@ use dump::Dump;
 pub use entropy::{EntropyRegion, EntropyScanner};
 pub use incremental::{IncrementalScanner, ScanStats};
 
-use memsim::{FrameId, FrameState, Kernel, Pid, PAGE_SIZE};
+use memsim::{FrameId, FrameState, FrameView, Kernel, Pid, PAGE_SIZE};
 use rsa_repro::material::{KeyMaterial, Pattern};
+use std::ops::Range;
 
 /// A pattern match in a raw byte dump (no page metadata available).
 ///
@@ -476,34 +477,40 @@ impl Scanner {
         })
     }
 
-    /// The ascending, disjoint byte spans of a `len`-byte haystack where a
-    /// match can start, built lazily from `page_live(p)`, which says
-    /// whether page `p` may hold a non-zero byte: each run of such pages,
-    /// widened backwards by the most leading zero bytes of any pattern and
-    /// clamped to the previous span's end. A match's first non-zero byte
-    /// lies in a live page, and at most that many zeros come before it; its
-    /// trailing zeros are the span walk's straddle reach past each span's
-    /// end. With an all-zero pattern every page is live.
+    /// The ascending, disjoint byte spans inside the page range `pages`
+    /// of a `len`-byte haystack where a match can start, built lazily from
+    /// `page_live(p)`, which says whether page `p` may hold a non-zero
+    /// byte: each run of such pages, widened backwards by the most leading
+    /// zero bytes of any pattern, clamped to the previous span's end (or
+    /// the range's start) and cut at the range's end. A match's first
+    /// non-zero byte lies in a live page, and at most that many zeros come
+    /// before it; its trailing zeros are the span walk's straddle reach
+    /// past each span's end. So the pages those zeros reach past the range
+    /// are tested too: a match starting inside the range may have its first
+    /// non-zero byte there. With an all-zero pattern every page is live.
     ///
     /// A span is yielded once the page after its run has been tested, so a
     /// walk that stops inside it tests no later page.
     pub(crate) fn live_spans(
         &self,
+        pages: Range<usize>,
         len: usize,
         mut page_live: impl FnMut(usize) -> bool,
     ) -> impl Iterator<Item = (usize, usize)> {
         let lead = self.zero_lead;
-        let mut pages =
-            (0..len.div_ceil(PAGE_SIZE)).map(move |p| (p, lead.is_none() || page_live(p)));
+        let reach = lead.map_or(0, |lead| lead.div_ceil(PAGE_SIZE));
+        let stop = len.min(pages.end * PAGE_SIZE);
+        let mut end = pages.start * PAGE_SIZE;
+        let mut pages = (pages.start..len.div_ceil(PAGE_SIZE).min(pages.end + reach))
+            .map(move |p| (p, lead.is_none() || page_live(p)));
         let lead = lead.unwrap_or(0);
-        let mut end = 0;
         std::iter::from_fn(move || {
             let (first, _) = pages.find(|&(_, live)| live)?;
             let lo = (first * PAGE_SIZE).saturating_sub(lead).max(end);
             end = pages
                 .find(|&(_, live)| !live)
-                .map_or(len, |(p, _)| p * PAGE_SIZE);
-            Some((lo, end))
+                .map_or(stop, |(p, _)| stop.min(p * PAGE_SIZE));
+            (lo < end).then_some((lo, end))
         })
     }
 
@@ -513,16 +520,19 @@ impl Scanner {
         &self,
         dump: &'a D,
     ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        self.live_spans(dump.bytes().len(), |p| dump.page_live(p))
+        let len = dump.bytes().len();
+        self.live_spans(0..len.div_ceil(PAGE_SIZE), len, |p| dump.page_live(p))
     }
 
-    /// [`Self::live_spans`] of a machine's physical memory, whose frames
-    /// are live unless known to be zero ([`Kernel::frame_known_zero`]).
+    /// [`Self::live_spans`] of a machine's physical memory inside the
+    /// frame range `frames`, whose frames are live unless known to be zero
+    /// ([`Kernel::frame_known_zero`]).
     pub(crate) fn kernel_spans<'k>(
         &self,
         kernel: &'k Kernel,
+        frames: Range<usize>,
     ) -> impl Iterator<Item = (usize, usize)> + 'k {
-        self.live_spans(kernel.phys().len(), |f| {
+        self.live_spans(frames, kernel.phys().len(), |f| {
             !kernel.frame_known_zero(FrameId(f))
         })
     }
@@ -681,27 +691,34 @@ impl Scanner {
     /// not read, apart from the leading zeros a match may carry into them.
     #[must_use]
     pub fn scan_kernel(&self, kernel: &Kernel) -> ScanReport {
+        let spans = self.kernel_spans(kernel, 0..kernel.num_frames());
         let hits = self
-            .scan_spans(kernel.phys(), self.kernel_spans(kernel))
+            .scan_spans(kernel.phys(), spans)
             .into_iter()
             .map(|r| {
-                let frame = FrameId(r.offset / PAGE_SIZE);
-                let view = kernel.frame_view(frame);
-                KeyHit {
-                    pattern: r.pattern,
-                    // keylint: allow(S005) -- the pattern *name* ("d", "pem") is a public label, not key bytes
-                    name: self.patterns[r.pattern].name.clone(),
-                    offset: r.offset,
-                    frame,
-                    state: view.state,
-                    allocated: view.state != FrameState::Free,
-                    owners: view.owners,
-                }
+                let view = kernel.frame_view(FrameId(r.offset / PAGE_SIZE));
+                self.key_hit(r.pattern, r.offset, view)
             })
             .collect();
         ScanReport {
             hits,
             num_patterns: self.patterns.len(),
+        }
+    }
+
+    /// The hit of pattern `pattern` at physical offset `offset`, attributed
+    /// from `view`, the [`Kernel::frame_view`] of the frame holding its
+    /// first byte.
+    pub(crate) fn key_hit(&self, pattern: usize, offset: usize, view: FrameView) -> KeyHit {
+        KeyHit {
+            pattern,
+            // keylint: allow(S005) -- the pattern *name* ("d", "pem") is a public label, not key bytes
+            name: self.patterns[pattern].name.clone(),
+            offset,
+            frame: FrameId(offset / PAGE_SIZE),
+            state: view.state,
+            allocated: view.state != FrameState::Free,
+            owners: view.owners,
         }
     }
 
@@ -1035,10 +1052,44 @@ mod tests {
                 tested.push(p);
                 dump.page_live(p)
             };
-            let spans = s.live_spans(dump.len(), &mut page_test);
+            let spans = s.live_spans(0..dump.len().div_ceil(ps), dump.len(), &mut page_test);
             assert_eq!(!s.walk(&dump, spans, |_, _| false), hit);
             assert_eq!(tested, (0..=last_tested).collect::<Vec<_>>());
             assert_eq!(s.dump_compromises_key(&dump), hit);
+        }
+    }
+
+    /// The builder over a page range yields the spans of the whole
+    /// haystack clipped to that range: what a rescan of a few frames must
+    /// scan to find what a whole scan finds there.
+    #[test]
+    fn a_page_range_yields_the_whole_spans_clipped_to_it() {
+        let ps = PAGE_SIZE;
+        let len = 24 * ps - 100;
+        let mut rng = simrng::Rng64::new(0x5BA5);
+        let mut deep = vec![0; 5000];
+        deep.extend_from_slice(b"NEEDLE");
+        for needle in [
+            &b"NEEDLE__"[..],
+            b"\0\0\0NEEDLE",
+            &deep,
+            b"\0\0\0\0\0\0\0\0",
+        ] {
+            let s = Scanner::new(vec![pat("k", needle)]);
+            for _ in 0..50 {
+                let live: Vec<bool> = (0..24).map(|_| rng.gen_bool(0.4)).collect();
+                let whole: Vec<_> = s.live_spans(0..24, len, |p| live[p]).collect();
+                let a = rng.gen_index(24);
+                let b = a + rng.gen_index(25 - a);
+                let (lo, hi) = (a * ps, (b * ps).min(len));
+                let clipped: Vec<_> = whole
+                    .iter()
+                    .map(|&(x, y)| (x.max(lo), y.min(hi)))
+                    .filter(|&(x, y)| x < y)
+                    .collect();
+                let ranged: Vec<_> = s.live_spans(a..b, len, |p| live[p]).collect();
+                assert_eq!(ranged, clipped, "pages {a}..{b} of {live:?}");
+            }
         }
     }
 

@@ -494,9 +494,14 @@ fn known_zero_edges(policy: KernelPolicy, mem_bytes: usize, with_zeros: bool) {
     assert!(has_hit(&hits, "lead", lead_at) && has_hit(&hits, "trail", trail_at));
 
     // Freed: cleared (and known-zero again) under zero-on-free, left in
-    // unallocated memory otherwise. Reallocated pages come back last
-    // freed first, uncleared, and are written again.
-    k.free_kernel_pages(&frames[1..=2]);
+    // unallocated memory otherwise. Frame 1 goes first: a cleared frame
+    // holding `lead`'s zeros is rescanned while the frame after it, which
+    // holds its first non-zero byte, is not. Reallocated pages come back
+    // last freed first, uncleared, and are written again.
+    k.free_kernel_pages(&frames[1..=1]);
+    assert_eq!(k.frame_known_zero(frames[1]), policy.zero_on_free);
+    assert!(has_hit(&edges.step(&k, "frame 1 freed"), "lead", lead_at));
+    k.free_kernel_pages(&frames[2..=2]);
     k.free_kernel_pages(&frames[4..=5]);
     assert_eq!(k.frame_known_zero(frames[2]), policy.zero_on_free);
     let hits = edges.step(&k, "frames 1, 2, 4 and 5 freed");

@@ -4,6 +4,7 @@
 
 use crate::alloc::FreeLists;
 use crate::fault::{FaultDecision, FaultOp, FaultPlan};
+use crate::phys::PhysMem;
 use crate::process::{Process, VmaKind, SPECIAL_BASE};
 use crate::slab::{class_for, SlabAllocator};
 use crate::snapshot::Snapshot;
@@ -134,49 +135,13 @@ struct Lineage {
 }
 
 impl Lineage {
-    fn fresh_id() -> u64 {
-        // Relaxed: the counter publishes no other data; uniqueness is all
-        // an atomic increment has to give.
-        NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn boot() -> Self {
+    /// A fresh identity for a machine booted (`None`) or copied from `src`.
+    fn new(src: Option<&Kernel>) -> Self {
         Self {
-            id: Self::fresh_id(),
-            source: None,
-        }
-    }
-
-    fn copy_of(src: &Kernel) -> Self {
-        Self {
-            id: Self::fresh_id(),
-            source: Some((src.lineage.id, src.gen_clock)),
-        }
-    }
-}
-
-/// One bit per frame, packed: 2 KiB for a 64 MB machine, small enough to
-/// stay cached while a boot frees every frame in random order (a byte per
-/// frame made that boot ~6% slower).
-#[derive(Debug, Clone)]
-pub(crate) struct FrameBits(Vec<u64>);
-
-impl FrameBits {
-    /// Bits for `frames` frames, all set.
-    fn all_set(frames: usize) -> Self {
-        Self(vec![u64::MAX; frames.div_ceil(64)])
-    }
-
-    pub(crate) fn get(&self, f: usize) -> bool {
-        (self.0[f / 64] >> (f % 64)) & 1 == 1
-    }
-
-    fn set(&mut self, f: usize, value: bool) {
-        let mask = 1 << (f % 64);
-        if value {
-            self.0[f / 64] |= mask;
-        } else {
-            self.0[f / 64] &= !mask;
+            // Relaxed: the counter publishes no other data; uniqueness is
+            // all an atomic increment has to give.
+            id: NEXT_IMAGE_ID.fetch_add(1, Ordering::Relaxed),
+            source: src.map(|src| (src.lineage.id, src.generation_clock())),
         }
     }
 }
@@ -186,14 +151,16 @@ impl FrameBits {
 /// `clone` copies everything, writing into a fresh zeroed image only the
 /// frames not known to be zero (see [`Kernel::frame_known_zero`]).
 /// `clone_from` restores a machine from `src` by copying only the frames
-/// whose write or state generation differs, when `self` was last copied
-/// from this same `src` and `src`'s generation clock has not moved since;
-/// otherwise it does a full copy into `self`'s existing buffers. Either way
-/// the result equals `src.clone()`.
+/// stamped above `src`'s generation clock, when `self` was last copied
+/// from this same `src` and that clock has not moved since; otherwise it
+/// copies everything, memory as `clone` does and every other field into
+/// `self`'s existing buffers. Either way the result equals `src.clone()`.
 #[derive(Debug)]
 pub struct Kernel {
     config: MachineConfig,
-    phys: Vec<u8>,
+    /// Physical memory and its per-frame stamps: the only writer of frame
+    /// bytes and generations, and the home of their readers.
+    pub(crate) mem: PhysMem,
     frames: Vec<Frame>,
     free: FreeLists,
     procs: BTreeMap<Pid, Process>,
@@ -222,20 +189,6 @@ pub struct Kernel {
     /// Per-class occurrence counters (1-based after increment), indexed by
     /// [`FaultOp::index`].
     op_counts: [u64; 9],
-    /// Monotone clock stamping [`Self::write_gens`] / [`Self::state_gens`].
-    /// Every stamp is unique, so "frame F at generation G" names exactly one
-    /// byte image — what lets incremental scanners skip clean frames.
-    gen_clock: u64,
-    /// Per-frame generation of the last byte mutation (write, zero, copy).
-    write_gens: Vec<u64>,
-    /// Per-frame generation of the last *metadata* change (state, refcount,
-    /// lock bit, mappings, cache key) — tracked separately so attribution can
-    /// be refreshed without rescanning unchanged bytes.
-    state_gens: Vec<u64>,
-    /// Per-frame *known-zero* bit: set at boot and by every clear, dropped
-    /// by every other byte write. Conservative: a frame with the bit set
-    /// holds only zeros, but a written frame may hold only zeros too.
-    known_zero: FrameBits,
     /// Identity for `clone_from`'s delta copy; never part of the image.
     lineage: Lineage,
 }
@@ -244,7 +197,7 @@ impl Clone for Kernel {
     fn clone(&self) -> Self {
         let Self {
             config,
-            phys: _,
+            mem,
             frames,
             free,
             procs,
@@ -259,15 +212,11 @@ impl Clone for Kernel {
             fault_plan,
             op_index,
             op_counts,
-            gen_clock,
-            write_gens,
-            state_gens,
-            known_zero,
             lineage: _,
         } = self;
         Self {
             config: *config,
-            phys: self.copy_phys(|_, _| ()),
+            mem: mem.clone(),
             frames: frames.clone(),
             free: free.clone(),
             procs: procs.clone(),
@@ -282,19 +231,14 @@ impl Clone for Kernel {
             fault_plan: fault_plan.clone(),
             op_index: *op_index,
             op_counts: *op_counts,
-            gen_clock: *gen_clock,
-            write_gens: write_gens.clone(),
-            state_gens: state_gens.clone(),
-            known_zero: known_zero.clone(),
-            lineage: Lineage::copy_of(self),
+            lineage: Lineage::new(Some(self)),
         }
     }
 
     fn clone_from(&mut self, src: &Self) {
-        let delta = self.is_copy_of(src);
         let Self {
             config,
-            phys,
+            mem,
             frames,
             free,
             procs,
@@ -309,37 +253,14 @@ impl Clone for Kernel {
             fault_plan,
             op_index,
             op_counts,
-            gen_clock,
-            write_gens,
-            state_gens,
-            known_zero,
             lineage: _,
         } = src;
-        if delta {
-            // Every frame `self` touched since the copy carries a stamp
-            // above `src`'s unmoved clock; every other frame still carries
-            // the stamp it was copied with. Two known-zero frames already
-            // hold the same bytes.
-            for f in 0..frames.len() {
-                if self.write_gens[f] != write_gens[f] {
-                    if !(self.known_zero.get(f) && known_zero.get(f)) {
-                        let bytes = f * PAGE_SIZE..(f + 1) * PAGE_SIZE;
-                        self.phys[bytes.clone()].copy_from_slice(&phys[bytes]);
-                    }
-                    self.write_gens[f] = write_gens[f];
-                    self.known_zero.set(f, known_zero.get(f));
-                }
-                if self.state_gens[f] != state_gens[f] {
-                    self.frames[f].clone_from(&frames[f]);
-                    self.state_gens[f] = state_gens[f];
-                }
-            }
+        if self.is_copy_of(src) {
+            self.mem
+                .restore_from(mem, |f| self.frames[f].clone_from(&frames[f]));
         } else {
-            self.phys.clone_from(phys);
+            self.mem.clone_from(mem);
             self.frames.clone_from(frames);
-            self.write_gens.clone_from(write_gens);
-            self.state_gens.clone_from(state_gens);
-            self.known_zero.clone_from(known_zero);
         }
         self.config = *config;
         self.free.clone_from(free);
@@ -355,8 +276,7 @@ impl Clone for Kernel {
         self.fault_plan.clone_from(fault_plan);
         self.op_index = *op_index;
         self.op_counts = *op_counts;
-        self.gen_clock = *gen_clock;
-        self.lineage = Lineage::copy_of(src);
+        self.lineage = Lineage::new(Some(src));
     }
 }
 
@@ -367,7 +287,7 @@ impl Kernel {
         let num_frames = config.num_frames();
         Self {
             config,
-            phys: vec![0u8; num_frames * PAGE_SIZE],
+            mem: PhysMem::new(num_frames),
             frames: vec![Frame::free(); num_frames],
             free: FreeLists::new(num_frames, config.hot_list_max),
             procs: BTreeMap::new(),
@@ -382,82 +302,15 @@ impl Kernel {
             fault_plan: FaultPlan::default(),
             op_index: 0,
             op_counts: [0; 9],
-            gen_clock: 0,
-            write_gens: vec![0; num_frames],
-            state_gens: vec![0; num_frames],
-            known_zero: FrameBits::all_set(num_frames),
-            lineage: Lineage::boot(),
+            lineage: Lineage::new(None),
         }
     }
 
     /// Whether `self` was last copied from `src` and `src` has not changed
     /// since: the condition under which `clone_from(src)` may copy only the
-    /// frames whose generations differ.
+    /// frames stamped above `src`'s clock.
     fn is_copy_of(&self, src: &Self) -> bool {
-        self.lineage.source == Some((src.lineage.id, src.gen_clock))
-    }
-
-    // ------------------------------------------------------------------
-    // Frame generations (dirty tracking for incremental scanners)
-    // ------------------------------------------------------------------
-
-    /// Stamps `f` as byte-dirty and drops its known-zero bit. Called by
-    /// every path that mutates `phys`; a clear sets the bit again after.
-    fn touch_bytes(&mut self, f: FrameId) {
-        self.gen_clock += 1;
-        self.write_gens[f.0] = self.gen_clock;
-        self.known_zero.set(f.0, false);
-    }
-
-    /// Stamps `f` as metadata-dirty. Called by every path that changes a
-    /// frame's state, refcount, lock bit, reverse mappings, or cache key.
-    fn touch_state(&mut self, f: FrameId) {
-        self.gen_clock += 1;
-        self.state_gens[f.0] = self.gen_clock;
-    }
-
-    /// Generation of the last byte mutation of frame `f` (0 = never written
-    /// since boot). Two equal generations guarantee bit-identical contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range.
-    #[must_use]
-    pub fn write_generation(&self, f: FrameId) -> u64 {
-        self.write_gens[f.0]
-    }
-
-    /// Generation of the last metadata change of frame `f` (0 = untouched
-    /// since boot). Equal generations guarantee an identical [`FrameView`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range.
-    #[must_use]
-    pub fn state_generation(&self, f: FrameId) -> u64 {
-        self.state_gens[f.0]
-    }
-
-    /// Whether frame `f` is known to hold only zero bytes: it has not been
-    /// written since boot or since its last clear. The bit is conservative:
-    /// a frame written with zeros reads all zero with the bit clear. Scans
-    /// read it to skip frames no match can start in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range.
-    #[must_use]
-    pub fn frame_known_zero(&self, f: FrameId) -> bool {
-        self.known_zero.get(f.0)
-    }
-
-    /// Current value of the monotone generation clock. Strictly increases
-    /// with every byte or metadata mutation; a snapshot whose clock moved
-    /// backwards (or changed frame count) is a *different* machine, which is
-    /// how incremental scanners detect a mismatched kernel.
-    #[must_use]
-    pub fn generation_clock(&self) -> u64 {
-        self.gen_clock
+        self.lineage.source == Some((src.lineage.id, src.generation_clock()))
     }
 
     // ------------------------------------------------------------------
@@ -547,12 +400,6 @@ impl Kernel {
         self.stats
     }
 
-    /// Raw simulated physical memory — what a memory-disclosure attack sees.
-    #[must_use]
-    pub fn phys(&self) -> &[u8] {
-        &self.phys
-    }
-
     /// A cold-boot image of physical memory: every bit that is `1` decays
     /// to `0` independently with probability `decay_rate`, modeling DRAM
     /// remanence loss after power-off (Halderman et al.'s ground state;
@@ -569,45 +416,11 @@ impl Kernel {
     pub fn snapshot_decayed(&self, seed: u64, decay_rate: f64) -> Snapshot {
         // The copy leaves out known-zero frames, which have no 1-bits to
         // decay; every other frame draws from a stream of its own.
-        let image = self.copy_phys(|frame, page| {
-            if decay_rate <= 0.0 {
-                return;
+        self.mem.snapshot(|frame, page| {
+            if decay_rate > 0.0 {
+                decay_page(seed, frame, decay_rate, page);
             }
-            let mut rng = Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            for word in page.chunks_exact_mut(8) {
-                // Zero bytes have no 1-bits to decay and draw no randomness,
-                // so skipping them (a whole zero word at a time) leaves every
-                // 1-bit elsewhere drawing from the same stream position.
-                if u64::from_ne_bytes(word.try_into().expect("8-byte chunk")) == 0 {
-                    continue;
-                }
-                for byte in word.iter_mut().filter(|b| **b != 0) {
-                    let mut mask = 0u8;
-                    for bit in 0..8 {
-                        if *byte & (1 << bit) != 0 && rng.gen_bool(decay_rate) {
-                            mask |= 1 << bit;
-                        }
-                    }
-                    *byte &= !mask;
-                }
-            }
-        });
-        Snapshot::new(image, self.known_zero.clone())
-    }
-
-    /// A copy of `phys` built on a zeroed allocation, into which only the
-    /// frames not known to be zero are written; `edit` then runs on each
-    /// written frame's copy. A large zeroed allocation comes straight from
-    /// the host, which maps it lazily onto its shared zero page, so a
-    /// known-zero frame costs neither a read, a copy nor a page fault.
-    fn copy_phys(&self, mut edit: impl FnMut(usize, &mut [u8])) -> Vec<u8> {
-        let mut image = vec![0u8; self.phys.len()];
-        for frame in (0..self.frames.len()).filter(|&f| !self.known_zero.get(f)) {
-            let page = &mut image[frame * PAGE_SIZE..(frame + 1) * PAGE_SIZE];
-            page.copy_from_slice(self.frame_bytes(FrameId(frame)));
-            edit(frame, page);
-        }
-        image
+        })
     }
 
     /// Number of physical page frames.
@@ -626,16 +439,6 @@ impl Kernel {
     #[must_use]
     pub fn free_listed_frames(&self) -> usize {
         self.free.listed()
-    }
-
-    /// The bytes of one frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is out of range.
-    #[must_use]
-    pub fn frame_bytes(&self, f: FrameId) -> &[u8] {
-        &self.phys[f.base()..f.base() + PAGE_SIZE]
     }
 
     /// Metadata view of one frame.
@@ -670,18 +473,18 @@ impl Kernel {
     // Page allocator
     // ------------------------------------------------------------------
 
-    /// Clears one frame and sets its known-zero bit. Only a frame not
-    /// known to be zero is written: zeros over zeros would change nothing
-    /// but fault the host page in. Either way the clear is a byte event
-    /// that moves the write generation and counts in `pages_zeroed`, so
-    /// scanners and statistics see the same history.
+    /// Clears one frame ([`PhysMem::clear_frame`]). Written or skipped, the
+    /// clear counts in `pages_zeroed`, so statistics see the same history.
     fn zero_frame(&mut self, f: FrameId) {
-        if !self.known_zero.get(f.0) {
-            self.phys[f.base()..f.base() + PAGE_SIZE].fill(0);
-        }
-        self.touch_bytes(f);
-        self.known_zero.set(f.0, true);
+        self.mem.clear_frame(f);
         self.stats.pages_zeroed += 1;
+    }
+
+    /// Frame `f`'s metadata, stamped as changed ([`PhysMem::stamp_state`]):
+    /// every metadata change goes through here, so none misses its stamp.
+    fn frame_mut(&mut self, f: FrameId) -> &mut Frame {
+        self.mem.stamp_state(f);
+        &mut self.frames[f.0]
     }
 
     /// Core allocation path. Anonymous and page-cache pages are cleared on
@@ -702,13 +505,12 @@ impl Kernel {
         if matches!(state, FrameState::Anon | FrameState::PageCache) {
             self.zero_frame(f);
         }
-        let fr = &mut self.frames[f.0];
+        let fr = self.frame_mut(f);
         fr.state = state;
         fr.refcount = 1;
         fr.locked = false;
         fr.mappings.clear();
         fr.cache_key = None;
-        self.touch_state(f);
         Ok(f)
     }
 
@@ -717,14 +519,13 @@ impl Kernel {
         if self.config.policy.zero_on_free {
             self.zero_frame(f);
         }
-        let fr = &mut self.frames[f.0];
+        let fr = self.frame_mut(f);
         debug_assert_ne!(fr.state, FrameState::Free, "double free of {f}");
         fr.state = FrameState::Free;
         fr.refcount = 0;
         fr.locked = false;
         fr.mappings.clear();
         fr.cache_key = None;
-        self.touch_state(f);
         self.free.free(f);
         self.stats.frames_freed += 1;
     }
@@ -769,9 +570,7 @@ impl Kernel {
     /// Panics if the range exceeds the page or the frame is not kernel-owned.
     pub fn write_kernel_page(&mut self, f: FrameId, offset: usize, bytes: &[u8]) {
         assert_eq!(self.frames[f.0].state, FrameState::Kernel, "not a kernel page");
-        assert!(offset + bytes.len() <= PAGE_SIZE, "write beyond page");
-        self.phys[f.base() + offset..f.base() + offset + bytes.len()].copy_from_slice(bytes);
-        self.touch_bytes(f);
+        self.mem.write_frame(f, offset, bytes);
     }
 
     // ------------------------------------------------------------------
@@ -844,10 +643,9 @@ impl Kernel {
         }
         for (vpn, pte) in entries {
             child.page_table.insert(vpn, pte);
-            let fr = &mut self.frames[pte.frame.0];
+            let fr = self.frame_mut(pte.frame);
             fr.refcount += 1;
             fr.mappings.push((child_pid, vpn));
-            self.touch_state(pte.frame);
         }
         self.procs.insert(child_pid, child);
         self.stats.forks += 1;
@@ -858,11 +656,10 @@ impl Kernel {
     /// process held the last reference, and freeing the frame when the
     /// reference count reaches zero.
     fn unmap_page(&mut self, pid: Pid, vpn: u64, frame: FrameId) {
-        let fr = &mut self.frames[frame.0];
+        let fr = self.frame_mut(frame);
         fr.mappings.retain(|&(p, v)| !(p == pid && v == vpn));
         fr.refcount = fr.refcount.saturating_sub(1);
         let now_free = fr.refcount == 0;
-        self.touch_state(frame);
         if now_free {
             if self.config.policy.zero_on_unmap {
                 // The zap_pte_range patch clears when page_count == 1.
@@ -944,8 +741,7 @@ impl Kernel {
                         return Err(e);
                     }
                 };
-                self.frames[frame.0].mappings.push((pid, vpn));
-                self.touch_state(frame);
+                self.frame_mut(frame).mappings.push((pid, vpn));
                 let proc = self.proc_mut(pid)?;
                 proc.page_table.insert(
                     vpn,
@@ -1081,8 +877,7 @@ impl Kernel {
                 }
             };
             let vpn = first_vpn + i as u64;
-            self.frames[frame.0].mappings.push((pid, vpn));
-            self.touch_state(frame);
+            self.frame_mut(frame).mappings.push((pid, vpn));
             let proc = self.proc_mut(pid)?;
             proc.page_table.insert(
                 vpn,
@@ -1162,8 +957,7 @@ impl Kernel {
                 .ok_or(SimError::BadAddress(VAddr(vpn * PAGE_SIZE as u64)))?;
             proc.locked_vpns.insert(vpn);
             if !self.frames[pte.frame.0].locked {
-                self.frames[pte.frame.0].locked = true;
-                self.touch_state(pte.frame);
+                self.frame_mut(pte.frame).locked = true;
             }
         }
         Ok(())
@@ -1239,9 +1033,7 @@ impl Kernel {
             } else {
                 pte.frame
             };
-            let base = frame.base() + page_off;
-            self.phys[base..base + n].copy_from_slice(&bytes[off..off + n]);
-            self.touch_bytes(frame);
+            self.mem.write_frame(frame, page_off, &bytes[off..off + n]);
             off += n;
         }
         Ok(())
@@ -1260,22 +1052,10 @@ impl Kernel {
         // Shared: duplicate the frame. This byte copy is precisely how key
         // material multiplies across worker processes.
         let new = self.alloc_frame(FrameState::Anon)?;
-        let (src, dst) = (pte.frame.base(), new.base());
-        let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
-        let (a, b) = self.phys.split_at_mut(hi);
-        if src < dst {
-            b[..PAGE_SIZE].copy_from_slice(&a[lo..lo + PAGE_SIZE]);
-        } else {
-            a[lo..lo + PAGE_SIZE].copy_from_slice(&b[..PAGE_SIZE]);
-        }
-        self.touch_bytes(new);
-        {
-            let old = &mut self.frames[pte.frame.0];
-            old.mappings.retain(|&(p, v)| !(p == pid && v == vpn));
-            old.refcount -= 1;
-        }
-        self.touch_state(pte.frame);
-        self.frames[new.0].mappings.push((pid, vpn));
+        self.mem.copy_frame(pte.frame, new);
+        let old = self.frame_mut(pte.frame);
+        old.mappings.retain(|&(p, v)| !(p == pid && v == vpn));
+        old.refcount -= 1;
         let locked = {
             let proc = self.proc_mut(pid)?;
             if let Some(p) = proc.page_table.get_mut(&vpn) {
@@ -1284,8 +1064,9 @@ impl Kernel {
             }
             proc.locked_vpns.contains(&vpn)
         };
-        self.frames[new.0].locked = locked;
-        self.touch_state(new);
+        let fr = self.frame_mut(new);
+        fr.mappings.push((pid, vpn));
+        fr.locked = locked;
         self.stats.cow_breaks += 1;
         Ok(new)
     }
@@ -1312,8 +1093,7 @@ impl Kernel {
             let pte = proc.pte(cur).ok_or(SimError::BadAddress(cur))?;
             let page_off = cur.page_offset();
             let n = (PAGE_SIZE - page_off).min(len - off);
-            let base = pte.frame.base() + page_off;
-            out.extend_from_slice(&self.phys[base..base + n]);
+            out.extend_from_slice(&self.frame_bytes(pte.frame)[page_off..page_off + n]);
             off += n;
         }
         Ok(out)
@@ -1368,28 +1148,15 @@ impl Kernel {
                 let start = key.1 as usize * PAGE_SIZE;
                 let end = (start + PAGE_SIZE).min(content.len());
                 if start < content.len() {
-                    content[start..end]
-                        .copy_from_slice(&self.phys[frame.base()..frame.base() + (end - start)]);
+                    content[start..end].copy_from_slice(&self.frame_bytes(frame)[..end - start]);
                 }
             }
         }
         let npages = content.len().div_ceil(PAGE_SIZE).max(1);
         for idx in 0..npages as u64 {
-            if self.page_cache.contains_key(&(fid, idx)) {
-                continue;
+            if !self.page_cache.contains_key(&(fid, idx)) {
+                self.cache_file_page(fid, idx)?;
             }
-            let frame = self.alloc_frame(FrameState::PageCache)?;
-            let start = idx as usize * PAGE_SIZE;
-            let end = (start + PAGE_SIZE).min(content.len());
-            if start < content.len() {
-                self.phys[frame.base()..frame.base() + (end - start)]
-                    .copy_from_slice(&content[start..end]);
-                self.touch_bytes(frame);
-            }
-            self.frames[frame.0].cache_key = Some((fid, idx));
-            self.touch_state(frame);
-            self.page_cache.insert((fid, idx), frame);
-            self.stats.cache_inserts += 1;
         }
 
         let buf = self.heap_alloc(pid, content.len().max(1))?;
@@ -1405,6 +1172,24 @@ impl Kernel {
     #[must_use]
     pub fn file_cached_pages(&self, fid: FileId) -> usize {
         self.page_cache.keys().filter(|(f, _)| *f == fid).count()
+    }
+
+    /// Caches page `idx` of `fid`: a fresh page-cache frame filled from the
+    /// backing file, so a partial-page write cannot clobber the rest of the
+    /// page at flush time. Dirty pages are always cached, so the file holds
+    /// the page's latest bytes.
+    fn cache_file_page(&mut self, fid: FileId, idx: u64) -> SimResult<FrameId> {
+        let frame = self.alloc_frame(FrameState::PageCache)?;
+        let content = &self.vfs.get(fid).ok_or(SimError::NoSuchFile(fid))?.content;
+        let start = idx as usize * PAGE_SIZE;
+        if start < content.len() {
+            let end = (start + PAGE_SIZE).min(content.len());
+            self.mem.write_frame(frame, 0, &content[start..end]);
+        }
+        self.frame_mut(frame).cache_key = Some((fid, idx));
+        self.page_cache.insert((fid, idx), frame);
+        self.stats.cache_inserts += 1;
+        Ok(frame)
     }
 
     /// Writes `bytes` into `fid` at `offset` through the page cache: the
@@ -1432,34 +1217,9 @@ impl Kernel {
             let n = (PAGE_SIZE - page_off).min(bytes.len() - off);
             let frame = match self.page_cache.get(&(fid, idx)) {
                 Some(&f) => f,
-                None => {
-                    let f = self.alloc_frame(FrameState::PageCache)?;
-                    // Fill from the backing file so a partial-page write
-                    // cannot clobber the rest of the page at flush time.
-                    let start = idx as usize * PAGE_SIZE;
-                    let chunk = {
-                        let content =
-                            &self.vfs.get(fid).ok_or(SimError::NoSuchFile(fid))?.content;
-                        let end = (start + PAGE_SIZE).min(content.len());
-                        if start < content.len() {
-                            content[start..end].to_vec()
-                        } else {
-                            Vec::new()
-                        }
-                    };
-                    if !chunk.is_empty() {
-                        self.phys[f.base()..f.base() + chunk.len()].copy_from_slice(&chunk);
-                    }
-                    self.frames[f.0].cache_key = Some((fid, idx));
-                    self.touch_state(f);
-                    self.page_cache.insert((fid, idx), f);
-                    self.stats.cache_inserts += 1;
-                    f
-                }
+                None => self.cache_file_page(fid, idx)?,
             };
-            let base = frame.base() + page_off;
-            self.phys[base..base + n].copy_from_slice(&bytes[off..off + n]);
-            self.touch_bytes(frame);
+            self.mem.write_frame(frame, page_off, &bytes[off..off + n]);
             self.dirty_cache.insert((fid, idx));
             off += n;
         }
@@ -1495,12 +1255,10 @@ impl Kernel {
     /// the file's length — size is metadata, set at write time).
     fn flush_cache_page(&mut self, key: (FileId, u64), frame: FrameId) {
         let start = key.1 as usize * PAGE_SIZE;
-        let base = frame.base();
         if let Some(entry) = self.vfs.get_mut(key.0) {
             let end = (start + PAGE_SIZE).min(entry.content.len());
             if start < entry.content.len() {
-                entry.content[start..end]
-                    .copy_from_slice(&self.phys[base..base + (end - start)]);
+                entry.content[start..end].copy_from_slice(&self.mem.frame(frame)[..end - start]);
             }
         }
     }
@@ -1672,17 +1430,14 @@ impl Kernel {
     /// Panics when the write exceeds the object's size class.
     pub fn kwrite(&mut self, obj: KObj, bytes: &[u8]) {
         assert!(bytes.len() <= obj.capacity(), "kwrite beyond object");
-        let base = obj.frame.base() + obj.offset;
-        self.phys[base..base + bytes.len()].copy_from_slice(bytes);
-        self.touch_bytes(obj.frame);
+        self.mem.write_frame(obj.frame, obj.offset, bytes);
     }
 
     /// Reads a kmalloc'd object's full contents (stale bytes included —
     /// which is precisely how slab infoleaks work).
     #[must_use]
     pub fn kread(&self, obj: KObj) -> Vec<u8> {
-        let base = obj.frame.base() + obj.offset;
-        self.phys[base..base + obj.capacity()].to_vec()
+        self.frame_bytes(obj.frame)[obj.offset..obj.offset + obj.capacity()].to_vec()
     }
 
     /// Shrinks the slab caches: fully-free slab pages are returned to the
@@ -1781,7 +1536,6 @@ impl Kernel {
             let owner = self.frames[i].mappings[0].0;
             self.fault_check(FaultOp::SwapOut, Some(owner))?;
             let slot = self.alloc_swap_slot();
-            let base = f.base();
             let crypt_seed = if self.config.swap_crypto {
                 // Provos-style swap encryption, modeled as a keyed stream
                 // cipher: the device only ever sees ciphertext. The key mixes
@@ -1793,7 +1547,7 @@ impl Kernel {
             } else {
                 None
             };
-            let mut page = self.phys[base..base + PAGE_SIZE].to_vec();
+            let mut page = self.frame_bytes(f).to_vec();
             if let Some(seed) = crypt_seed {
                 swap_keystream_xor(seed, &mut page);
             }
@@ -1848,8 +1602,7 @@ impl Kernel {
         if let Some(seed) = self.swap_slots[slot].as_ref().and_then(|s| s.crypt_seed) {
             swap_keystream_xor(seed, &mut page);
         }
-        self.phys[frame.base()..frame.base() + PAGE_SIZE].copy_from_slice(&page);
-        self.touch_bytes(frame);
+        self.mem.write_frame(frame, 0, &page);
         let locked = {
             let proc = self.proc_mut(pid)?;
             proc.swapped.remove(&vpn);
@@ -1863,9 +1616,9 @@ impl Kernel {
             );
             proc.locked_vpns.contains(&vpn)
         };
-        self.frames[frame.0].mappings.push((pid, vpn));
-        self.frames[frame.0].locked = locked;
-        self.touch_state(frame);
+        let fr = self.frame_mut(frame);
+        fr.mappings.push((pid, vpn));
+        fr.locked = locked;
         self.unref_swap_slot(slot);
         self.stats.swap_ins += 1;
         Ok(frame)
@@ -1933,9 +1686,8 @@ impl Kernel {
             if self.frames[i].state != FrameState::Anon {
                 continue;
             }
-            let base = i * PAGE_SIZE;
             by_hash
-                .entry(fnv1a(&self.phys[base..base + PAGE_SIZE]))
+                .entry(fnv1a(self.frame_bytes(FrameId(i))))
                 .or_default()
                 .push(i);
         }
@@ -1948,10 +1700,10 @@ impl Kernel {
             // collisions are resolved by the byte comparison.
             let mut canonicals: Vec<usize> = Vec::new();
             for i in group {
-                let target = canonicals.iter().copied().find(|&c| {
-                    self.phys[c * PAGE_SIZE..(c + 1) * PAGE_SIZE]
-                        == self.phys[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]
-                });
+                let target = canonicals
+                    .iter()
+                    .copied()
+                    .find(|&c| self.frame_bytes(FrameId(c)) == self.frame_bytes(FrameId(i)));
                 match target {
                     Some(c) => {
                         self.merge_frame_into(FrameId(i), FrameId(c));
@@ -1986,13 +1738,10 @@ impl Kernel {
         }
         let dup_refs = self.frames[dup.0].refcount;
         let dup_locked = self.frames[dup.0].locked;
-        {
-            let fr = &mut self.frames[canon.0];
-            fr.mappings.extend(dup_mappings);
-            fr.refcount += dup_refs;
-            fr.locked |= dup_locked;
-        }
-        self.touch_state(canon);
+        let fr = self.frame_mut(canon);
+        fr.mappings.extend(dup_mappings);
+        fr.refcount += dup_refs;
+        fr.locked |= dup_locked;
         // `free_frame` resets the dup's metadata; with `zero_on_free` unset
         // its (duplicate) bytes linger on the free list, as ever.
         self.free_frame(dup);
@@ -2090,6 +1839,26 @@ impl Kernel {
     }
 }
 
+/// Decays frame `frame`'s page one-sidedly, under a stream of its own:
+/// each 1-bit in ascending order (bytes in order, each from its least
+/// significant bit) draws `gen_bool(rate)` and is cleared when it comes up
+/// true. A 0-bit draws nothing, so only the set bits of each little-endian
+/// word are visited.
+fn decay_page(seed: u64, frame: usize, rate: f64, page: &mut [u8]) {
+    let mut rng = Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for word in page.chunks_exact_mut(8) {
+        let mut value = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let mut ones = value;
+        while ones != 0 {
+            if rng.gen_bool(rate) {
+                value &= !(ones & ones.wrapping_neg());
+            }
+            ones &= ones - 1;
+        }
+        word.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
 /// Per-event swap-encryption key: mixes the frame id with the global swap
 /// write counter so no two writes ever share a keystream.
 fn swap_slot_seed(f: FrameId, event: u64) -> u64 {
@@ -2143,6 +1912,56 @@ mod tests {
         k.write_bytes(pid, buf, &[0x5A; 3 * PAGE_SIZE])
             .expect("write");
         k.fork(pid).expect("fork");
+    }
+
+    /// `snapshot_decayed`'s earlier decay: each non-zero byte tests its 8
+    /// bits in turn and draws for the set ones.
+    fn decay_page_per_bit(seed: u64, frame: usize, rate: f64, page: &mut [u8]) {
+        let mut rng = Rng64::new(seed ^ (frame as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for word in page.chunks_exact_mut(8) {
+            if u64::from_ne_bytes(word.try_into().expect("8-byte chunk")) == 0 {
+                continue;
+            }
+            for byte in word.iter_mut().filter(|b| **b != 0) {
+                let mut mask = 0u8;
+                for bit in 0..8 {
+                    if *byte & (1 << bit) != 0 && rng.gen_bool(rate) {
+                        mask |= 1 << bit;
+                    }
+                }
+                *byte &= !mask;
+            }
+        }
+    }
+
+    /// The set-bit decay makes the per-bit oracle's draws in the same
+    /// order, so every image is the same.
+    #[test]
+    fn set_bit_decay_matches_the_per_bit_oracle() {
+        let mut k = booted(1 << 20);
+        let pid = k.spawn();
+        let buf = k.heap_alloc(pid, 8 * PAGE_SIZE).expect("heap alloc");
+        let noise = Rng64::new(11).gen_bytes(6 * PAGE_SIZE);
+        k.write_bytes(pid, buf, &noise).expect("write");
+        let sparse: Vec<u8> = (0..2 * PAGE_SIZE)
+            .map(|i| [0x80, 0xFF, 0x01].get(i % 97).copied().unwrap_or(0))
+            .collect();
+        k.write_bytes(pid, buf.add(6 * PAGE_SIZE as u64), &sparse)
+            .expect("write");
+        for seed in 0..16 {
+            for rate in [0.0, 1e-6, 0.02, 0.5, 1.0] {
+                let oracle = k.mem.snapshot(|frame, page| {
+                    if rate > 0.0 {
+                        decay_page_per_bit(seed, frame, rate, page);
+                    }
+                });
+                assert_eq!(
+                    k.snapshot_decayed(seed, rate)[..],
+                    oracle[..],
+                    "seed {seed}, rate {rate}"
+                );
+            }
+        }
     }
 
     /// The delta path runs exactly when `self` was last copied from this

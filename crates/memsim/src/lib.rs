@@ -50,6 +50,7 @@ mod alloc;
 mod fault;
 mod heap;
 mod kernel;
+mod phys;
 mod process;
 mod slab;
 mod snapshot;

@@ -1,6 +1,6 @@
 //! Cold-boot captures of physical memory.
 
-use crate::kernel::FrameBits;
+use crate::phys::FrameBits;
 use crate::FrameId;
 use core::fmt;
 use core::ops::Deref;

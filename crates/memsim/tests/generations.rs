@@ -1,8 +1,9 @@
 //! Per-frame generation counters: the contract incremental scanners build
 //! on. A frame whose `write_generation` did not move has bit-identical
 //! bytes; a frame whose `state_generation` did not move has an identical
-//! `FrameView`. Verified here both for scripted single operations and
-//! property-style across random operation sequences.
+//! `FrameView`; a frame whose bytes changed after the clock read C is
+//! among `frames_written_since(C)`. Verified here both for scripted single
+//! operations and property-style across random operation sequences.
 
 use memsim::{FaultPlan, FrameId, Kernel, KernelPolicy, MachineConfig, VAddr};
 use simrng::Rng64;
@@ -31,6 +32,40 @@ fn assert_generations_cover_changes(before: &[(u64, u64, Vec<u8>, memsim::FrameV
         }
         if k.state_generation(f) == *sg {
             assert_eq!(k.frame_view(f), *view, "frame {i}: metadata changed, generation didn't");
+        }
+    }
+}
+
+/// The change walk against the bytes: every frame whose bytes changed
+/// since a snapshot taken at `clock` is among `frames_written_since(clock)`,
+/// which ascends and yields only frames written above the clock, and every
+/// frame whose metadata changed carries a state stamp above it.
+fn assert_walk_covers_changes(
+    before: &[(u64, u64, Vec<u8>, memsim::FrameView)],
+    clock: u64,
+    k: &Kernel,
+) {
+    let written: Vec<FrameId> = k.frames_written_since(clock).collect();
+    assert!(written.windows(2).all(|w| w[0] < w[1]), "the walk ascends");
+    for &f in &written {
+        assert!(
+            k.write_generation(f) > clock,
+            "{f} yielded at or below {clock}"
+        );
+    }
+    for (i, (_, _, bytes, view)) in before.iter().enumerate() {
+        let f = FrameId(i);
+        if k.frame_bytes(f) != &bytes[..] {
+            assert!(
+                written.contains(&f),
+                "{f}: bytes changed, the walk missed it"
+            );
+        }
+        if k.frame_view(f) != *view {
+            assert!(
+                k.state_generation(f) > clock,
+                "{f}: metadata changed unstamped"
+            );
         }
     }
 }
@@ -182,9 +217,11 @@ fn random_operation_soup_never_mutates_behind_the_generations() {
         }
         let mut pids = vec![k.spawn()];
         let mut bufs: Vec<(memsim::Pid, VAddr)> = Vec::new();
+        let log = k.create_file("log", &[]);
         for _ in 0..80 {
             let before = snapshot(&k);
-            match rng.gen_below(8) {
+            let clock = k.generation_clock();
+            match rng.gen_below(11) {
                 0 => pids.push(k.spawn()),
                 1 => {
                     let pid = pids[rng.gen_index(pids.len())];
@@ -223,6 +260,25 @@ fn random_operation_soup_never_mutates_behind_the_generations() {
                     let fid = k.create_file("f", &[rng.next_u64() as u8; 5000]);
                     let _ = k.read_file(pid, fid, rng.gen_bool(0.5));
                 }
+                7 => {
+                    // Page-cache writes, partial pages included: a missing
+                    // page is filled from the file before the write lands.
+                    let at = rng.gen_index(3 * 4096);
+                    let _ = k.write_file(log, at, &[rng.next_u64() as u8 | 1; 300]);
+                    if rng.gen_bool(0.3) {
+                        let _ = k.writeback(2);
+                    }
+                }
+                8 => {
+                    // Swap-out, then a fault-in with no write after it.
+                    let _ = k.swap_out_pressure(1 + rng.gen_index(3));
+                    if let Some(&(pid, b)) = bufs.get(rng.gen_index(bufs.len().max(1))) {
+                        let _ = k.touch_pages(pid, b, 64);
+                    }
+                }
+                9 => {
+                    k.merge_identical_pages();
+                }
                 _ => {
                     if !bufs.is_empty() {
                         let (pid, b) = bufs[rng.gen_index(bufs.len())];
@@ -232,6 +288,7 @@ fn random_operation_soup_never_mutates_behind_the_generations() {
                 }
             }
             assert_generations_cover_changes(&before, &k);
+            assert_walk_covers_changes(&before, clock, &k);
         }
     }
 }

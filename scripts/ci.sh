@@ -24,22 +24,27 @@ cargo test --release -p simrng --test fork_properties
 
 echo "== scan-path equivalence (release) =="
 # The incremental dirty-frame scanner and the skip-loop match core must stay
-# bit-identical to their naive full-scan oracles: the generation-counter
-# contract at the memsim layer, the span walk's balancer and random span
-# lists at 1/2/3/8 threads and the lazy span builder (keyscan unit tests),
-# differential fuzzing at the keyscan layer (dump scans included: plain
-# bytes test each page and skip the all-zero ones, cold-boot snapshots
-# skip their known-zero frames without reading them, and both must equal
-# the naive oracle), then the harness wiring (timelines, fault sweeps,
-# executor cells) at 2/4/8 worker threads. The keyscan unit tests also run
-# the cold-boot reconstructor in release: the zero-page-skipping harvest
-# and the one-add-per-k table against the byte-at-a-time and divide-per-k
-# code they replaced, kept as test oracles. Sweep cells restore pooled
-# spare machines by copying only the frames whose generations moved, so
-# the pooled sweeps are checked against clone-per-cell runs: the harness
-# unit tests, and the benchmark's replica suite, a clone-per-cell program
-# built from public calls that must reproduce the harness sweeps result
-# for result.
+# bit-identical to their naive full-scan oracles: at the memsim layer, the
+# physical-memory module's unit tests (every mutator stamps its frame, the
+# one "frames stamped above clock C" walk, the delta restore), the kernel's
+# delta-restore and cold-boot decay unit tests, and the generation-counter
+# contract, whose random operation soup also checks the change walk against
+# the bytes; the span walk's balancer and random span lists at 1/2/3/8
+# threads and the lazy span builder, over whole haystacks and page ranges
+# (keyscan unit tests); differential fuzzing at the keyscan layer (dump
+# scans included: plain bytes test each page and skip the all-zero ones,
+# cold-boot snapshots skip their known-zero frames without reading them,
+# and both must equal the naive oracle), then the harness wiring
+# (timelines, fault sweeps, executor cells) at 2/4/8 worker threads. The
+# keyscan unit tests also run the cold-boot reconstructor in release: the
+# zero-page-skipping harvest and the one-add-per-k table against the
+# byte-at-a-time and divide-per-k code they replaced, kept as test
+# oracles. Sweep cells restore pooled spare machines by copying only the
+# frames stamped since the copy, so the pooled sweeps are checked against
+# clone-per-cell runs: the harness unit tests, and the benchmark's replica
+# suite, a clone-per-cell program built from public calls that must
+# reproduce the harness sweeps result for result.
+cargo test --release -p memsim --lib
 cargo test --release -p memsim --test generations
 cargo test --release -p keyscan --lib
 cargo test --release -p keyscan --test differential
