@@ -8,7 +8,10 @@
 //! that is already zero, so only a dirty page times the clear.
 //!
 //! `machine_setup/boot_64mb_kernel` is the boot every fault-sweep template
-//! and every kernel-level matrix cell pays. `kernel_clone` is the per-cell
+//! and every kernel-level matrix cell pays, and `boot_64mb_none` the same
+//! boot under the stock policy, which clears nothing. `age_mix_64mb` is
+//! the attacker matrix's background re-aging: half the free frames of a
+//! machine a server ran on, cycled once. `kernel_clone` is the per-cell
 //! cost of the fault and rotation sweeps: a fresh 64 MB clone of the boot
 //! image against restoring a spare that just ran one fault-sweep cell's
 //! workload.
@@ -106,6 +109,32 @@ fn bench_aging(c: &mut Criterion) {
     let cfg = ExperimentConfig::quick();
     group.bench_function("boot_64mb_kernel", |b| {
         b.iter(|| cfg.boot_machine(ProtectionLevel::Kernel, &mut Rng64::new(cfg.seed)));
+    });
+    group.bench_function("boot_64mb_none", |b| {
+        b.iter(|| cfg.boot_machine(ProtectionLevel::None, &mut Rng64::new(cfg.seed)));
+    });
+    // Each sample restores a spare of the served machine and ages it; the
+    // spare goes back into the slot, so no drop lands inside the timing.
+    let level = ProtectionLevel::None;
+    let mut served = cfg.boot_machine(level, &mut Rng64::new(cfg.seed));
+    sweep_cell_workload(
+        &mut served,
+        ServerConfig::new(level).with_key_bits(cfg.key_bits),
+    );
+    let slot = RefCell::new(Some(served.clone()));
+    group.bench_function("age_mix_64mb", |b| {
+        b.iter_batched(
+            || {
+                let mut spare = slot.borrow_mut().take().unwrap();
+                spare.clone_from(&served);
+                spare
+            },
+            |mut spare| {
+                spare.age_memory(&mut Rng64::new(1), 0.5);
+                *slot.borrow_mut() = Some(spare);
+            },
+            BatchSize::LargeInput,
+        );
     });
     group.finish();
 }

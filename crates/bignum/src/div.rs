@@ -22,6 +22,16 @@ impl BigUint {
         (Self::from_limbs(quotient), rem)
     }
 
+    /// The remainder of [`Self::div_rem_u64`], without building the
+    /// quotient: what trial division needs, with no allocation.
+    pub(crate) fn rem_u64(&self, divisor: u64) -> u64 {
+        assert!(divisor != 0, "division by zero");
+        self.limbs.iter().rev().fold(0, |rem, &limb| {
+            let wide = (u128::from(rem) << 64) | u128::from(limb);
+            (wide % u128::from(divisor)) as u64
+        })
+    }
+
     /// Divides, returning `(quotient, remainder)` with `remainder < divisor`.
     ///
     /// Implements Knuth TAOCP vol. 2 Algorithm D in base 2^64.
@@ -187,6 +197,33 @@ mod tests {
         let (q, r) = n("65").div_rem_u64(10);
         assert_eq!(q, n("a"));
         assert_eq!(r, 1);
+    }
+
+    /// The allocation-free remainder equals `div_rem_u64`'s, for random
+    /// values of 1 to 17 limbs (and zero) by every trial-division prime and
+    /// by divisors up to `u64::MAX`.
+    #[test]
+    fn rem_u64_matches_div_rem_u64() {
+        let mut rng = simrng::Rng64::new(0x7E11);
+        let mut values = vec![BigUint::zero()];
+        for len in 1..=17 {
+            for _ in 0..4 {
+                values.push(BigUint::from_limbs(
+                    (0..len).map(|_| rng.next_u64()).collect(),
+                ));
+            }
+            values.push(BigUint::from_limbs(vec![u64::MAX; len]));
+        }
+        let divisors =
+            crate::SMALL_PRIMES
+                .iter()
+                .copied()
+                .chain([1, 1 << 32, u64::MAX, rng.next_u64() | 1]);
+        for d in divisors {
+            for v in &values {
+                assert_eq!(v.rem_u64(d), v.div_rem_u64(d).1, "{v:?} mod {d}");
+            }
+        }
     }
 
     #[test]

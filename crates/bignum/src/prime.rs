@@ -65,8 +65,7 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut Rng64) -> bool {
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let (_, r) = n.div_rem_u64(p);
-        if r == 0 {
+        if n.rem_u64(p) == 0 {
             // Divisible by a small prime; only prime if it *is* that prime,
             // which the to_u64 fast path above already handled.
             return false;
@@ -105,23 +104,26 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut Rng64) -> bool {
 /// Uniform random value in `[0, bound)` by rejection sampling.
 fn random_below(bound: &BigUint, rng: &mut Rng64) -> BigUint {
     debug_assert!(!bound.is_zero());
-    let bits = bound.bit_len();
     loop {
-        let mut limbs = vec![0u64; bits.div_ceil(64)];
-        for l in &mut limbs {
-            *l = rng.next_u64();
-        }
-        // Mask off excess top bits.
-        let excess = limbs.len() * 64 - bits;
-        if excess > 0 {
-            let last = limbs.len() - 1;
-            limbs[last] &= u64::MAX >> excess;
-        }
-        let candidate = BigUint::from_limbs(limbs);
+        let candidate = random_bits(bound.bit_len(), rng);
         if candidate < *bound {
             return candidate;
         }
     }
+}
+
+/// Uniform random value below `2^bits`: one draw per limb, the bits above
+/// `bits` masked off.
+fn random_bits(bits: usize, rng: &mut Rng64) -> BigUint {
+    let mut limbs = vec![0u64; bits.div_ceil(64)];
+    for l in &mut limbs {
+        *l = rng.next_u64();
+    }
+    let excess = limbs.len() * 64 - bits;
+    if let Some(top) = limbs.last_mut() {
+        *top &= u64::MAX >> excess;
+    }
+    BigUint::from_limbs(limbs)
 }
 
 /// Generates a random probable prime of exactly `bits` bits.
@@ -148,17 +150,8 @@ fn random_below(bound: &BigUint, rng: &mut Rng64) -> BigUint {
 pub fn gen_prime(bits: usize, rng: &mut Rng64) -> BigUint {
     assert!(bits >= 8, "prime size must be at least 8 bits");
     loop {
-        let mut limbs = vec![0u64; bits.div_ceil(64)];
-        for l in &mut limbs {
-            *l = rng.next_u64();
-        }
-        let mut candidate = BigUint::from_limbs(limbs);
-        // Trim to exactly `bits` bits, then pin the framing bits.
-        candidate = candidate.rem(&{
-            let mut m = BigUint::zero();
-            m.set_bit(bits);
-            m
-        });
+        // Exactly `bits` bits, with the framing bits pinned.
+        let mut candidate = random_bits(bits, rng);
         candidate.set_bit(bits - 1);
         candidate.set_bit(bits - 2);
         candidate.set_bit(0);

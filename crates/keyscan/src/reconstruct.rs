@@ -413,13 +413,24 @@ impl KTable {
         if obs.count_ones() < (self.w / 8) as u32 {
             return Vec::new();
         }
+        // The default x86-64 target has no POPCNT, so a 128-bit count is two
+        // 64-bit bit tricks. Nearly every k has tens of conflicts, too many
+        // in the low half alone, so count the high half only for the rest.
+        let tolerance = cfg.k_conflict_tolerance;
+        let halves = |x: u128| (x as u64, (x >> 64) as u64);
+        let (obs_low, obs_high) = halves(obs);
         let mut hits: Vec<(u32, u64)> = self
             .windows
             .iter()
             .enumerate()
             .filter_map(|(i, &dt)| {
-                let conflicts = (obs & !dt).count_ones();
-                (conflicts <= cfg.k_conflict_tolerance).then_some((conflicts, i as u64 + 1))
+                let (dt_low, dt_high) = halves(dt);
+                let low = (obs_low & !dt_low).count_ones();
+                if low > tolerance {
+                    return None;
+                }
+                let conflicts = low + (obs_high & !dt_high).count_ones();
+                (conflicts <= tolerance).then_some((conflicts, i as u64 + 1))
             })
             .collect();
         hits.sort_unstable();
@@ -598,8 +609,8 @@ pub fn reconstruct<D: Dump + ?Sized>(
     Reconstruction { key: None, stats }
 }
 
-/// The harvest and table build the fast paths above replaced, kept as
-/// differential oracles for them.
+/// The harvest, table build and k filter the fast paths above replaced,
+/// kept as differential oracles for them.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -698,6 +709,30 @@ mod oracle {
 
     fn count_ones(x: &BigUint) -> usize {
         x.limbs().iter().map(|l| l.count_ones() as usize).sum()
+    }
+
+    /// [`KTable::filter`] counting all 128 bits of every entry.
+    pub(super) fn filter_ktable(
+        table: &KTable,
+        obs_d: &BigUint,
+        cfg: &ReconstructConfig,
+    ) -> Vec<u64> {
+        let obs = window_bits(obs_d.limbs(), table.lo, table.w);
+        if obs.count_ones() < (table.w / 8) as u32 {
+            return Vec::new();
+        }
+        let mut hits: Vec<(u32, u64)> = table
+            .windows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &dt)| {
+                let conflicts = (obs & !dt).count_ones();
+                (conflicts <= cfg.k_conflict_tolerance).then_some((conflicts, i as u64 + 1))
+            })
+            .collect();
+        hits.sort_unstable();
+        hits.truncate(cfg.max_k_candidates);
+        hits.into_iter().map(|(_, k)| k).collect()
     }
 
     /// [`KTable::build`] by one multiply and one division per `k`.
@@ -953,6 +988,69 @@ mod tests {
                     "{bits}-bit n, e = {e}: first differing k − 1"
                 );
             }
+        }
+    }
+
+    /// The filter that rejects on the low half first keeps the survivors,
+    /// counts and order of the one that counts all 128 bits, at every
+    /// tolerance from 0 to 6, for windows narrower than a half, between a
+    /// half and 128 bits, and of 128 bits.
+    #[test]
+    fn ktable_filter_matches_the_count_only_oracle() {
+        let mut rng = Rng64::new(0xF117);
+        for w in [40, 88, 128] {
+            let random = |rng: &mut Rng64| {
+                let x = (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+                if w == 128 {
+                    x
+                } else {
+                    x & ((1 << w) - 1)
+                }
+            };
+            let table = KTable {
+                windows: (0..4096).map(|_| random(&mut rng)).collect(),
+                lo: 0,
+                w,
+            };
+            // Observations that are table entries with a few bits decayed
+            // and 0 to 6 bits added (so some k survive at each tolerance),
+            // and random ones.
+            let mut observed: Vec<u128> = Vec::new();
+            for added in 0..=6 {
+                let mut obs = table.windows[rng.gen_index(table.windows.len())];
+                for _ in 0..3 {
+                    obs &= !(1 << rng.gen_index(w));
+                }
+                for _ in 0..added {
+                    obs |= 1 << rng.gen_index(w);
+                }
+                observed.push(obs);
+            }
+            observed.extend((0..8).map(|_| random(&mut rng)));
+            let mut survivors = [0; 7];
+            for obs in observed {
+                let obs_d = BigUint::from_limbs(vec![obs as u64, (obs >> 64) as u64]);
+                for k_conflict_tolerance in 0..=6 {
+                    for max_k_candidates in [1, 8, usize::MAX] {
+                        let cfg = ReconstructConfig {
+                            k_conflict_tolerance,
+                            max_k_candidates,
+                            ..ReconstructConfig::default()
+                        };
+                        let got = table.filter(&obs_d, &cfg);
+                        assert_eq!(
+                            got,
+                            oracle::filter_ktable(&table, &obs_d, &cfg),
+                            "w {w}, tolerance {k_conflict_tolerance}, cap {max_k_candidates}"
+                        );
+                        survivors[k_conflict_tolerance as usize] += got.len();
+                    }
+                }
+            }
+            assert!(
+                survivors.iter().all(|&n| n > 0),
+                "w {w}: survivors {survivors:?}"
+            );
         }
     }
 

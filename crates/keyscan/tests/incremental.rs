@@ -8,7 +8,8 @@
 
 use keyscan::{IncrementalScanner, KeyHit, RawHit, Scanner};
 use memsim::{
-    FaultPlan, FrameId, FrameState, Kernel, KernelPolicy, MachineConfig, Pid, VAddr, PAGE_SIZE,
+    FaultOp, FaultPlan, FrameId, FrameState, Kernel, KernelPolicy, MachineConfig, Pid, VAddr,
+    PAGE_SIZE,
 };
 use rsa_repro::material::{KeyMaterial, Pattern};
 use rsa_repro::RsaPrivateKey;
@@ -527,5 +528,129 @@ fn an_all_zero_pattern_is_found_in_known_zero_frames() {
     // Matches at nearly every offset: a 16-frame machine keeps them few.
     for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
         known_zero_edges(policy, 16 * PAGE_SIZE, true);
+    }
+}
+
+/// One scan's pinned outcome: the accumulated `ScanStats` (`scans`,
+/// `frames_rescanned`, `frames_total`) and each hit as `(pattern, offset,
+/// allocated)`.
+type Pinned = ((u64, u64, u64), Vec<(usize, usize, bool)>);
+
+fn pin(inc: &mut IncrementalScanner, k: &Kernel) -> Pinned {
+    let report = inc.scan(k);
+    let stats = inc.stats();
+    (
+        (stats.scans, stats.frames_rescanned, stats.frames_total),
+        report
+            .hits()
+            .iter()
+            .map(|h| (h.pattern, h.offset, h.allocated))
+            .collect(),
+    )
+}
+
+/// An incremental scanner over a scripted machine, scanned after each
+/// step: boot, writes and frees, agings (whole, half, and one a fault plan
+/// stops after 99 frames), a KSM merge and a swap-out.
+fn scripted_history(policy: KernelPolicy) -> Vec<Pinned> {
+    let (material, scanner) = material_and_scanner(7);
+    let mut inc = IncrementalScanner::new(scanner);
+    let mut k = Kernel::new(MachineConfig::small().with_policy(policy));
+    let mut rng = Rng64::new(0x5CA7);
+    let mut steps = Vec::new();
+    k.age_memory(&mut rng, 1.0);
+    steps.push(pin(&mut inc, &k));
+
+    let parent = k.spawn();
+    let d = k.heap_alloc(parent, material.d_bytes().len()).unwrap();
+    k.write_bytes(parent, d, material.d_bytes()).unwrap();
+    let p = k.heap_alloc(parent, material.p_bytes().len()).unwrap();
+    k.write_bytes(parent, p, material.p_bytes()).unwrap();
+    steps.push(pin(&mut inc, &k));
+    let child = k.fork(parent).unwrap();
+    k.write_bytes(child, d, material.d_bytes()).unwrap();
+    steps.push(pin(&mut inc, &k));
+    k.heap_free(parent, d).unwrap();
+    k.exit(child).unwrap();
+    steps.push(pin(&mut inc, &k));
+
+    k.age_memory(&mut rng, 1.0);
+    steps.push(pin(&mut inc, &k));
+    k.age_memory(&mut rng, 0.5);
+    steps.push(pin(&mut inc, &k));
+    let next = k.op_count(FaultOp::FrameAlloc) + 100;
+    k.install_fault_plan(FaultPlan::new().fail_nth(FaultOp::FrameAlloc, next));
+    assert_eq!(k.age_memory(&mut rng, 1.0), 99, "the plan stops aging");
+    k.clear_fault_plan();
+    steps.push(pin(&mut inc, &k));
+
+    // Two processes plant the same page; the merge retires one copy.
+    let mut page = vec![0x42; PAGE_SIZE];
+    page[..material.d_bytes().len()].copy_from_slice(material.d_bytes());
+    for _ in 0..2 {
+        let pid = k.spawn();
+        let at = k.alloc_special_region(pid, 1).unwrap();
+        k.write_bytes(pid, at, &page).unwrap();
+    }
+    steps.push(pin(&mut inc, &k));
+    assert!(k.merge_identical_pages() > 0, "the planted pages merge");
+    steps.push(pin(&mut inc, &k));
+    assert!(
+        k.swap_out_pressure(usize::MAX).unwrap() > 0,
+        "pages swap out"
+    );
+    steps.push(pin(&mut inc, &k));
+    steps
+}
+
+/// One scan's pinned outcome, as [`Pinned`] with the hits in a slice.
+type Step = ((u64, u64, u64), &'static [(usize, usize, bool)]);
+
+/// [`scripted_history`] under the stock policy: aging writes no bytes, so
+/// it rescans nothing, and freed copies stay in memory as unallocated hits.
+#[rustfmt::skip]
+const STOCK: &[Step] = &[
+    ((1, 1024, 1024), &[]),
+    ((2, 1026, 2048), &[(0, 2772992, true), (1, 2773008, true)]),
+    ((3, 1028, 3072), &[(0, 905216, true), (1, 905232, true), (0, 2772992, true), (1, 2773008, true)]),
+    ((4, 1028, 4096), &[(0, 905216, false), (1, 905232, false), (0, 2772992, true), (1, 2773008, true)]),
+    ((5, 1028, 5120), &[(0, 905216, false), (1, 905232, false), (0, 2772992, true), (1, 2773008, true)]),
+    ((6, 1028, 6144), &[(0, 905216, false), (1, 905232, false), (0, 2772992, true), (1, 2773008, true)]),
+    ((7, 1028, 7168), &[(0, 905216, false), (1, 905232, false), (0, 2772992, true), (1, 2773008, true)]),
+    ((8, 1032, 8192), &[(0, 905216, false), (1, 905232, false), (0, 1495040, true), (0, 1802240, true), (0, 2772992, true), (1, 2773008, true)]),
+    ((9, 1032, 9216), &[(0, 905216, false), (1, 905232, false), (0, 1495040, true), (0, 1802240, false), (0, 2772992, true), (1, 2773008, true)]),
+    ((10, 1032, 10240), &[(0, 905216, false), (1, 905232, false), (0, 1495040, false), (0, 1802240, false), (0, 2772992, false), (1, 2773008, false)]),
+];
+
+/// [`scripted_history`] under zero-on-free: every frame an aging cycles is
+/// cleared, so the next scan rescans it and the frame before it.
+#[rustfmt::skip]
+const ZERO_ON_FREE: &[Step] = &[
+    ((1, 1024, 1024), &[]),
+    ((2, 1026, 2048), &[(0, 2772992, true), (1, 2773008, true)]),
+    ((3, 1028, 3072), &[(0, 905216, true), (1, 905232, true), (0, 2772992, true), (1, 2773008, true)]),
+    ((4, 1030, 4096), &[(0, 2772992, true), (1, 2773008, true)]),
+    ((5, 2054, 5120), &[(0, 2772992, true), (1, 2773008, true)]),
+    ((6, 2816, 6144), &[(0, 2772992, true), (1, 2773008, true)]),
+    ((7, 3007, 7168), &[(0, 2772992, true), (1, 2773008, true)]),
+    ((8, 3011, 8192), &[(0, 1495040, true), (0, 1802240, true), (0, 2772992, true), (1, 2773008, true)]),
+    ((9, 3013, 9216), &[(0, 1495040, true), (0, 2772992, true), (1, 2773008, true)]),
+    ((10, 3017, 10240), &[]),
+];
+
+/// `ScanStats` is otherwise pinned only by the committed sweep results.
+/// These counts and hits were recorded before aging became one pass;
+/// every stamp that aging, merging or swapping makes moves them.
+#[test]
+fn scan_stats_and_hits_are_pinned_over_a_scripted_history() {
+    for (policy, pinned) in [
+        (KernelPolicy::stock(), STOCK),
+        (KernelPolicy::hardened(), ZERO_ON_FREE),
+    ] {
+        let got = scripted_history(policy);
+        assert_eq!(got.len(), pinned.len());
+        for (i, (got, &(stats, hits))) in got.iter().zip(pinned).enumerate() {
+            assert_eq!((got.0, &got.1[..]), (stats, hits), "{policy:?}, step {i}");
+        }
     }
 }

@@ -3,11 +3,13 @@
 //! `free_hot_cold_page` path (the function the paper patches).
 
 use crate::FrameId;
+use std::collections::VecDeque;
 
 /// Free-frame bookkeeping.
 ///
 /// Frames are handed out in this order: hot list (LIFO — most recently freed
-/// first), then the cold stack (also most-recently-spilled first, matching
+/// first; a ring, so a spill from its old end costs no shift), then the cold
+/// stack (also most-recently-spilled first, matching
 /// the buddy allocator's head-insertion of freed pages), then never-yet-used
 /// frames from the watermark. The overall most-recently-freed-first order is
 /// deliberately faithful: it is what makes freshly freed, secret-bearing
@@ -15,7 +17,7 @@ use crate::FrameId;
 /// directory block) receives.
 #[derive(Debug, Clone)]
 pub(crate) struct FreeLists {
-    hot: Vec<FrameId>,
+    hot: VecDeque<FrameId>,
     cold: Vec<FrameId>,
     hot_max: usize,
     /// First frame that has never been allocated; all frames at or above this
@@ -27,7 +29,7 @@ pub(crate) struct FreeLists {
 impl FreeLists {
     pub(crate) fn new(total_frames: usize, hot_max: usize) -> Self {
         Self {
-            hot: Vec::new(),
+            hot: VecDeque::new(),
             cold: Vec::new(),
             hot_max: hot_max.max(1),
             watermark: 0,
@@ -37,7 +39,7 @@ impl FreeLists {
 
     /// Takes a frame, preferring recently freed ones.
     pub(crate) fn alloc(&mut self) -> Option<FrameId> {
-        if let Some(f) = self.hot.pop() {
+        if let Some(f) = self.hot.pop_back() {
             return Some(f);
         }
         if let Some(f) = self.cold.pop() {
@@ -54,11 +56,26 @@ impl FreeLists {
     /// Returns a frame to the hot list, spilling the oldest hot frame onto
     /// the cold stack when the hot list is full.
     pub(crate) fn free(&mut self, frame: FrameId) {
-        self.hot.push(frame);
+        self.hot.push_back(frame);
         if self.hot.len() > self.hot_max {
-            let spilled = self.hot.remove(0);
+            let spilled = self.hot.pop_front().expect("over hot_max, so not empty");
             self.cold.push(spilled);
         }
+    }
+
+    /// Returns `frames` in order, leaving the lists as one [`Self::free`]
+    /// per frame would: of the hot list followed by `frames`, all but the
+    /// last `hot_max` spill onto the cold stack, oldest first.
+    pub(crate) fn free_all(&mut self, frames: &[FrameId]) {
+        let spill = (self.hot.len() + frames.len()).saturating_sub(self.hot_max);
+        let from_hot = spill.min(self.hot.len());
+        let (spilled, kept) = frames.split_at(spill - from_hot);
+        // One push per frame, so the cold stack's buffer grows through the
+        // same sizes as under `free`, and with it the process's memory.
+        for f in self.hot.drain(..from_hot).chain(spilled.iter().copied()) {
+            self.cold.push(f);
+        }
+        self.hot.extend(kept);
     }
 
     /// Number of frames currently available without OOM.
@@ -119,6 +136,47 @@ mod tests {
         assert_eq!(fl.alloc(), Some(frames[2]));
         assert_eq!(fl.alloc(), Some(frames[1]));
         assert_eq!(fl.alloc(), Some(frames[0]));
+    }
+
+    /// [`FreeLists::free_all`] against one `free` per frame, from hot
+    /// lists that start empty, partly full and full, with batches shorter
+    /// and longer than `hot_max`: the same lists, so the same allocations.
+    #[test]
+    fn batch_free_equals_one_free_per_frame() {
+        let hot_max = 4;
+        for already_hot in [0, 2, hot_max] {
+            for batch in [0, 1, 3, hot_max, hot_max + 1, 11] {
+                let mut seq = FreeLists::new(64, hot_max);
+                let frames: Vec<FrameId> = (0..hot_max + 3 + batch)
+                    .map(|_| seq.alloc().unwrap())
+                    .collect();
+                // A full hot list over three cold frames, then taken down
+                // to `already_hot` frames.
+                let (listed, returned) = frames.split_at(hot_max + 3);
+                for &f in listed {
+                    seq.free(f);
+                }
+                for _ in already_hot..hot_max {
+                    seq.alloc();
+                }
+                let mut batched = seq.clone();
+                for &f in returned {
+                    seq.free(f);
+                }
+                batched.free_all(returned);
+                let what = format!("{already_hot} hot, batch of {batch}");
+                assert_eq!(batched.hot, seq.hot, "{what}: hot list");
+                assert_eq!(batched.cold, seq.cold, "{what}: cold stack");
+                let drain = |fl: &mut FreeLists| {
+                    (0..fl.available()).map(|_| fl.alloc()).collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    drain(&mut batched),
+                    drain(&mut seq),
+                    "{what}: allocation order"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1680,16 +1680,42 @@ impl Kernel {
     /// The next write to a merged page breaks the sharing through the usual
     /// COW machinery (`stats.cow_breaks` ticks) — the observable latency
     /// difference the dedup attacker measures.
+    ///
+    /// Only written frames are read: a frame known to be zero hashes to
+    /// the hash of a zero page, and two such frames are equal unread.
     pub fn merge_identical_pages(&mut self) -> usize {
-        let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        self.merge_pages_by(
+            |k, f| {
+                if k.frame_known_zero(f) {
+                    ZERO_PAGE_FNV
+                } else {
+                    fnv1a(k.frame_bytes(f))
+                }
+            },
+            |k, a, b| {
+                (k.frame_known_zero(a) && k.frame_known_zero(b))
+                    || k.frame_bytes(a) == k.frame_bytes(b)
+            },
+        )
+    }
+
+    /// [`Self::merge_identical_pages`] with its page hash and equality
+    /// given: the anonymous frames grouped by `hash`, and within a group
+    /// each frame merged into the first earlier one it is `same` as.
+    fn merge_pages_by(
+        &mut self,
+        hash: impl Fn(&Self, FrameId) -> u64,
+        same: impl Fn(&Self, FrameId, FrameId) -> bool,
+    ) -> usize {
+        let mut by_hash: BTreeMap<u64, Vec<FrameId>> = BTreeMap::new();
         for i in 0..self.frames.len() {
             if self.frames[i].state != FrameState::Anon {
                 continue;
             }
             by_hash
-                .entry(fnv1a(self.frame_bytes(FrameId(i))))
+                .entry(hash(self, FrameId(i)))
                 .or_default()
-                .push(i);
+                .push(FrameId(i));
         }
         let mut merged = 0usize;
         for group in by_hash.into_values() {
@@ -1697,19 +1723,15 @@ impl Kernel {
                 continue;
             }
             // Lowest frame id with each distinct content is canonical; hash
-            // collisions are resolved by the byte comparison.
-            let mut canonicals: Vec<usize> = Vec::new();
-            for i in group {
-                let target = canonicals
-                    .iter()
-                    .copied()
-                    .find(|&c| self.frame_bytes(FrameId(c)) == self.frame_bytes(FrameId(i)));
-                match target {
+            // collisions are resolved by `same`.
+            let mut canonicals: Vec<FrameId> = Vec::new();
+            for f in group {
+                match canonicals.iter().copied().find(|&c| same(self, c, f)) {
                     Some(c) => {
-                        self.merge_frame_into(FrameId(i), FrameId(c));
+                        self.merge_frame_into(f, c);
                         merged += 1;
                     }
-                    None => canonicals.push(i),
+                    None => canonicals.push(f),
                 }
             }
         }
@@ -1777,21 +1799,39 @@ impl Kernel {
     /// after boot to reproduce that spread. The cycled pages are never
     /// written, so no scan artifacts are introduced.
     ///
+    /// One pass that leaves the machine as a kernel-page allocation and a
+    /// free of each frame would: the same fault checks, stamps, clears,
+    /// statistics and free-list order. It skips only the metadata writes
+    /// that each allocation and its free undo, since a free-listed frame's
+    /// metadata is already that of a free frame.
+    ///
     /// Returns the number of frames cycled.
     pub fn age_memory(&mut self, rng: &mut simrng::Rng64, fraction: f64) -> usize {
         let n = (self.free.available() as f64 * fraction.clamp(0.0, 1.0)) as usize;
+        // The frames `alloc_frame` would hand out, in its order. `n` never
+        // exceeds what the lists hold, so no reclaim runs, and a fault
+        // stops the pass where it would have stopped the allocations.
         let mut frames = Vec::with_capacity(n);
         for _ in 0..n {
-            match self.alloc_frame(FrameState::Kernel) {
-                Ok(f) => frames.push(f),
-                Err(_) => break,
+            if self.fault_check(FaultOp::FrameAlloc, None).is_err() {
+                break;
             }
+            let f = self.free.alloc().expect("n frames are free");
+            debug_assert_eq!(self.frames[f.0].state, FrameState::Free);
+            self.mem.stamp_state(f);
+            frames.push(f);
         }
         rng.shuffle(&mut frames);
-        let cycled = frames.len();
-        for f in frames {
-            self.free_frame(f);
+        for &f in &frames {
+            if self.config.policy.zero_on_free {
+                self.zero_frame(f);
+            }
+            self.mem.stamp_state(f);
         }
+        self.free.free_all(&frames);
+        let cycled = frames.len();
+        self.stats.frames_allocated += cycled as u64;
+        self.stats.frames_freed += cycled as u64;
         cycled
     }
 
@@ -1885,20 +1925,35 @@ fn swap_keystream_xor(seed: u64, buf: &mut [u8]) {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a over one page: buckets candidate frames before the byte comparison
 /// that actually decides a merge.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
+/// [`fnv1a`] of an all-zero page: each zero byte leaves only the multiply.
+const ZERO_PAGE_FNV: u64 = {
+    let mut h = FNV_OFFSET;
+    let mut i = 0;
+    while i < PAGE_SIZE {
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelPolicy;
 
     fn booted(mem_bytes: usize) -> Kernel {
         let mut k = Kernel::new(MachineConfig::small().with_mem_bytes(mem_bytes));
@@ -1912,6 +1967,161 @@ mod tests {
         k.write_bytes(pid, buf, &[0x5A; 3 * PAGE_SIZE])
             .expect("write");
         k.fork(pid).expect("fork");
+    }
+
+    /// `age_memory` as it was: each frame through `alloc_frame`, then each
+    /// through `free_frame` in shuffled order.
+    fn age_memory_per_frame(k: &mut Kernel, rng: &mut Rng64, fraction: f64) -> usize {
+        let n = (k.free.available() as f64 * fraction.clamp(0.0, 1.0)) as usize;
+        let mut frames = Vec::with_capacity(n);
+        for _ in 0..n {
+            match k.alloc_frame(FrameState::Kernel) {
+                Ok(f) => frames.push(f),
+                Err(_) => break,
+            }
+        }
+        rng.shuffle(&mut frames);
+        let cycled = frames.len();
+        for f in frames {
+            k.free_frame(f);
+        }
+        cycled
+    }
+
+    /// Asserts that `a` and `b` agree on everything aging can change: the
+    /// clock, each frame's stamps, known-zero bit, view and bytes, the
+    /// statistics and operation counters, and the frames the allocator
+    /// hands out next.
+    fn assert_same_machine(a: &Kernel, b: &Kernel, what: &str) {
+        assert_eq!(a.generation_clock(), b.generation_clock(), "{what}: clock");
+        for f in (0..a.num_frames()).map(FrameId) {
+            let frame = |k: &Kernel| {
+                (
+                    k.write_generation(f),
+                    k.state_generation(f),
+                    k.frame_known_zero(f),
+                    k.frame_view(f),
+                )
+            };
+            assert_eq!(frame(a), frame(b), "{what}: {f}");
+        }
+        assert!(a.phys() == b.phys(), "{what}: bytes");
+        assert_eq!(a.stats(), b.stats(), "{what}: stats");
+        assert_eq!(
+            (a.op_index, a.op_counts),
+            (b.op_index, b.op_counts),
+            "{what}: op counters"
+        );
+        let next = |k: &Kernel| {
+            let mut k = k.clone();
+            k.clear_fault_plan();
+            std::iter::from_fn(|| k.alloc_frame(FrameState::Kernel).ok()).collect::<Vec<_>>()
+        };
+        assert_eq!(next(a), next(b), "{what}: allocation order");
+    }
+
+    /// One-pass aging leaves every observable as the per-frame loop does:
+    /// at fractions 0, ½ and 1, on fresh and used machines, under the stock
+    /// and zero-on-free policies, and with fault plans that stop it midway.
+    #[test]
+    fn one_pass_aging_matches_the_per_frame_oracle() {
+        for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
+            let fresh = Kernel::new(MachineConfig::small().with_policy(policy));
+            let mut used = fresh.clone();
+            age_memory_per_frame(&mut used, &mut Rng64::new(3), 0.7);
+            dirty(&mut used);
+            let pid = used.spawn();
+            let buf = used.heap_alloc(pid, 40 * PAGE_SIZE).expect("heap alloc");
+            used.write_bytes(pid, buf, &[0x3C; 9 * PAGE_SIZE])
+                .expect("write");
+            used.exit(pid).expect("exit");
+            for (machine, base) in [("fresh", &fresh), ("used", &used)] {
+                let (ops, allocs) = (base.op_index(), base.op_count(FaultOp::FrameAlloc));
+                for (plan_name, plan) in [
+                    ("no plan", FaultPlan::new()),
+                    (
+                        "fail_nth",
+                        FaultPlan::new().fail_nth(FaultOp::FrameAlloc, allocs + 7),
+                    ),
+                    ("fail_at_index", FaultPlan::new().fail_at_index(ops + 300)),
+                    ("kill_at_index", FaultPlan::new().kill_at_index(ops + 31)),
+                    ("seeded", FaultPlan::new().seeded(5, 64)),
+                ] {
+                    for fraction in [0.0, 0.5, 1.0] {
+                        let what = format!("{policy:?}, {machine}, {plan_name}, {fraction}");
+                        let mut one_pass = base.clone();
+                        let mut per_frame = base.clone();
+                        one_pass.install_fault_plan(plan.clone());
+                        per_frame.install_fault_plan(plan.clone());
+                        let (mut rng_a, mut rng_b) = (Rng64::new(9), Rng64::new(9));
+                        assert_eq!(
+                            one_pass.age_memory(&mut rng_a, fraction),
+                            age_memory_per_frame(&mut per_frame, &mut rng_b, fraction),
+                            "{what}: frames cycled"
+                        );
+                        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{what}: draws");
+                        assert_same_machine(&one_pass, &per_frame, &what);
+                        let fired = one_pass.stats().faults_injected > base.stats().faults_injected;
+                        assert_eq!(fired, plan_name != "no plan" && fraction > 0.0, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `merge_identical_pages` as it was: every anonymous frame hashed and
+    /// compared by reading its bytes.
+    fn merge_reading_every_byte(k: &mut Kernel) -> usize {
+        k.merge_pages_by(
+            |k, f| fnv1a(k.frame_bytes(f)),
+            |k, a, b| k.frame_bytes(a) == k.frame_bytes(b),
+        )
+    }
+
+    #[test]
+    fn zero_page_hash_is_the_hash_of_a_zero_page() {
+        assert_eq!(ZERO_PAGE_FNV, fnv1a(&[0; PAGE_SIZE]));
+    }
+
+    /// Merging that skips known-zero frames matches the byte-reading
+    /// oracle on anonymous frames of every kind: written (with duplicates),
+    /// written and later cleared by a new allocation, never written, and
+    /// written with zeros, whose known-zero bit is clear.
+    #[test]
+    fn merging_matches_the_byte_reading_oracle() {
+        for policy in [KernelPolicy::stock(), KernelPolicy::hardened()] {
+            let mut k = Kernel::new(MachineConfig::small().with_policy(policy));
+            k.age_memory(&mut Rng64::new(4), 1.0);
+            let mut rng = Rng64::new(12);
+            let noise = rng.gen_bytes(3 * PAGE_SIZE);
+            // Frames written and freed, for the next allocations to clear.
+            let gone = k.spawn();
+            let buf = k.heap_alloc(gone, 6 * PAGE_SIZE).expect("heap alloc");
+            k.write_bytes(gone, buf, &[0x9D; 6 * PAGE_SIZE])
+                .expect("write");
+            k.exit(gone).expect("exit");
+            let mut zero_written = Vec::new();
+            for pid in [k.spawn(), k.spawn(), k.spawn()] {
+                let region = k.alloc_special_region(pid, 8).expect("region");
+                k.write_bytes(pid, region, &noise).expect("write");
+                let zeros = region.add(5 * PAGE_SIZE as u64);
+                k.write_bytes(pid, zeros, &[0; PAGE_SIZE])
+                    .expect("write zeros");
+                zero_written.push(k.translate(pid, zeros).expect("mapped"));
+                let tail = region.add(6 * PAGE_SIZE as u64);
+                k.write_bytes(pid, tail, &noise[..100]).expect("write");
+            }
+            for &f in &zero_written {
+                assert!(!k.frame_known_zero(f) && k.frame_bytes(f).iter().all(|&b| b == 0));
+            }
+            let mut oracle = k.clone();
+            let merged = k.merge_identical_pages();
+            assert_eq!(merged, merge_reading_every_byte(&mut oracle), "{policy:?}");
+            // Two duplicates of each of four written pages, and all twelve
+            // zero pages of the regions but one.
+            assert!(merged >= 4 * 2 + 11, "{policy:?}: {merged} merged");
+            assert_same_machine(&k, &oracle, &format!("{policy:?}"));
+        }
     }
 
     /// `snapshot_decayed`'s earlier decay: each non-zero byte tests its 8

@@ -221,7 +221,7 @@ fn random_operation_soup_never_mutates_behind_the_generations() {
         for _ in 0..80 {
             let before = snapshot(&k);
             let clock = k.generation_clock();
-            match rng.gen_below(11) {
+            match rng.gen_below(12) {
                 0 => pids.push(k.spawn()),
                 1 => {
                     let pid = pids[rng.gen_index(pids.len())];
@@ -278,6 +278,10 @@ fn random_operation_soup_never_mutates_behind_the_generations() {
                 }
                 9 => {
                     k.merge_identical_pages();
+                }
+                10 => {
+                    let fraction = rng.gen_f64();
+                    k.age_memory(&mut rng, fraction);
                 }
                 _ => {
                     if !bufs.is_empty() {
