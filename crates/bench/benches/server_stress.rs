@@ -3,7 +3,8 @@
 //! bars are indistinguishable; Criterion quantifies the difference
 //! statistically.
 
-use bench::{BenchmarkId, Criterion};
+use bench::{BenchmarkId, Criterion, Throughput};
+use harness::perf::{scp_file_sizes, HTTP_RESPONSE_BYTES};
 use harness::ExperimentConfig;
 use keyguard::ProtectionLevel;
 use servers::{ApacheServer, SecureServer, ServerConfig, SshServer};
@@ -65,6 +66,37 @@ fn bench_apache_stress(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_transfer(c: &mut Criterion) {
+    // The data plane alone, on a started server with its standing
+    // connections: one transfer of each scp file size (the Fig. 8 mix),
+    // and one Siege-style response.
+    let mut group = c.benchmark_group("transfer");
+    group.sample_size(10);
+    let cfg = ExperimentConfig::test();
+    let level = ProtectionLevel::None;
+    let server_cfg = ServerConfig::new(level).with_key_bits(cfg.key_bits);
+    let scp = scp_file_sizes();
+    group.throughput(Throughput::Bytes(scp.iter().sum::<usize>() as u64));
+    group.bench_function("ssh_scp_mix", |b| {
+        let mut kernel = cfg.boot_machine(level, &mut Rng64::new(24));
+        let mut ssh = SshServer::start(&mut kernel, server_cfg).unwrap();
+        ssh.set_concurrency(&mut kernel, 8).unwrap();
+        b.iter(|| {
+            for size in scp {
+                ssh.transfer(&mut kernel, size).unwrap();
+            }
+        });
+    });
+    group.throughput(Throughput::Bytes(HTTP_RESPONSE_BYTES as u64));
+    group.bench_function("apache_32k", |b| {
+        let mut kernel = cfg.boot_machine(level, &mut Rng64::new(25));
+        let mut apache = ApacheServer::start(&mut kernel, server_cfg).unwrap();
+        apache.set_concurrency(&mut kernel, 8).unwrap();
+        b.iter(|| apache.transfer(&mut kernel, HTTP_RESPONSE_BYTES).unwrap());
+    });
+    group.finish();
+}
+
 fn bench_cow_consolidation_ablation(c: &mut Criterion) {
     // Ablation: cost of serving a connection when the key is aligned
     // (single COW page, no per-worker duplication) vs scattered. This is
@@ -98,5 +130,6 @@ fn main() {
     let mut c = Criterion::from_args();
     bench_ssh_stress(&mut c);
     bench_apache_stress(&mut c);
+    bench_transfer(&mut c);
     bench_cow_consolidation_ablation(&mut c);
 }

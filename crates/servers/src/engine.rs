@@ -28,22 +28,20 @@ pub enum Protocol {
 pub(crate) const SESSION_BUF: usize = 8 * 1024;
 
 /// Streams `bytes` of payload through a channel buffer in `pid`'s heap:
-/// allocate once, fill it chunk by chunk (real memory traffic through the
-/// simulated machine), free it dirty at the end.
+/// allocate once, write it chunk by chunk (real memory traffic through the
+/// simulated machine), free it dirty at the end. The payload stands in for
+/// a real server's stream-cipher output: unique per transfer and never a
+/// key pattern. No result reads its bytes, only the allocation, the writes
+/// and their lengths, and the free, so an [`Rng64`] seeded per transfer
+/// fills each chunk, eight bytes per generator step.
 pub(crate) fn move_data(kernel: &mut Kernel, pid: Pid, bytes: usize, seed: u64) -> memsim::SimResult<()> {
     let buf = kernel.heap_alloc(pid, SESSION_BUF)?;
-    let mut chunk = vec![0u8; SESSION_BUF];
+    let mut chunk = [0u8; SESSION_BUF];
+    let mut payload = Rng64::new(seed);
     let mut remaining = bytes;
-    let mut x = seed | 1;
     while remaining > 0 {
         let n = remaining.min(SESSION_BUF);
-        // Cheap xorshift keystream so pages carry unique, non-key content.
-        for b in chunk[..n].iter_mut() {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *b = x as u8;
-        }
+        payload.fill_bytes(&mut chunk[..n]);
         kernel.write_bytes(pid, buf, &chunk[..n])?;
         remaining -= n;
     }
@@ -401,6 +399,25 @@ mod tests {
         sk.zero_and_free(&mut kernel, pid).unwrap();
         let scanner = Scanner::from_material(&material);
         assert_eq!(scanner.scan_kernel(&kernel).total(), 0);
+    }
+
+    #[test]
+    fn transfer_payload_follows_its_seed() {
+        let (kernel, pid, _key, _material, _fid) = setup(ProtectionLevel::None);
+        // The buffer's frames keep the payload after the dirty free.
+        let payload = |seed| {
+            let mut k = kernel.clone();
+            let clock = k.generation_clock();
+            move_data(&mut k, pid, SESSION_BUF + 100, seed).unwrap();
+            let frames: Vec<_> = k.frames_written_since(clock).collect();
+            frames
+                .iter()
+                .flat_map(|&f| k.frame_bytes(f).to_vec())
+                .collect::<Vec<u8>>()
+        };
+        assert!(payload(7).iter().any(|&b| b != 0), "payload written");
+        assert_eq!(payload(7), payload(7), "equal seeds, equal bytes");
+        assert_ne!(payload(7), payload(8), "different seeds, different bytes");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use exploits::{Ext2DirentLeak, TtyMemoryDump};
 use keyguard::ProtectionLevel;
 use keyscan::Scanner;
-use memsim::{Kernel, MachineConfig, PAGE_SIZE};
+use memsim::{Kernel, KernelStats, MachineConfig, PAGE_SIZE};
 use servers::{ApacheServer, SecureServer, ServerConfig, SshServer};
 use simrng::Rng64;
 
@@ -379,6 +379,173 @@ fn transfer_moves_payload_without_new_key_copies_when_integrated() {
     let before = scanner.scan_kernel(&k).total();
     ssh.transfer(&mut k, 300 * 1024).unwrap();
     assert_eq!(scanner.scan_kernel(&k).total(), before);
+}
+
+/// `after`'s counters that differ from `before`'s, as `name+delta`.
+fn stats_delta(before: KernelStats, after: KernelStats) -> String {
+    let (a, b) = (before, after);
+    [
+        ("forks", b.forks - a.forks),
+        ("exits", b.exits - a.exits),
+        ("cow_breaks", b.cow_breaks - a.cow_breaks),
+        ("pages_zeroed", b.pages_zeroed - a.pages_zeroed),
+        ("frames_allocated", b.frames_allocated - a.frames_allocated),
+        ("frames_freed", b.frames_freed - a.frames_freed),
+        ("heap_allocs", b.heap_allocs - a.heap_allocs),
+        ("heap_frees", b.heap_frees - a.heap_frees),
+        ("cache_inserts", b.cache_inserts - a.cache_inserts),
+        ("cache_evictions", b.cache_evictions - a.cache_evictions),
+        ("swap_writes", b.swap_writes - a.swap_writes),
+        ("swap_ins", b.swap_ins - a.swap_ins),
+        ("writebacks", b.writebacks - a.writebacks),
+        ("pages_merged", b.pages_merged - a.pages_merged),
+        ("kmallocs", b.kmallocs - a.kmallocs),
+        ("kfrees", b.kfrees - a.kfrees),
+        ("faults_injected", b.faults_injected - a.faults_injected),
+        ("mlock_denials", b.mlock_denials - a.mlock_denials),
+        ("fault_kills", b.fault_kills - a.fault_kills),
+    ]
+    .iter()
+    .filter(|(_, d)| *d != 0)
+    .map(|(name, d)| format!("{name}+{d}"))
+    .collect::<Vec<_>>()
+    .join(" ")
+}
+
+/// One transfer of each scp file size of the Fig. 8 benchmark
+/// (`harness::perf::scp_file_sizes`, 1 to 512 KiB), then one 32 KiB
+/// Siege response, on `server` with two live connections that have each
+/// served a request. Returns one line per transfer (its op-index delta,
+/// its `KernelStats` delta and the frames it wrote, `z` marking those left
+/// known-zero) and the bytes of those frames after it. Asserts that no
+/// transfer adds a key hit.
+fn transfer_trace<S: SecureServer>(k: &mut Kernel, server: &mut S) -> (Vec<String>, Vec<u8>) {
+    server.set_concurrency(k, 2).unwrap();
+    // Every worker serves once first: a first write into a worker's heap
+    // breaks the COW share of the key page, which is not the transfer's
+    // doing.
+    server.pump(k, 8).unwrap();
+    let scanner = Scanner::from_material(server.material());
+    let hits = scanner.scan_kernel(k);
+    let (mut lines, mut written) = (Vec::new(), Vec::new());
+    for kib in [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 32] {
+        let (clock, ops, stats) = (k.generation_clock(), k.op_index(), k.stats());
+        server.transfer(k, kib * 1024).unwrap();
+        let mut frames = String::new();
+        for f in k.frames_written_since(clock) {
+            written.extend_from_slice(k.frame_bytes(f));
+            let zero = if k.frame_known_zero(f) { "z" } else { "" };
+            frames.push_str(&format!(" {}{zero}", f.0));
+        }
+        lines.push(format!(
+            "{kib} KiB: ops+{} {} frames{frames}",
+            k.op_index() - ops,
+            stats_delta(stats, k.stats())
+        ));
+    }
+    let after = scanner.scan_kernel(k);
+    assert_eq!(
+        after.by_pattern(),
+        hits.by_pattern(),
+        "transfers added key hits"
+    );
+    assert_eq!(after.unallocated(), hits.unallocated());
+    (lines, written)
+}
+
+/// What a transfer does to the machine, whatever bytes its payload holds:
+/// the buffer's allocation, one write per chunk of that chunk's length,
+/// and the free. A second run from the same seeds writes the same bytes.
+#[test]
+fn transfers_are_pinned_op_for_op_and_frame_for_frame() {
+    let pinned: [(&str, ProtectionLevel, &[&str]); 4] = [
+        (
+            "ssh",
+            ProtectionLevel::None,
+            &[
+                "1 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517z 3273z 3870",
+                "2 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517z 3273z 3870",
+                "4 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273z 3870",
+                "8 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+                "16 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+                "32 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+                "64 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+                "128 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+                "256 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 2351 3273",
+                "512 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+                "32 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 1517 3273 3870",
+            ],
+        ),
+        (
+            "ssh",
+            ProtectionLevel::Integrated,
+            &[
+                "1 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "2 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "4 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "8 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "16 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "32 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "64 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "128 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "256 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 1939 2880z",
+                "512 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+                "32 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 554z 2880z 3078",
+            ],
+        ),
+        (
+            "apache",
+            ProtectionLevel::None,
+            &[
+                "1 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2854z 3078",
+                "2 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2854z 2880",
+                "4 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 1045 2854",
+                "8 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 2854 2880",
+                "16 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 2854 2880",
+                "32 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 1939 2854",
+                "64 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 554 2854",
+                "128 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 1045 2854",
+                "256 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 1045 2854",
+                "512 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 1045 2854",
+                "32 KiB: ops+3 pages_zeroed+2 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424 2854 2880",
+            ],
+        ),
+        (
+            "apache",
+            ProtectionLevel::Integrated,
+            &[
+                "1 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2880 3078z",
+                "2 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 1939 3078z",
+                "4 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2854 3078z",
+                "8 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 1939 3078z",
+                "16 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 1939 3078z",
+                "32 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 554 3078z",
+                "64 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 1045 3078z",
+                "128 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2854 3078z",
+                "256 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2854 3078z",
+                "512 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 2854 3078z",
+                "32 KiB: ops+3 pages_zeroed+6 frames_allocated+2 frames_freed+2 heap_allocs+1 heap_frees+1 frames 424z 1939 3078z",
+            ],
+        ),
+    ];
+    for (server, level, want) in pinned {
+        let run = || {
+            let mut k = machine(level);
+            if server == "ssh" {
+                let mut ssh = start_ssh(&mut k, level);
+                transfer_trace(&mut k, &mut ssh)
+            } else {
+                let mut apache = start_apache(&mut k, level);
+                transfer_trace(&mut k, &mut apache)
+            }
+        };
+        let (lines, written) = run();
+        assert_eq!(lines, want, "{server} at {level:?}");
+        assert!(
+            run() == (lines, written),
+            "{server} at {level:?}: equal seeds, equal bytes"
+        );
+    }
 }
 
 #[test]

@@ -58,7 +58,10 @@ echo "== scan bench smoke (target/BENCH_scan.json) =="
 # core, intra-kernel sharded-scan speedups, incremental-vs-full timeline
 # speedup, frames rescanned. Written under target/, so the run
 # leaves the committed BENCH_scan.json (a deliberately re-recorded copy of
-# one such run) untouched.
+# one such run) untouched. `cargo build` and `cargo test` skip bench
+# targets, so every bench is compiled here first, to keep the per-layer
+# benches (rsa_ops, memsim_ops, attacks, server_stress) building.
+cargo bench -p bench --no-run
 cargo bench -p bench --bench scan_cost -- --smoke
 
 # Sharded-scan floor: on a machine with >= 4 cores, splitting one kernel's
