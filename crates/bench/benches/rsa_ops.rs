@@ -1,11 +1,12 @@
-//! RSA microbenchmarks, the Montgomery-cache ablation, and the cost of a
-//! server key: generated cold or read back from the derivation memo.
+//! RSA microbenchmarks, one Montgomery exponentiation per limb width, the
+//! Montgomery-cache ablation, and the cost of a server key: generated cold
+//! or read back from the derivation memo.
 //!
 //! The cache ablation quantifies the security/performance trade the paper's
 //! `RSA_memory_align()` makes when it clears `RSA_FLAG_CACHE_PRIVATE`:
 //! caching saves per-op Montgomery setup but keeps copies of P and Q alive.
 
-use bignum::BigUint;
+use bignum::{BigUint, MontCtx};
 use bench::{BenchmarkId, Criterion};
 use keyguard::ProtectionLevel;
 use rsa_repro::{CrtEngine, RsaPrivateKey};
@@ -63,6 +64,30 @@ fn bench_private_ops(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("crt", bits), &bits, |b, _| {
             b.iter(|| key.private_op_crt(std::hint::black_box(&ct)).unwrap());
+        });
+    }
+    group.finish();
+}
+
+fn bench_mont_pow(c: &mut Criterion) {
+    // One full-width exponentiation per modulus width: 4 limbs (RSA-512's
+    // CRT halves, on the generic product), 8 (RSA-1024's CRT halves and
+    // key-generation primes) and 16 (RSA-1024's public modulus).
+    let mut group = c.benchmark_group("mont_pow");
+    let mut rng = Rng64::new(8);
+    for limbs in [4usize, 8, 16] {
+        let mut full_width = |low_bit: u8| {
+            let mut bytes = rng.gen_bytes(limbs * 8);
+            bytes[0] |= 0x80;
+            bytes[limbs * 8 - 1] |= low_bit;
+            BigUint::from_be_bytes(&bytes)
+        };
+        let m = full_width(1);
+        let base = full_width(0).rem(&m);
+        let exp = full_width(0);
+        let ctx = MontCtx::new(&m);
+        group.bench_with_input(BenchmarkId::new("full_exp", limbs), &limbs, |b, _| {
+            b.iter(|| ctx.pow(std::hint::black_box(&base), std::hint::black_box(&exp)));
         });
     }
     group.finish();
@@ -126,6 +151,7 @@ fn bench_key_derivation(c: &mut Criterion) {
 fn main() {
     let mut c = Criterion::from_args();
     bench_private_ops(&mut c);
+    bench_mont_pow(&mut c);
     bench_mont_cache_ablation(&mut c);
     bench_keygen_and_codec(&mut c);
     bench_key_derivation(&mut c);

@@ -26,7 +26,7 @@ use crate::BigUint;
 #[derive(PartialEq, Eq)]
 pub struct MontCtx {
     /// The modulus (a copy — this is the paper's cached-key leak site).
-    n: Vec<u64>,
+    n: BigUint,
     /// `-n^{-1} mod 2^64`.
     n0inv: u64,
     /// `R^2 mod n` where `R = 2^(64·k)`.
@@ -39,7 +39,7 @@ pub struct MontCtx {
 /// exponentiation, so formatting must never print them.
 impl fmt::Debug for MontCtx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MontCtx({} limbs, <redacted>)", self.n.len())
+        write!(f, "MontCtx({} limbs, <redacted>)", self.width())
     }
 }
 
@@ -48,7 +48,7 @@ impl fmt::Debug for MontCtx {
 /// allocation is returned.
 impl Drop for MontCtx {
     fn drop(&mut self) {
-        crate::secure_zero(&mut self.n);
+        self.n.zeroize();
         crate::secure_zero(&mut self.rr);
         crate::secure_zero(&mut self.one);
         self.n0inv = 0;
@@ -110,10 +110,10 @@ impl MontCtx {
         r1.set_bit(64 * k);
         let one = r1.rem(m);
         Self {
-            n: m.limbs.clone(),
+            n: m.clone(),
             n0inv,
-            rr: Self::pad(&rr, k),
-            one: Self::pad(&one, k),
+            rr: Self::pad(rr, k),
+            one: Self::pad(one, k),
         }
     }
 
@@ -121,13 +121,13 @@ impl MontCtx {
     #[must_use]
     pub fn modulus(&self) -> BigUint {
         // keylint: allow(S005) -- reconstructs the modulus the caller already supplied; the cached copy itself is the modeled leak, sized via footprint_bytes
-        BigUint::from_limbs(self.n.clone())
+        self.n.clone()
     }
 
     /// Number of 64-bit limbs in the modulus.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.n.len()
+        self.n.limbs.len()
     }
 
     /// Approximate heap footprint of the context in bytes — used by the
@@ -135,18 +135,18 @@ impl MontCtx {
     /// copies of P and Q.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        (self.n.len() + self.rr.len() + self.one.len()) * 8
+        (self.width() + self.rr.len() + self.one.len()) * 8
     }
 
-    fn pad(v: &BigUint, k: usize) -> Vec<u64> {
-        let mut out = v.limbs.clone();
+    fn pad(v: BigUint, k: usize) -> Vec<u64> {
+        let mut out = v.limbs;
         out.resize(k, 0);
         out
     }
 
     /// CIOS Montgomery product of two k-limb Montgomery-form operands.
     fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n.len();
+        let k = self.n.limbs.len();
         debug_assert_eq!(a.len(), k);
         debug_assert_eq!(b.len(), k);
         let mut t = vec![0u64; k + 2];
@@ -164,11 +164,12 @@ impl MontCtx {
 
             // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
             let m = t[0].wrapping_mul(self.n0inv);
-            let wide = u128::from(m) * u128::from(self.n[0]) + u128::from(t[0]);
+            let wide = u128::from(m) * u128::from(self.n.limbs[0]) + u128::from(t[0]);
             let mut carry = (wide >> 64) as u64;
             for j in 1..k {
-                let wide =
-                    u128::from(m) * u128::from(self.n[j]) + u128::from(t[j]) + u128::from(carry);
+                let wide = u128::from(m) * u128::from(self.n.limbs[j])
+                    + u128::from(t[j])
+                    + u128::from(carry);
                 t[j - 1] = wide as u64;
                 carry = (wide >> 64) as u64;
             }
@@ -178,23 +179,26 @@ impl MontCtx {
             t[k + 1] = 0;
         }
         let mut out = t[..k].to_vec();
-        if t[k] != 0 || limbs_ge(&out, &self.n) {
-            limbs_sub_assign(&mut out, &self.n);
+        if t[k] != 0 || limbs_ge(&out, &self.n.limbs) {
+            limbs_sub_assign(&mut out, &self.n.limbs);
         }
         out
     }
 
-    /// Converts a reduced value into Montgomery form.
+    /// Converts a value into Montgomery form, reducing it first. The
+    /// reduced value is wiped: `x − (x mod p)` is a multiple of `p`.
     fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        let reduced = x.rem(&self.modulus());
-        self.mont_mul(&Self::pad(&reduced, self.n.len()), &self.rr)
+        let mut reduced = Self::pad(x.rem(&self.n), self.width());
+        let xm = self.mont_mul(&reduced, &self.rr);
+        crate::secure_zero(&mut reduced);
+        xm
     }
 
     /// Converts out of Montgomery form.
     #[allow(clippy::wrong_self_convention)]
     fn from_mont(&self, x: &[u64]) -> BigUint {
         let one = {
-            let mut v = vec![0u64; self.n.len()];
+            let mut v = vec![0u64; self.width()];
             v[0] = 1;
             v
         };
@@ -210,10 +214,24 @@ impl MontCtx {
     }
 
     /// Modular exponentiation `base^exp mod n` with a fixed 4-bit window.
+    ///
+    /// 8- and 16-limb moduli (RSA-1024's CRT halves, key-generation primes
+    /// and public modulus, and RSA-512's public modulus) run on stack
+    /// arrays; every other width runs a product that allocates per step.
     #[must_use]
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        match self.width() {
+            8 => self.pow_n::<8>(base, exp),
+            16 => self.pow_n::<16>(base, exp),
+            _ => self.pow_generic(base, exp),
+        }
+    }
+
+    /// `pow` over `Vec` limbs at any width: one allocated product per
+    /// step. The fixed-width path is tested against it.
+    fn pow_generic(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
-            return BigUint::one().rem(&self.modulus());
+            return BigUint::one().rem(&self.n);
         }
         let bm = self.to_mont(base);
         // Precompute base^0..base^15 in Montgomery form.
@@ -250,11 +268,102 @@ impl MontCtx {
         }
         self.from_mont(&acc.expect("nonzero exponent produces a value"))
     }
+
+    /// [`Self::pow_generic`]'s window walk over `[u64; N]` stack arrays;
+    /// only the base's reduction and the conversion out of Montgomery form
+    /// allocate.
+    ///
+    /// The reduced base, the window table and the accumulator are wiped
+    /// before returning: each is secret-equivalent when the modulus is a
+    /// prime factor of a public `n`, since `gcd(c·R − table[1], n)`
+    /// recovers it. That is why the base enters Montgomery form here, on
+    /// the stack, and not through `to_mont`, whose product scratch is
+    /// freed unwiped.
+    fn pow_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let n: &[u64; N] = self
+            .n
+            .limbs()
+            .try_into()
+            .expect("pow picks N from the width");
+        let rr: &[u64; N] = self.rr.as_slice().try_into().expect("rr has the width");
+        let mut table = [[0u64; N]; 16];
+        table[0].copy_from_slice(&self.one);
+        let mut reduced = base.rem(&self.n);
+        table[1][..reduced.limbs().len()].copy_from_slice(reduced.limbs());
+        reduced.zeroize();
+        table[1] = mont_mul_n(&table[1], rr, n, self.n0inv);
+        for i in 2..16 {
+            table[i] = mont_mul_n(&table[i - 1], &table[1], n, self.n0inv);
+        }
+
+        let windows = exp.bit_len().div_ceil(4);
+        // Montgomery one: what a zero exponent leaves.
+        let mut acc = table[0];
+        for w in (0..windows).rev() {
+            let nibble = (0..4)
+                .rev()
+                .fold(0, |v, b| (v << 1) | usize::from(exp.bit(w * 4 + b)));
+            if w + 1 == windows {
+                acc = table[nibble];
+                continue;
+            }
+            for _ in 0..4 {
+                acc = mont_mul_n(&acc, &acc, n, self.n0inv);
+            }
+            if nibble != 0 {
+                acc = mont_mul_n(&acc, &table[nibble], n, self.n0inv);
+            }
+        }
+        let out = self.from_mont(&acc);
+        crate::secure_zero(table.as_flattened_mut());
+        crate::secure_zero(&mut acc);
+        out
+    }
+}
+
+/// CIOS Montgomery product `a·b·R⁻¹ mod n` of two `N`-limb operands below
+/// `n`, the fixed-width form of [`MontCtx::mont_mul`]: the two limbs above
+/// the accumulator live in locals, and every index is below the
+/// compile-time `N`.
+fn mont_mul_n<const N: usize>(a: &[u64; N], b: &[u64; N], n: &[u64; N], n0inv: u64) -> [u64; N] {
+    let mut t = [0u64; N];
+    // t[N] of the generic product; t[N + 1] lives only within a round.
+    let mut hi = 0u64;
+    for &ai in a {
+        // t += ai * b
+        let mut carry = 0u64;
+        for j in 0..N {
+            let wide = u128::from(ai) * u128::from(b[j]) + u128::from(t[j]) + u128::from(carry);
+            t[j] = wide as u64;
+            carry = (wide >> 64) as u64;
+        }
+        let wide = u128::from(hi) + u128::from(carry);
+        hi = wide as u64;
+        let top = (wide >> 64) as u64;
+
+        // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
+        let m = t[0].wrapping_mul(n0inv);
+        let wide = u128::from(m) * u128::from(n[0]) + u128::from(t[0]);
+        let mut carry = (wide >> 64) as u64;
+        for j in 1..N {
+            let wide = u128::from(m) * u128::from(n[j]) + u128::from(t[j]) + u128::from(carry);
+            t[j - 1] = wide as u64;
+            carry = (wide >> 64) as u64;
+        }
+        let wide = u128::from(hi) + u128::from(carry);
+        t[N - 1] = wide as u64;
+        hi = top + ((wide >> 64) as u64);
+    }
+    if hi != 0 || limbs_ge(&t, n) {
+        limbs_sub_assign(&mut t, n);
+    }
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simrng::Rng64;
 
     fn n(s: &str) -> BigUint {
         BigUint::from_hex(s).unwrap()
@@ -356,5 +465,121 @@ mod tests {
     fn modulus_round_trips() {
         let m = n("ffffffffffffffffffffffffffffff61");
         assert_eq!(MontCtx::new(&m).modulus(), m);
+    }
+
+    fn random_limbs(rng: &mut Rng64, k: usize) -> Vec<u64> {
+        (0..k).map(|_| rng.next_u64()).collect()
+    }
+
+    /// Odd `k`-limb moduli: random, with a top limb of 1 (a modulus just
+    /// above a limb boundary), and with a top limb of `u64::MAX` (where
+    /// the product's carries reach the limb above the accumulator).
+    fn moduli(rng: &mut Rng64, k: usize) -> Vec<BigUint> {
+        [None, Some(1), Some(u64::MAX)]
+            .into_iter()
+            .map(|top| {
+                let mut limbs = random_limbs(rng, k);
+                limbs[k - 1] = top.unwrap_or(limbs[k - 1].max(1));
+                limbs[0] |= 1;
+                BigUint::from_limbs(limbs)
+            })
+            .filter(|m| m.bit_len() > 1)
+            .collect()
+    }
+
+    /// Bases 0, 1, m − 1, a random reduced one, and an unreduced one of
+    /// k + 1 limbs.
+    fn bases(rng: &mut Rng64, m: &BigUint) -> Vec<BigUint> {
+        let k = m.limbs().len();
+        let mut wide = random_limbs(rng, k + 1);
+        wide[k] = wide[k].max(1);
+        vec![
+            BigUint::zero(),
+            BigUint::one(),
+            m - &BigUint::one(),
+            BigUint::from_limbs(random_limbs(rng, k)).rem(m),
+            BigUint::from_limbs(wide),
+        ]
+    }
+
+    /// Exponents 0, 1, 2, 15, 16, 17 (either side of the first window
+    /// boundary) and a random full-width one.
+    fn exponents(rng: &mut Rng64, k: usize) -> Vec<BigUint> {
+        let mut full = random_limbs(rng, k);
+        full[k - 1] |= 1 << 63;
+        [0u64, 1, 2, 15, 16, 17]
+            .into_iter()
+            .map(BigUint::from_u64)
+            .chain([BigUint::from_limbs(full)])
+            .collect()
+    }
+
+    /// Left-to-right square-and-multiply over `mul_mod`: shares no code
+    /// with the Montgomery products.
+    fn square_and_multiply(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let base = base.rem(m);
+        let mut acc = BigUint::one().rem(m);
+        for i in (0..exp.bit_len()).rev() {
+            acc = acc.mul_mod(&acc, m);
+            if exp.bit(i) {
+                acc = acc.mul_mod(&base, m);
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn pow_matches_square_and_multiply_at_every_width() {
+        let mut rng = Rng64::new(0x6d6f_6e74);
+        for k in (1..=17).flat_map(|k| [k; 2]) {
+            for m in moduli(&mut rng, k) {
+                let ctx = MontCtx::new(&m);
+                for base in bases(&mut rng, &m) {
+                    for exp in exponents(&mut rng, k) {
+                        assert_eq!(
+                            ctx.pow(&base, &exp),
+                            square_and_multiply(&base, &exp, &m),
+                            "k={k} m={m:?} base={base:?} exp={exp:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_pow_matches_the_generic_body() {
+        let mut rng = Rng64::new(0x6669_7865);
+        for k in [8, 16] {
+            for _ in 0..4 {
+                for m in moduli(&mut rng, k) {
+                    let ctx = MontCtx::new(&m);
+                    for base in bases(&mut rng, &m) {
+                        for exp in exponents(&mut rng, k) {
+                            let fixed = if k == 8 {
+                                ctx.pow_n::<8>(&base, &exp)
+                            } else {
+                                ctx.pow_n::<16>(&base, &exp)
+                            };
+                            let generic = ctx.pow_generic(&base, &exp);
+                            assert_eq!(fixed, generic, "k={k} m={m:?} base={base:?} exp={exp:?}");
+                            assert_eq!(ctx.pow(&base, &exp), generic);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_is_pinned_at_the_rsa_widths() {
+        // Three k-limb buffers (n, R² mod n, R mod n): the size of the
+        // simulated allocations that hold cached copies of P and Q.
+        let mut rng = Rng64::new(0x666f_6f74);
+        for (k, bytes) in [(2, 48), (4, 96), (8, 192), (16, 384)] {
+            for m in moduli(&mut rng, k) {
+                assert_eq!(MontCtx::new(&m).footprint_bytes(), bytes, "k={k}");
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use harness::baselines::{compare_strategies, render_table};
 use harness::cli::Args;
 use harness::exec::Executor;
 use harness::plot::{sweep_lines_svg, timeline_counts_svg, timeline_locations_svg};
-use harness::perf::{overhead_percent, run_perf, PerfConfig};
+use harness::perf::{run_perf_pairs, PerfConfig};
 use harness::report::{
     perf_table, sweep_grid_dat, sweep_line_dat, timeline_ascii, timeline_counts_dat,
     timeline_locations_dat, write_dat,
@@ -196,11 +196,9 @@ fn run_perf_figures(cfg: &ExperimentConfig, out: &Path, paper_scale: bool) {
     for kind in ServerKind::ALL {
         let fig = if kind == ServerKind::Ssh { "fig8" } else { "fig19-20" };
         println!("\n[{fig}] {kind} stress benchmark");
-        let before = run_perf(kind, ProtectionLevel::None, cfg, &perf).expect("perf");
-        let after = run_perf(kind, ProtectionLevel::Integrated, cfg, &perf).expect("perf");
-        let table = perf_table(&before, &after);
+        let pairs = run_perf_pairs(kind, cfg, &perf).expect("perf");
+        let table = perf_table(&pairs);
         print!("{table}");
-        println!("overhead: {:+.1}%", overhead_percent(&before, &after));
         write_dat(out, &format!("{fig}_{}_perf.txt", kind.label()), &table).expect("write");
     }
 }

@@ -6,12 +6,15 @@
 //!     [--server ssh|apache|both] [--transactions N] [--concurrency C]
 //!     [--bench-reps R] [--out DIR]
 //! ```
+//!
+//! Each repetition runs both levels back to back, alternating which goes
+//! first (`harness::perf::run_perf_pairs`); the table gives each level's
+//! median and the per-repetition delta's median and quartiles.
 
 use harness::cli::Args;
-use harness::perf::{overhead_percent, run_perf, PerfConfig};
+use harness::perf::{run_perf_pairs, PerfConfig};
 use harness::report::{perf_table, write_dat};
 use harness::ServerKind;
-use keyguard::ProtectionLevel;
 
 fn main() {
     let args = Args::parse();
@@ -34,18 +37,9 @@ fn main() {
             "== {fig}: {} stress, {} transactions at concurrency {} ({} reps) ==",
             kind, perf.transactions, perf.concurrency, perf.repetitions
         );
-        let before =
-            run_perf(kind, ProtectionLevel::None, &cfg, &perf).expect("baseline bench failed");
-        let after = run_perf(kind, ProtectionLevel::Integrated, &cfg, &perf)
-            .expect("protected bench failed");
-        let table = perf_table(&before, &after);
-        print!("{table}");
-        println!(
-            "overall elapsed: {:.3}s -> {:.3}s ({:+.1}% overhead)\n",
-            before.elapsed_secs,
-            after.elapsed_secs,
-            overhead_percent(&before, &after)
-        );
+        let pairs = run_perf_pairs(kind, &cfg, &perf).expect("bench failed");
+        let table = perf_table(&pairs);
+        println!("{table}");
         write_dat(
             &args.out_dir(),
             &format!("{fig}_{}_perf.txt", kind.label()),

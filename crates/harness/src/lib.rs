@@ -7,7 +7,7 @@
 //! | Fig 3, 4 (tty sweep) | [`attack_sweep::tty_sweep_on`] | `fig3_4` |
 //! | Fig 5, 6, 9–16, 21–28 (timelines) | [`timeline::run_timelines_timed`] | `timeline` |
 //! | Fig 7, 17, 18 (before/after) | [`attack_sweep::tty_sweep_on`] at two levels | `fig7_17_18` |
-//! | Fig 8, 19, 20 (performance) | [`perf::run_perf`] | `perf` |
+//! | Fig 8, 19, 20 (performance) | [`perf::run_perf_pairs`] | `perf` |
 //! | Error-path robustness (beyond the paper) | [`faultsweep::fault_sweep_timed_on`] | `faultsweep` |
 //! | Stronger attackers (beyond the paper) | [`attack_matrix::attacker_matrix_on`] | `attacker_matrix` |
 //! | Rotation crash-consistency (beyond the paper) | [`rotsweep::rotation_sweep_on`] | `rotsweep` |

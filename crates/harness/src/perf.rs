@@ -35,7 +35,7 @@ pub struct PerfConfig {
     pub concurrency: usize,
     /// Total transactions to complete (paper: 4000).
     pub transactions: usize,
-    /// Benchmark repetitions to average (paper: 16 for scp).
+    /// Repetitions of the none/integrated pair (paper: 16 for scp).
     pub repetitions: usize,
 }
 
@@ -81,7 +81,7 @@ pub struct PerfResult {
     pub transactions: u64,
     /// Payload bytes moved.
     pub bytes: u64,
-    /// Wall-clock seconds for the whole run (averaged over repetitions).
+    /// Wall-clock seconds for the whole run.
     pub elapsed_secs: f64,
     /// Transactions per second.
     pub transaction_rate: f64,
@@ -97,14 +97,15 @@ pub struct PerfResult {
     pub concurrency: f64,
 }
 
+/// One run of the stress benchmark at one level: repetition `rep`'s
+/// machine and server key.
 fn run_rep<S: SecureServer>(
     level: ProtectionLevel,
     cfg: &ExperimentConfig,
     perf: &PerfConfig,
     rep: usize,
     sizes: &[usize],
-    latencies: &mut Vec<f64>,
-) -> SimResult<(f64, u64)> {
+) -> SimResult<PerfResult> {
     let mut rng = Rng64::new(cfg.seed ^ (rep as u64) << 8 ^ 0x9E4F);
     let mut kernel = cfg.boot_machine(level, &mut rng);
     let server_cfg = ServerConfig::new(level)
@@ -114,6 +115,7 @@ fn run_rep<S: SecureServer>(
     let mut server = S::start(&mut kernel, server_cfg)?;
     server.set_concurrency(&mut kernel, perf.concurrency)?;
     let mut bytes = 0u64;
+    let mut latencies = Vec::with_capacity(perf.transactions);
     for i in 0..perf.transactions {
         let t0 = Instant::now();
         // Each transaction: one handshake cycle plus the file payload.
@@ -124,43 +126,7 @@ fn run_rep<S: SecureServer>(
         latencies.push(t0.elapsed().as_secs_f64());
     }
     server.stop(&mut kernel)?;
-    Ok((started.elapsed().as_secs_f64(), bytes))
-}
-
-/// Runs the stress benchmark for one server and level.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_perf(
-    kind: ServerKind,
-    level: ProtectionLevel,
-    cfg: &ExperimentConfig,
-    perf: &PerfConfig,
-) -> SimResult<PerfResult> {
-    let scp = scp_file_sizes();
-    let http = [HTTP_RESPONSE_BYTES];
-    let sizes: &[usize] = match kind {
-        ServerKind::Ssh => &scp,
-        ServerKind::Apache => &http,
-    };
-    let mut total_secs = 0.0;
-    let mut total_bytes = 0u64;
-    let mut latencies = Vec::with_capacity(perf.repetitions * perf.transactions);
-    for rep in 0..perf.repetitions {
-        let (secs, bytes) = match kind {
-            ServerKind::Ssh => {
-                run_rep::<SshServer>(level, cfg, perf, rep, sizes, &mut latencies)?
-            }
-            ServerKind::Apache => {
-                run_rep::<ApacheServer>(level, cfg, perf, rep, sizes, &mut latencies)?
-            }
-        };
-        total_secs += secs;
-        total_bytes += bytes;
-    }
-    let elapsed = total_secs / perf.repetitions as f64;
-    let bytes = total_bytes / perf.repetitions as u64;
+    let elapsed = started.elapsed().as_secs_f64();
     let tx = perf.transactions as u64;
     Ok(PerfResult {
         level,
@@ -174,6 +140,66 @@ pub fn run_perf(
         response_p95: percentile(&mut latencies, 95.0),
         concurrency: perf.concurrency as f64,
     })
+}
+
+/// [`run_rep`] for the server `kind` names, with its transfer sizes.
+fn run_kind(
+    kind: ServerKind,
+    level: ProtectionLevel,
+    cfg: &ExperimentConfig,
+    perf: &PerfConfig,
+    rep: usize,
+) -> SimResult<PerfResult> {
+    match kind {
+        ServerKind::Ssh => run_rep::<SshServer>(level, cfg, perf, rep, &scp_file_sizes()),
+        ServerKind::Apache => {
+            run_rep::<ApacheServer>(level, cfg, perf, rep, &[HTTP_RESPONSE_BYTES])
+        }
+    }
+}
+
+/// Runs the stress benchmark once for one server and level, on the first
+/// repetition's machine and server key (`perf.repetitions` is not read).
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn run_perf(
+    kind: ServerKind,
+    level: ProtectionLevel,
+    cfg: &ExperimentConfig,
+    perf: &PerfConfig,
+) -> SimResult<PerfResult> {
+    run_kind(kind, level, cfg, perf, 0)
+}
+
+/// Runs `perf.repetitions` repetitions of the stress benchmark, each at
+/// both levels: `[none, integrated]` per repetition. A repetition boots its
+/// own machine and serves its own key, the same for both levels, and runs
+/// the two levels back to back, alternating which goes first, so the
+/// host's drift in speed lands on both alike. This is the one measurement
+/// behind Figures 8 and 19–20.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn run_perf_pairs(
+    kind: ServerKind,
+    cfg: &ExperimentConfig,
+    perf: &PerfConfig,
+) -> SimResult<Vec<[PerfResult; 2]>> {
+    let (none, integrated) = (ProtectionLevel::None, ProtectionLevel::Integrated);
+    (0..perf.repetitions)
+        .map(|rep| {
+            if rep % 2 == 0 {
+                let before = run_kind(kind, none, cfg, perf, rep)?;
+                Ok([before, run_kind(kind, integrated, cfg, perf, rep)?])
+            } else {
+                let after = run_kind(kind, integrated, cfg, perf, rep)?;
+                Ok([run_kind(kind, none, cfg, perf, rep)?, after])
+            }
+        })
+        .collect()
 }
 
 /// Relative overhead of `b` with respect to `a` in percent
@@ -221,6 +247,29 @@ mod tests {
         let r = run_perf(ServerKind::Apache, ProtectionLevel::Integrated, &cfg, &perf).unwrap();
         assert_eq!(r.transactions, 10);
         assert!(r.bytes >= 10 * HTTP_RESPONSE_BYTES as u64);
+    }
+
+    #[test]
+    fn pairs_run_both_levels_on_each_repetitions_key() {
+        let cfg = ExperimentConfig::test();
+        let perf = PerfConfig {
+            concurrency: 2,
+            transactions: 5,
+            repetitions: 3,
+        };
+        let pairs = run_perf_pairs(ServerKind::Ssh, &cfg, &perf).unwrap();
+        assert_eq!(pairs.len(), 3);
+        for [none, integrated] in &pairs {
+            assert_eq!(none.level, ProtectionLevel::None);
+            assert_eq!(integrated.level, ProtectionLevel::Integrated);
+            assert_eq!(none.transactions, 5);
+            assert_eq!(none.bytes, integrated.bytes);
+        }
+        let first = run_perf(ServerKind::Ssh, ProtectionLevel::None, &cfg, &perf).unwrap();
+        assert_eq!(
+            (first.transactions, first.bytes),
+            (pairs[0][0].transactions, pairs[0][0].bytes)
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! charts.
 
 use crate::attack_sweep::SweepPoint;
-use crate::perf::PerfResult;
+use crate::perf::{percentile, PerfResult};
 use crate::timeline::Timeline;
 use std::fmt::Write as _;
 use std::io;
@@ -257,26 +257,60 @@ pub fn rotation_retire_dat(checks: &[crate::rotsweep::RetireCheck]) -> String {
 }
 
 /// A two-column comparison table of perf results (the bar pairs of Figures
-/// 8, 19, 20).
+/// 8, 19, 20) over `[none, integrated]` repetition pairs: per metric, each
+/// level's median over the repetitions, and the median and quartiles of
+/// the per-repetition delta, which compares runs that shared a machine, a
+/// key and a moment of the host.
+///
+/// # Panics
+///
+/// Panics when `pairs` is empty.
 #[must_use]
-pub fn perf_table(before: &PerfResult, after: &PerfResult) -> String {
+pub fn perf_table(pairs: &[[PerfResult; 2]]) -> String {
+    type Metric = fn(&PerfResult) -> f64;
+    let metrics: [(&str, Metric); 6] = [
+        ("transaction rate /s", |r| r.transaction_rate),
+        ("throughput Mbit/s", |r| r.throughput_mbps),
+        ("response time ms", |r| r.response_secs * 1e3),
+        ("latency p50 ms", |r| r.response_p50 * 1e3),
+        ("latency p95 ms", |r| r.response_p95 * 1e3),
+        ("concurrency", |r| r.concurrency),
+    ];
+    let [before, after] = pairs[0].map(|r| r.level.label());
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<22} {:>14} {:>14} {:>9}",
-        "metric", before.level, after.level, "delta%"
+        "{} repetitions, levels alternating first: medians, and the per-repetition delta% [q1, q3]",
+        pairs.len()
     );
-    let rows: [(&str, f64, f64); 6] = [
-        ("transaction rate /s", before.transaction_rate, after.transaction_rate),
-        ("throughput Mbit/s", before.throughput_mbps, after.throughput_mbps),
-        ("response time ms", before.response_secs * 1e3, after.response_secs * 1e3),
-        ("latency p50 ms", before.response_p50 * 1e3, after.response_p50 * 1e3),
-        ("latency p95 ms", before.response_p95 * 1e3, after.response_p95 * 1e3),
-        ("concurrency", before.concurrency, after.concurrency),
-    ];
-    for (name, b, a) in rows {
-        let delta = if b == 0.0 { 0.0 } else { (a - b) / b * 100.0 };
-        let _ = writeln!(out, "{name:<22} {b:>14.3} {a:>14.3} {delta:>+8.1}%");
+    let _ = writeln!(
+        out,
+        "{:<22} {before:>14} {after:>14} {:>9}",
+        "metric", "delta%"
+    );
+    for (name, metric) in metrics {
+        let median = |side: usize| {
+            percentile(&mut pairs.iter().map(|p| metric(&p[side])).collect::<Vec<_>>(), 50.0)
+        };
+        let (b, a) = (median(0), median(1));
+        let mut deltas: Vec<f64> = pairs
+            .iter()
+            .map(|[b, a]| {
+                let (b, a) = (metric(b), metric(a));
+                if b == 0.0 {
+                    0.0
+                } else {
+                    (a - b) / b * 100.0
+                }
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "{name:<22} {b:>14.3} {a:>14.3} {:>+8.1}% [{:+.1}, {:+.1}]",
+            percentile(&mut deltas, 50.0),
+            percentile(&mut deltas, 25.0),
+            percentile(&mut deltas, 75.0)
+        );
     }
     out
 }
@@ -593,11 +627,46 @@ mod tests {
             response_p95: 0.04,
             concurrency: 20.0,
         };
-        let table = perf_table(&r, &r);
+        let table = perf_table(&[[r, r]]);
         assert!(table.contains("transaction rate"));
         assert!(table.contains("throughput"));
         assert!(table.contains("response time"));
         assert!(table.contains("+0.0%"));
+    }
+
+    #[test]
+    fn perf_table_deltas_are_paired() {
+        let run = |level, transaction_rate| PerfResult {
+            level,
+            transactions: 100,
+            bytes: 1_000_000,
+            elapsed_secs: 2.0,
+            transaction_rate,
+            throughput_mbps: 4.0,
+            response_secs: 0.02,
+            response_p50: 0.018,
+            response_p95: 0.04,
+            concurrency: 20.0,
+        };
+        let pair = |before, after| {
+            [
+                run(ProtectionLevel::None, before),
+                run(ProtectionLevel::Integrated, after),
+            ]
+        };
+        // The medians 150 and 160 would read +6.7%; the repetitions read
+        // +60%, -5% and -6.7%.
+        let table = perf_table(&[pair(100.0, 160.0), pair(200.0, 190.0), pair(150.0, 140.0)]);
+        assert!(table.starts_with("3 repetitions"), "{table}");
+        assert!(table.contains("integrated"), "{table}");
+        let rate = table
+            .lines()
+            .find(|l| l.starts_with("transaction rate"))
+            .unwrap();
+        assert!(
+            rate.ends_with(" 150.000        160.000     -5.0% [-6.7, +60.0]"),
+            "{rate}"
+        );
     }
 
     #[test]

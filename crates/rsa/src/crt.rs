@@ -258,6 +258,22 @@ mod tests {
     }
 
     #[test]
+    fn rsa_1024_engines_match_the_raw_private_op() {
+        // CRT halves run the 8-limb Montgomery kernel, the raw op the
+        // 16-limb one.
+        let k = RsaPrivateKey::generate(1024, &mut Rng64::new(22));
+        let mut cached = CrtEngine::new(k.clone_secret(), true);
+        let mut uncached = CrtEngine::new(k.clone_secret(), false);
+        let mut rng = Rng64::new(23);
+        for i in 0..16 {
+            let c = BigUint::from_be_bytes(&rng.gen_bytes(128)).rem(k.n());
+            let raw = k.private_op_raw(&c).unwrap();
+            assert_eq!(cached.private_op(&c).unwrap(), raw, "ciphertext {i}");
+            assert_eq!(uncached.private_op(&c).unwrap(), raw, "ciphertext {i}");
+        }
+    }
+
+    #[test]
     fn rejects_oversized_input() {
         let k = key();
         let mut eng = CrtEngine::new(k.clone_secret(), true);
