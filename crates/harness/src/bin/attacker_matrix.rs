@@ -33,6 +33,7 @@ fn main() {
         .unwrap_or(DEFAULT_DECAY_RATE);
 
     let kinds = args.servers();
+    args.reject_unread();
 
     println!(
         "attacker_matrix: {} MB RAM, RSA-{}, {} reps/cell, decay {:.3}, {} threads -> {}/",

@@ -1,36 +1,25 @@
 //! Defense-portfolio comparison (beyond the paper): the paper's solutions
 //! vs the related-work baselines it cites — Chow et al.'s secure
-//! deallocation and Provos' swap encryption.
+//! deallocation and Provos' swap encryption ([`harness::figures::baselines`]).
 //!
 //! ```text
-//! cargo run --release -p harness --bin baseline_compare -- [--paper|--quick|--test] [--out DIR]
+//! cargo run --release -p harness --bin baseline_compare -- [--paper|--quick|--test]
+//!     [--reps N] [--mem-mb M] [--key-bits B] [--scan-threads N] [--out DIR]
 //! ```
+//!
+//! The comparison takes at least 8 repetitions. Reading the table:
+//! Chow-style secure deallocation cleans freed heap chunks but misses
+//! exit-time pages and all allocated-memory disclosure; Provos' swap
+//! encryption covers exactly one channel; the paper's integrated solution
+//! dominates both, and stacking all three covers every channel except the
+//! irreducible disclosed-fraction floor of the tty dump.
 
-use harness::baselines::{compare_strategies, render_table};
 use harness::cli::Args;
-use harness::report::write_dat;
 
 fn main() {
     let args = Args::parse();
-    let mut cfg = args.experiment_config();
-    if args.get("reps").is_none() {
-        cfg.repetitions = cfg.repetitions.max(8);
-    }
-    println!(
-        "== defense portfolio comparison: ssh workload, {} MB RAM, RSA-{}, {} reps ==\n",
-        cfg.mem_bytes / (1024 * 1024),
-        cfg.key_bits,
-        cfg.repetitions
-    );
-    let results = compare_strategies(&cfg).expect("comparison failed");
-    let table = render_table(&results);
-    print!("{table}");
-    println!(
-        "\nReading: Chow-style secure deallocation cleans freed heap chunks but\n\
-         misses exit-time pages and all allocated-memory disclosure; Provos'\n\
-         swap encryption covers exactly one channel; the paper's integrated\n\
-         solution dominates both, and stacking all three covers every channel\n\
-         except the irreducible disclosed-fraction floor of the tty dump."
-    );
-    write_dat(&args.out_dir(), "baseline_compare.txt", &table).expect("write results");
+    let cfg = args.experiment_config();
+    let out = args.out_dir();
+    args.reject_unread();
+    harness::figures::baselines(&cfg, &out);
 }

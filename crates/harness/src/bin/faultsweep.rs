@@ -36,6 +36,7 @@ fn main() {
         let reps = args.get_usize("fault-reps", 16) as u64;
         (seed, denom, reps)
     });
+    args.reject_unread();
 
     println!(
         "faultsweep: {} MB RAM, RSA-{}, stride {}, {} threads -> {}/",

@@ -27,6 +27,8 @@ fn main() {
         .map(|l| ProtectionLevel::from_label(l).expect("unknown --level"))
         .unwrap_or(ProtectionLevel::None);
     let context = args.get_usize("context", 16);
+    let entropy = args.has("entropy");
+    args.reject_unread();
 
     let mut rng = Rng64::new(cfg.seed);
     let mut kernel = cfg.boot_machine(level, &mut rng);
@@ -71,7 +73,7 @@ fn main() {
         println!("\n… and {} more copies", report.total() - 12);
     }
 
-    if args.has("entropy") {
+    if entropy {
         println!("\n== entropy candidates (no key knowledge) ==");
         let hunter = EntropyScanner::new(64, 5.5);
         let regions = hunter.scan(kernel.phys());

@@ -5,10 +5,13 @@
 //! `scripts/ci.sh` does, and exits non-zero on any unsuppressed finding.
 //! Pass `--json` for machine-readable output.
 
+use harness::cli::Args;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let json = std::env::args().any(|a| a == "--json");
+    let args = Args::parse();
+    let json = args.has("json");
+    args.reject_unread();
     let cwd = std::env::current_dir().expect("harness lint needs a working directory");
     let root = keylint::find_workspace_root(&cwd);
     match keylint::lint_workspace(&root) {

@@ -1,10 +1,12 @@
 //! Performance benchmarks: Figure 8 (OpenSSH scp stress) and Figures 19–20
-//! (Apache Siege stress), before vs after the integrated solution.
+//! (Apache Siege stress), before vs after the integrated solution
+//! ([`harness::figures::perf`]).
 //!
 //! ```text
 //! cargo run --release -p harness --bin perf -- [--paper|--quick|--test]
 //!     [--server ssh|apache|both] [--transactions N] [--concurrency C]
-//!     [--bench-reps R] [--out DIR]
+//!     [--bench-reps R] [--reps N] [--mem-mb M] [--key-bits B]
+//!     [--scan-threads N] [--out DIR]
 //! ```
 //!
 //! Each repetition runs both levels back to back, alternating which goes
@@ -12,39 +14,20 @@
 //! median and the per-repetition delta's median and quartiles.
 
 use harness::cli::Args;
-use harness::perf::{run_perf_pairs, PerfConfig};
-use harness::report::{perf_table, write_dat};
-use harness::ServerKind;
+use harness::perf::PerfConfig;
 
 fn main() {
     let args = Args::parse();
     let cfg = args.experiment_config();
-    let mut perf = if args.has("paper") {
+    let mut workload = if args.has("paper") {
         PerfConfig::paper()
     } else {
         PerfConfig::quick()
     };
-    perf.transactions = args.get_usize("transactions", perf.transactions);
-    perf.concurrency = args.get_usize("concurrency", perf.concurrency);
-    perf.repetitions = args.get_usize("bench-reps", perf.repetitions);
-
-    for kind in args.servers() {
-        let fig = match kind {
-            ServerKind::Ssh => "fig8",
-            ServerKind::Apache => "fig19-20",
-        };
-        println!(
-            "== {fig}: {} stress, {} transactions at concurrency {} ({} reps) ==",
-            kind, perf.transactions, perf.concurrency, perf.repetitions
-        );
-        let pairs = run_perf_pairs(kind, &cfg, &perf).expect("bench failed");
-        let table = perf_table(&pairs);
-        println!("{table}");
-        write_dat(
-            &args.out_dir(),
-            &format!("{fig}_{}_perf.txt", kind.label()),
-            &table,
-        )
-        .expect("write results");
-    }
+    workload.transactions = args.get_usize("transactions", workload.transactions);
+    workload.concurrency = args.get_usize("concurrency", workload.concurrency);
+    workload.repetitions = args.get_usize("bench-reps", workload.repetitions);
+    let (kinds, out) = (args.servers(), args.out_dir());
+    args.reject_unread();
+    harness::figures::perf(&cfg, &workload, &kinds, &out);
 }

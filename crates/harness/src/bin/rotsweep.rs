@@ -58,6 +58,7 @@ fn main() {
     let modes = args.modes();
     let stride = args.get_usize("stride", 1) as u64;
     let pair_stride = args.get_usize("pair-stride", 5) as u64;
+    args.reject_unread();
 
     println!(
         "rotsweep: {} MB RAM, RSA-{}, stride {} (pairs {}), {} threads -> {}/",

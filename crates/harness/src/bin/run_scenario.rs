@@ -19,8 +19,11 @@ fn main() {
     let args = Args::parse();
     let exec = args.executor();
     let out = args.out_dir();
+    let (dir, file) = (args.get("dir"), args.get("file"));
+    assert!(dir.is_none() || file.is_none(), "give --file or --dir, not both");
+    args.reject_unread();
 
-    let paths: Vec<std::path::PathBuf> = if let Some(dir) = args.get("dir") {
+    let paths: Vec<std::path::PathBuf> = if let Some(dir) = dir {
         let mut found: Vec<_> = std::fs::read_dir(dir)
             .unwrap_or_else(|e| panic!("cannot read scenario dir {dir}: {e}"))
             .map(|entry| entry.expect("dir entry").path())
@@ -30,7 +33,7 @@ fn main() {
         assert!(!found.is_empty(), "no *.txt scenarios under {dir}");
         found
     } else {
-        let path = args.get("file").expect("--file <scenario.txt> or --dir <dir> is required");
+        let path = file.expect("--file <scenario.txt> or --dir <dir> is required");
         vec![std::path::PathBuf::from(path)]
     };
 

@@ -1,16 +1,23 @@
 //! A tiny flag parser shared by the experiment binaries (no external
 //! dependencies; only `--flag value` and bare `--switch` forms).
+//!
+//! `Args` records every flag name a binary asks for, so a binary can
+//! reject, before it starts work, a flag it never reads
+//! ([`Args::reject_unread`]): a misspelt or retired flag fails instead of
+//! silently changing what runs.
 
 use crate::faultsweep::FaultMode;
 use crate::{ExperimentConfig, ServerKind};
 use keyguard::ProtectionLevel;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: BTreeMap<String, String>,
     switches: Vec<String>,
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -47,13 +54,36 @@ impl Args {
     /// The value of `--name value`, if given.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.asked.borrow_mut().insert(name.to_string());
         self.values.get(name).map(String::as_str)
     }
 
     /// Whether the bare switch `--name` was given.
     #[must_use]
     pub fn has(&self, name: &str) -> bool {
+        self.asked.borrow_mut().insert(name.to_string());
         self.switches.iter().any(|s| s == name)
+    }
+
+    /// Call once every flag the binary uses has been read, before any
+    /// work starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a given flag was never asked for: unknown, misspelt, or
+    /// overridden by another flag (a second scale preset, or a scale next
+    /// to `--smoke`).
+    pub fn reject_unread(&self) {
+        let asked = self.asked.borrow();
+        let unread: Vec<String> = (self.values.keys().chain(&self.switches))
+            .filter(|name| !asked.contains(*name))
+            .map(|name| format!("--{name}"))
+            .collect();
+        assert!(
+            unread.is_empty(),
+            "unused flag(s) {}: unknown, misspelt, or overridden by another flag",
+            unread.join(" ")
+        );
     }
 
     /// A numeric flag with a default.
@@ -70,7 +100,8 @@ impl Args {
 
     /// Resolves the standard `--paper` / `--quick` / `--test` scale flags
     /// (default: quick), honouring `--reps`, `--mem-mb`, and `--key-bits`
-    /// overrides.
+    /// overrides. Only the first scale flag found is asked for, so a
+    /// second one fails [`Self::reject_unread`].
     #[must_use]
     pub fn experiment_config(&self) -> ExperimentConfig {
         let mut cfg = if self.has("paper") {
@@ -78,6 +109,8 @@ impl Args {
         } else if self.has("test") {
             ExperimentConfig::test()
         } else {
+            // `--quick` names the default scale.
+            let _ = self.has("quick");
             ExperimentConfig::quick()
         };
         if let Some(reps) = self.get("reps") {
@@ -283,6 +316,48 @@ mod tests {
     #[should_panic(expected = "unknown --mode \"crash\"")]
     fn modes_flag_rejects_unknown_labels() {
         let _ = args(&["--mode", "crash"]).modes();
+    }
+
+    #[test]
+    fn quick_counts_as_read() {
+        let a = args(&["--quick"]);
+        assert_eq!(a.experiment_config(), ExperimentConfig::quick());
+        a.reject_unread();
+    }
+
+    #[test]
+    fn read_flags_pass_the_unread_check() {
+        let a = args(&["--test", "--server", "ssh", "--threads", "2"]);
+        let _ = (a.experiment_config(), a.servers(), a.executor());
+        a.reject_unread();
+        // Asking for a flag that was not given is fine too.
+        let a = args(&[]);
+        let _ = (a.experiment_config(), a.get("out"), a.has("smoke"));
+        a.reject_unread();
+    }
+
+    #[test]
+    #[should_panic(expected = "unused flag(s) --frobnicate")]
+    fn unknown_flags_fail_the_unread_check() {
+        let a = args(&["--test", "--frobnicate"]);
+        let _ = a.experiment_config();
+        a.reject_unread();
+    }
+
+    #[test]
+    #[should_panic(expected = "unused flag(s) --levle")]
+    fn misspelt_flags_fail_the_unread_check() {
+        let a = args(&["--test", "--levle", "kernel"]);
+        let _ = (a.experiment_config(), a.levels("all"));
+        a.reject_unread();
+    }
+
+    #[test]
+    #[should_panic(expected = "unused flag(s) --test")]
+    fn a_second_scale_fails_the_unread_check() {
+        let a = args(&["--paper", "--test"]);
+        let _ = a.experiment_config();
+        a.reject_unread();
     }
 
     #[test]

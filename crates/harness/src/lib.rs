@@ -3,19 +3,22 @@
 //!
 //! | Paper figure | Driver | Binary |
 //! |---|---|---|
-//! | Fig 1, 2 (ext2 sweep) | [`attack_sweep::ext2_sweep_on`] | `fig1_2` |
-//! | Fig 3, 4 (tty sweep) | [`attack_sweep::tty_sweep_on`] | `fig3_4` |
-//! | Fig 5, 6, 9–16, 21–28 (timelines) | [`timeline::run_timelines_timed`] | `timeline` |
-//! | Fig 7, 17, 18 (before/after) | [`attack_sweep::tty_sweep_on`] at two levels | `fig7_17_18` |
-//! | Fig 8, 19, 20 (performance) | [`perf::run_perf_pairs`] | `perf` |
+//! | Fig 1, 2 (ext2 sweep) | [`figures::ext2`] | `fig1_2` |
+//! | Fig 3, 4 and 7, 17, 18 (tty sweep, before/after) | [`figures::tty`] | `fig3_4` |
+//! | Fig 5, 6, 9–16, 21–28 (timelines) | [`figures::timelines`] | `timeline` |
+//! | Fig 8, 19, 20 (performance) | [`figures::perf`] | `perf` |
+//! | Related-work defenses (beyond the paper) | [`figures::baselines`] | `baseline_compare` |
 //! | Error-path robustness (beyond the paper) | [`faultsweep::fault_sweep_timed_on`] | `faultsweep` |
 //! | Stronger attackers (beyond the paper) | [`attack_matrix::attacker_matrix_on`] | `attacker_matrix` |
 //! | Rotation crash-consistency (beyond the paper) | [`rotsweep::rotation_sweep_on`] | `rotsweep` |
 //!
-//! Each driver returns plain data structures; the [`report`] module renders
+//! The sweeps return plain data structures; the [`report`] module renders
 //! them as the gnuplot-style `.dat` series the paper's plots were built from
-//! plus human-readable summaries. The `all_experiments` binary runs the full
-//! set and writes `results/`.
+//! plus human-readable summaries. Each [`figures`] driver runs one figure
+//! family and writes its files; the per-figure binaries and
+//! `all_experiments`, which runs all five, only parse arguments and call
+//! them. `results/` holds the `--test` scale, apart from the two perf
+//! tables, which hold timings.
 //!
 //! Sweeps and batches run on the [`exec`] work-stealing executor
 //! (`--threads` / `HARNESS_THREADS`); results are bit-identical to the
@@ -30,6 +33,7 @@ pub mod baselines;
 pub mod cli;
 pub mod exec;
 pub mod faultsweep;
+pub mod figures;
 pub mod perf;
 pub mod plot;
 pub mod report;

@@ -10,7 +10,8 @@
 
 use core::fmt;
 
-/// Overwrites a byte slice with zeros in a way the optimizer must not elide.
+/// Overwrites a slice with zeros in a way the optimizer must not elide:
+/// the workspace's one wipe routine, [`bignum::secure_zero`].
 ///
 /// # Examples
 ///
@@ -19,13 +20,7 @@ use core::fmt;
 /// keyguard::host::secure_zero(&mut secret);
 /// assert_eq!(secret, [0u8; 8]);
 /// ```
-pub fn secure_zero(buf: &mut [u8]) {
-    for b in buf.iter_mut() {
-        *b = 0;
-    }
-    // Force the writes to be considered observable.
-    core::hint::black_box(&*buf);
-}
+pub use bignum::secure_zero;
 
 /// A heap buffer that zeroes itself on drop.
 ///

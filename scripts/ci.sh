@@ -80,10 +80,10 @@ else
   echo "ci: skipping sharded-scan floor (only ${cores} core(s))"
 fi
 
-# The six smoke runs below (three faultsweep, rotsweep, attacker_matrix,
-# timeline) and the benchmark digest step write their artifacts here; the
-# results/ byte check after them compares every file with its committed
-# copy under results/.
+# The nine smoke runs below (three faultsweep, rotsweep, attacker_matrix,
+# timeline, fig1_2, fig3_4, baseline_compare) and the benchmark digest step
+# write their artifacts here; the results/ byte check after them compares
+# every file with its committed copy under results/.
 smoke_out=$(mktemp -d)
 trap 'rm -rf "$smoke_out"' EXIT
 
@@ -160,6 +160,16 @@ echo "== timeline smoke (release) =="
 # level: the Fig. 5-6, 9-16 and 21-28 timelines at test scale (.dat + .svg).
 cargo run --release -p harness --bin timeline -- --test --server both --level all \
     --out "$smoke_out"
+
+echo "== figure smoke (release) =="
+# The attack-sweep figures at test scale: the ext2 sweeps and kernel-level
+# re-examination (Figs. 1-2, .dat + heatmap .svg), the n_tty sweeps before
+# and after the integrated solution (Figs. 3-4, 7, 17-18) and the
+# related-work defense table. The perf tables (Figs. 8, 19-20) hold
+# timings, so no perf run writes here.
+cargo run --release -p harness --bin fig1_2 -- --test --out "$smoke_out"
+cargo run --release -p harness --bin fig3_4 -- --test --out "$smoke_out"
+cargo run --release -p harness --bin baseline_compare -- --test --out "$smoke_out"
 
 echo "== benchmark simulated results (release) =="
 # The four BENCHMARK.json workloads, in its order, at the test scale: one
