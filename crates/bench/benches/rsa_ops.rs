@@ -1,13 +1,14 @@
 //! RSA microbenchmarks, one Montgomery exponentiation per limb width, the
-//! Montgomery-cache ablation, and the cost of a server key: generated cold
-//! or read back from the derivation memo.
+//! prime search and its Miller–Rabin round, the Montgomery-cache ablation,
+//! and the cost of a server key: generated cold or read back from the
+//! derivation memo.
 //!
 //! The cache ablation quantifies the security/performance trade the paper's
 //! `RSA_memory_align()` makes when it clears `RSA_FLAG_CACHE_PRIVATE`:
 //! caching saves per-op Montgomery setup but keeps copies of P and Q alive.
 
-use bignum::{BigUint, MontCtx};
 use bench::{BenchmarkId, Criterion};
+use bignum::{gen_prime, BigUint, MontCtx};
 use keyguard::ProtectionLevel;
 use rsa_repro::{CrtEngine, RsaPrivateKey};
 use servers::ServerConfig;
@@ -93,6 +94,38 @@ fn bench_mont_pow(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_prime_generation(c: &mut Criterion) {
+    // Key generation's prime search at the prime sizes of RSA-256, RSA-512
+    // and RSA-1024: a whole `gen_prime` (a fresh seed every iteration, so
+    // the candidates vary as they do across keys), and one Miller–Rabin
+    // round with a random base on a prime of each width, the unit the
+    // search repeats.
+    let mut group = c.benchmark_group("prime_generation");
+    group.sample_size(10);
+    for bits in [128usize, 256, 512] {
+        group.bench_with_input(BenchmarkId::new("gen_prime", bits), &bits, |b, &bits| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                gen_prime(bits, &mut Rng64::new(seed))
+            });
+        });
+    }
+    let mut rng = Rng64::new(9);
+    for limbs in [2usize, 4, 8] {
+        let p = gen_prime(64 * limbs, &mut rng);
+        let n_minus_1 = &p - &BigUint::one();
+        let r = (0..).take_while(|&i| !n_minus_1.bit(i)).count();
+        let d = n_minus_1.shr_bits(r);
+        let base = BigUint::from_be_bytes(&rng.gen_bytes(limbs * 8)).rem(&p);
+        let ctx = MontCtx::new(&p);
+        group.bench_with_input(BenchmarkId::new("round", limbs), &limbs, |b, _| {
+            b.iter(|| ctx.miller_rabin_round(std::hint::black_box(&base), &d, r));
+        });
+    }
+    group.finish();
+}
+
 fn bench_mont_cache_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("mont_cache_ablation");
     let key = RsaPrivateKey::generate(1024, &mut Rng64::new(2));
@@ -152,6 +185,7 @@ fn main() {
     let mut c = Criterion::from_args();
     bench_private_ops(&mut c);
     bench_mont_pow(&mut c);
+    bench_prime_generation(&mut c);
     bench_mont_cache_ablation(&mut c);
     bench_keygen_and_codec(&mut c);
     bench_key_derivation(&mut c);

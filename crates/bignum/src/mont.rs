@@ -269,22 +269,29 @@ impl MontCtx {
         self.from_mont(&acc.expect("nonzero exponent produces a value"))
     }
 
-    /// [`Self::pow_generic`]'s window walk over `[u64; N]` stack arrays;
-    /// only the base's reduction and the conversion out of Montgomery form
-    /// allocate.
-    ///
-    /// The reduced base, the window table and the accumulator are wiped
-    /// before returning: each is secret-equivalent when the modulus is a
-    /// prime factor of a public `n`, since `gcd(c·R − table[1], n)`
-    /// recovers it. That is why the base enters Montgomery form here, on
-    /// the stack, and not through `to_mont`, whose product scratch is
-    /// freed unwiped.
+    /// [`Self::pow_mont_n`] converted out of Montgomery form; only the
+    /// base's reduction and that conversion allocate.
     fn pow_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let mut acc = self.pow_mont_n::<N>(base, exp);
+        let out = self.from_mont(&acc);
+        crate::secure_zero(&mut acc);
+        out
+    }
+
+    /// [`Self::pow_generic`]'s window walk over `[u64; N]` stack arrays:
+    /// `base^exp` in Montgomery form, which the caller wipes.
+    ///
+    /// The reduced base and the window table are wiped before returning:
+    /// each is secret-equivalent when the modulus is a prime factor of a
+    /// public `n`, since `gcd(c·R − table[1], n)` recovers it. That is why
+    /// the base enters Montgomery form here, on the stack, and not through
+    /// `to_mont`, whose product scratch is freed unwiped.
+    fn pow_mont_n<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> [u64; N] {
         let n: &[u64; N] = self
             .n
             .limbs()
             .try_into()
-            .expect("pow picks N from the width");
+            .expect("callers pick N from the width");
         let rr: &[u64; N] = self.rr.as_slice().try_into().expect("rr has the width");
         let mut table = [[0u64; N]; 16];
         table[0].copy_from_slice(&self.one);
@@ -314,10 +321,106 @@ impl MontCtx {
                 acc = mont_mul_n(&acc, &table[nibble], n, self.n0inv);
             }
         }
-        let out = self.from_mont(&acc);
         crate::secure_zero(table.as_flattened_mut());
-        crate::secure_zero(&mut acc);
-        out
+        acc
+    }
+
+    /// One Miller–Rabin round: whether the modulus `n` is a strong probable
+    /// prime to `base`, given `n − 1 = d·2^r` with `d` odd.
+    ///
+    /// 2-, 4- and 8-limb moduli (the primes of RSA-256, RSA-512 and
+    /// RSA-1024) run the round in the Montgomery domain on stack arrays;
+    /// every other width runs it through [`Self::pow`] and `mul_mod`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bignum::{BigUint, MontCtx};
+    ///
+    /// // 65537 − 1 = 1·2^16, and 3 is a witness for no prime.
+    /// let p = MontCtx::new(&BigUint::from_u64(65_537));
+    /// assert!(p.miller_rabin_round(&BigUint::from_u64(3), &BigUint::one(), 16));
+    /// // 2047 = 23·89, with 2047 − 1 = 1023·2, fools base 2 but not base 3.
+    /// let c = MontCtx::new(&BigUint::from_u64(2047));
+    /// let d = BigUint::from_u64(1023);
+    /// assert!(c.miller_rabin_round(&BigUint::from_u64(2), &d, 1));
+    /// assert!(!c.miller_rabin_round(&BigUint::from_u64(3), &d, 1));
+    /// ```
+    #[must_use]
+    pub fn miller_rabin_round(&self, base: &BigUint, d: &BigUint, r: usize) -> bool {
+        match self.width() {
+            2 => self.miller_rabin_round_n::<2>(base, d, r),
+            4 => self.miller_rabin_round_n::<4>(base, d, r),
+            8 => self.miller_rabin_round_n::<8>(base, d, r),
+            _ => self.miller_rabin_round_generic(base, d, r),
+        }
+    }
+
+    /// The round outside the Montgomery domain, at any width: `base^d`
+    /// from [`Self::pow`], squared with `mul_mod`. The fixed-width round
+    /// is tested against it.
+    fn miller_rabin_round_generic(&self, base: &BigUint, d: &BigUint, r: usize) -> bool {
+        let mut n_minus_1 = &self.n - &BigUint::one();
+        let mut x = self.pow(base, d);
+        let probable = 'round: {
+            if x.is_one() || x == n_minus_1 {
+                break 'round true;
+            }
+            for _ in 1..r {
+                x = x.mul_mod(&x, &self.n);
+                if x == n_minus_1 {
+                    break 'round true;
+                }
+                if x.is_one() {
+                    // Hit 1 without passing through n − 1: a witness.
+                    break 'round false;
+                }
+            }
+            false
+        };
+        n_minus_1.zeroize();
+        x.zeroize();
+        probable
+    }
+
+    /// The round over `[u64; N]` stack arrays, never leaving the Montgomery
+    /// domain: `base^d` from [`Self::pow_mont_n`] is compared with
+    /// Montgomery one (`R mod n`) and Montgomery `n − 1`, which is
+    /// `n − (R mod n)`, then squared with [`mont_mul_n`]. Every product is
+    /// fully reduced, so equal values have equal limbs.
+    ///
+    /// The running value and Montgomery `n − 1` are wiped before
+    /// returning: when `n` is a prime factor of a public modulus, each is
+    /// `c·R mod n` for a known `c`, which recovers `n`.
+    fn miller_rabin_round_n<const N: usize>(&self, base: &BigUint, d: &BigUint, r: usize) -> bool {
+        let n: &[u64; N] = self
+            .n
+            .limbs()
+            .try_into()
+            .expect("the round picks N from the width");
+        let one: &[u64; N] = self.one.as_slice().try_into().expect("one has the width");
+        let mut minus_one = *n;
+        limbs_sub_assign(&mut minus_one, one);
+        let mut x = self.pow_mont_n::<N>(base, d);
+        let probable = 'round: {
+            if x == *one || x == minus_one {
+                break 'round true;
+            }
+            for _ in 1..r {
+                x = mont_mul_n(&x, &x, n, self.n0inv);
+                if x == minus_one {
+                    break 'round true;
+                }
+                if x == *one {
+                    // Hit 1 without passing through n − 1: a witness.
+                    break 'round false;
+                }
+            }
+            false
+        };
+        crate::secure_zero(&mut x);
+        crate::secure_zero(&mut minus_one);
+        probable
     }
 }
 
@@ -547,28 +650,231 @@ mod tests {
         }
     }
 
+    /// `base^exp` through [`MontCtx::pow_mont_n`], the Montgomery-form
+    /// core, at the widths that have one.
+    fn pow_core(ctx: &MontCtx, base: &BigUint, exp: &BigUint) -> BigUint {
+        match ctx.width() {
+            2 => ctx.from_mont(&ctx.pow_mont_n::<2>(base, exp)),
+            4 => ctx.from_mont(&ctx.pow_mont_n::<4>(base, exp)),
+            8 => ctx.from_mont(&ctx.pow_mont_n::<8>(base, exp)),
+            16 => ctx.from_mont(&ctx.pow_mont_n::<16>(base, exp)),
+            k => unreachable!("no fixed-width core at {k} limbs"),
+        }
+    }
+
     #[test]
     fn fixed_width_pow_matches_the_generic_body() {
         let mut rng = Rng64::new(0x6669_7865);
-        for k in [8, 16] {
+        for k in [2, 4, 8, 16] {
             for _ in 0..4 {
                 for m in moduli(&mut rng, k) {
                     let ctx = MontCtx::new(&m);
                     for base in bases(&mut rng, &m) {
                         for exp in exponents(&mut rng, k) {
-                            let fixed = if k == 8 {
-                                ctx.pow_n::<8>(&base, &exp)
-                            } else {
-                                ctx.pow_n::<16>(&base, &exp)
-                            };
                             let generic = ctx.pow_generic(&base, &exp);
-                            assert_eq!(fixed, generic, "k={k} m={m:?} base={base:?} exp={exp:?}");
+                            let core = pow_core(&ctx, &base, &exp);
+                            assert_eq!(core, generic, "k={k} m={m:?} base={base:?} exp={exp:?}");
                             assert_eq!(ctx.pow(&base, &exp), generic);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// `(d, r)` with `n − 1 = d·2^r` and `d` odd.
+    fn split(n: &BigUint) -> (BigUint, usize) {
+        let n_minus_1 = n - &BigUint::one();
+        let r = (0..).take_while(|&i| !n_minus_1.bit(i)).count();
+        (n_minus_1.shr_bits(r), r)
+    }
+
+    /// The largest probable prime at or below the odd `c`.
+    fn prime_at_or_below(mut c: BigUint, rng: &mut Rng64) -> BigUint {
+        while !crate::is_probable_prime(&c, 2, rng) {
+            c = &c - &BigUint::from_u64(2);
+        }
+        c
+    }
+
+    /// Bases 0, 1, 2, 3, n − 1, two random reduced ones and an unreduced
+    /// one of k + 1 limbs.
+    fn round_bases(rng: &mut Rng64, n: &BigUint) -> Vec<BigUint> {
+        let k = n.limbs().len();
+        let mut wide = random_limbs(rng, k + 1);
+        wide[k] = wide[k].max(1);
+        [0, 1, 2, 3]
+            .into_iter()
+            .map(BigUint::from_u64)
+            .chain([
+                n - &BigUint::one(),
+                BigUint::from_limbs(random_limbs(rng, k)).rem(n),
+                BigUint::from_limbs(random_limbs(rng, k)).rem(n),
+                BigUint::from_limbs(wide),
+            ])
+            .collect()
+    }
+
+    /// Runs the dispatched round against the generic one on every base of
+    /// [`round_bases`], returning the verdicts.
+    fn rounds_agree(rng: &mut Rng64, n: &BigUint) -> Vec<bool> {
+        let ctx = MontCtx::new(n);
+        let (d, r) = split(n);
+        round_bases(rng, n)
+            .iter()
+            .map(|base| {
+                let verdict = ctx.miller_rabin_round(base, &d, r);
+                let oracle = ctx.miller_rabin_round_generic(base, &d, r);
+                assert_eq!(verdict, oracle, "n={n:?} base={base:?}");
+                verdict
+            })
+            .collect()
+    }
+
+    /// Base-2 strong pseudoprimes: 1093² and 3511² (squares of the
+    /// Wieferich primes), the composite Fermat numbers 2^(2^j) + 1 for
+    /// j = 6..=10 (2, 3, 5, 9 and 17 limbs, a top limb of 1), and
+    /// (4^103 + 1)/5 and (4^227 + 1)/5 (4 and 8 limbs). None has a factor
+    /// below 1000, so each reaches Miller–Rabin in `is_probable_prime`.
+    fn base_2_pseudoprimes() -> Vec<BigUint> {
+        let power_of_two = |bits: usize| {
+            let mut v = BigUint::zero();
+            v.set_bit(bits);
+            v
+        };
+        let mut out = vec![
+            BigUint::from_u64(1093 * 1093),
+            BigUint::from_u64(3511 * 3511),
+        ];
+        out.extend((6..=10).map(|j| &power_of_two(1 << j) + &BigUint::one()));
+        for p in [103, 227] {
+            let (q, rem) = (&power_of_two(2 * p) + &BigUint::one()).div_rem_u64(5);
+            assert_eq!(rem, 0);
+            out.push(q);
+        }
+        out
+    }
+
+    /// Carmichael numbers: 561 and 41041, and (6m + 1)(12m + 1)(18m + 1)
+    /// with all three factors prime (Chernick's form) at 2 to 17 limbs;
+    /// those at 5 and 7 limbs are also strong pseudoprimes to base 2.
+    fn carmichael_numbers(rng: &mut Rng64) -> Vec<BigUint> {
+        const CHERNICK_M: [&str; 16] = [
+            "2c531714",
+            "3f8fd114ca5ad",
+            "e990c6c32e13860187",
+            "16dd33ce509b1489a501cc62",
+            "2f0dba24b191eb463a5d26899a97a",
+            "848a00b3317a416ddd47c1a1786b432662",
+            "121cbed021666fcd3e9a62dfdc02167b26ee70c1",
+            "36d3cad9e0af9932a7b42485aaf3a9cb540e65fcd4a5f",
+            "82ca390c6beecc81a6fa7c44ce3363bc79a838ce8e7287e8a5",
+            "17500dc89321cefdb50e646ff15d0f7af7fd60d8dfe8a41135851003",
+            "27042b8f83a592cd94a36addedbb73a475f2f8b3c84846fba65e88d549ddb",
+            "c3ea7adb44d9372902ab6c37ee55e13474cf7ab167ddc0fbf9c266004ac1981bd0",
+            "1f08ae3f8d0a01457d952a68b322107c47ed52997d90fdade1a79be255eaf11505a335fc",
+            "2c7a41a631dfc9b063661dba2708f37d4efcbcecac73fa7396df12b3d52bf618f3f194f1731e8",
+            "e3f1864d176875ebb7ee7b500f928fe5fe91ee34a85f6d5605d1287f9ec3c91bf7e0f20795afb02365",
+            "1dc6361bffa7a5c1c2b7cef3f070fe0b93d0efab93a8845c4fb7126e0e507586b36e543162c622eb975d464f",
+        ];
+        let mut out = vec![BigUint::from_u64(561), BigUint::from_u64(41041)];
+        for (k, m) in (2..).zip(CHERNICK_M) {
+            let m = n(m);
+            let factors = [6, 12, 18].map(|c| &m.mul_u64(c) + &BigUint::one());
+            for f in &factors {
+                assert!(crate::is_probable_prime(f, 16, rng), "k={k} factor {f:?}");
+            }
+            let carmichael = &(&factors[0] * &factors[1]) * &factors[2];
+            assert_eq!(carmichael.limbs().len(), k);
+            out.push(carmichael);
+        }
+        out
+    }
+
+    /// Primes whose n − 1 carries many factors of two: 65537 = 2^16 + 1,
+    /// 2^64 − 2^32 + 1, and t·2^(64(k − 1)) + 1 at 2 to 17 limbs, whose
+    /// top limb is the small odd t.
+    fn primes_with_many_twos() -> Vec<BigUint> {
+        const PROTH_T: [u64; 16] = [
+            25, 21, 133, 207, 7, 553, 25, 223, 327, 141, 1005, 63, 123, 837, 1201, 1125,
+        ];
+        let mut out = vec![
+            BigUint::from_u64(65_537),
+            BigUint::from_u64(0xffff_ffff_0000_0001),
+        ];
+        for (k, t) in (2..).zip(PROTH_T) {
+            let mut top = BigUint::zero();
+            top.set_bit(64 * (k - 1));
+            out.push(&top.mul_u64(t) + &BigUint::one());
+        }
+        out
+    }
+
+    #[test]
+    fn miller_rabin_round_matches_the_generic_round_at_every_width() {
+        let mut rng = Rng64::new(0x6d72_6e64);
+        for k in 1..=17 {
+            for m in moduli(&mut rng, k) {
+                // An odd value with the modulus's top limb, nearly always
+                // composite, and the prime at or below it.
+                let prime = prime_at_or_below(m.clone(), &mut rng);
+                assert_eq!(prime.limbs().len(), k);
+                rounds_agree(&mut rng, &m);
+                let verdicts = rounds_agree(&mut rng, &prime);
+                // Base 0 reduces to 0, which no round passes; every other
+                // base is a unit modulo a prime.
+                assert!(!verdicts[0], "k={k} prime={prime:?}");
+                assert!(verdicts[1..].iter().all(|&v| v), "k={k} prime={prime:?}");
+            }
+            // A product of two primes of half the width.
+            let half = 32 * k;
+            let semiprime = &crate::gen_prime(half, &mut rng) * &crate::gen_prime(half, &mut rng);
+            assert_eq!(semiprime.limbs().len(), k);
+            rounds_agree(&mut rng, &semiprime);
+        }
+    }
+
+    #[test]
+    fn miller_rabin_round_on_pseudoprimes_and_twos_heavy_primes() {
+        let mut rng = Rng64::new(0x7073_7073);
+        let mut widths = std::collections::BTreeSet::new();
+        for psp in base_2_pseudoprimes() {
+            widths.insert(psp.limbs().len());
+            let verdicts = rounds_agree(&mut rng, &psp);
+            assert!(verdicts[2], "{psp:?} is a strong pseudoprime to base 2");
+            assert!(!crate::is_probable_prime(&psp, 16, &mut rng), "{psp:?}");
+        }
+        for carmichael in carmichael_numbers(&mut rng) {
+            widths.insert(carmichael.limbs().len());
+            rounds_agree(&mut rng, &carmichael);
+            assert!(
+                !crate::is_probable_prime(&carmichael, 16, &mut rng),
+                "{carmichael:?}"
+            );
+        }
+        for prime in primes_with_many_twos() {
+            widths.insert(prime.limbs().len());
+            let verdicts = rounds_agree(&mut rng, &prime);
+            assert!(verdicts[1..].iter().all(|&v| v), "{prime:?}");
+            assert!(crate::is_probable_prime(&prime, 16, &mut rng), "{prime:?}");
+            // A quadratic non-residue a, by Euler's criterion
+            // a^((n − 1)/2) = n − 1, reaches n − 1 only at the last of the
+            // r − 1 squarings, so a round one squaring short rejects it.
+            let minus_one = &prime - &BigUint::one();
+            let half = minus_one.shr_bits(1);
+            let non_residue = (2..)
+                .map(BigUint::from_u64)
+                .find(|a| square_and_multiply(a, &half, &prime) == minus_one)
+                .expect("half of the units are non-residues");
+            let (d, r) = split(&prime);
+            let ctx = MontCtx::new(&prime);
+            assert!(ctx.miller_rabin_round(&non_residue, &d, r), "{prime:?}");
+            assert!(
+                !ctx.miller_rabin_round(&non_residue, &d, r - 1),
+                "{prime:?}"
+            );
+        }
+        assert!((1..=17).all(|k| widths.contains(&k)), "widths {widths:?}");
     }
 
     #[test]

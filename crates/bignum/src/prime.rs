@@ -1,6 +1,6 @@
 //! Miller–Rabin primality testing and random prime generation.
 
-use crate::BigUint;
+use crate::{BigUint, MontCtx};
 use simrng::Rng64;
 
 /// The primes below 1000, used for trial division before Miller–Rabin.
@@ -16,30 +16,54 @@ pub const SMALL_PRIMES: [u64; 168] = [
     929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997,
 ];
 
-/// A single Miller–Rabin round: `true` means "possibly prime for this base".
-fn miller_rabin_round(n: &BigUint, n_minus_1: &BigUint, d: &BigUint, r: usize, base: &BigUint) -> bool {
-    let mut x = base.mod_pow(d, n);
-    if x.is_one() || x == *n_minus_1 {
-        return true;
-    }
-    for _ in 0..r.saturating_sub(1) {
-        x = x.mul_mod(&x, n);
-        if x == *n_minus_1 {
-            return true;
+/// [`SMALL_PRIMES`] cut, in order, into runs whose product fits a `u64`:
+/// `(product, start, end)` for each run, where `start..end` indexes the
+/// run's primes, and the number of runs.
+const PRIME_RUNS: ([(u64, usize, usize); SMALL_PRIMES.len()], usize) = prime_runs();
+
+const fn prime_runs() -> ([(u64, usize, usize); SMALL_PRIMES.len()], usize) {
+    let mut runs = [(0, 0, 0); SMALL_PRIMES.len()];
+    let mut count = 0;
+    let mut product = 1u64;
+    let mut start = 0;
+    let mut i = 0;
+    while i < SMALL_PRIMES.len() {
+        if let Some(wider) = product.checked_mul(SMALL_PRIMES[i]) {
+            product = wider;
+        } else {
+            runs[count] = (product, start, i);
+            count += 1;
+            product = SMALL_PRIMES[i];
+            start = i;
         }
-        if x.is_one() {
-            // Hit 1 without passing through n-1: composite witness.
-            return false;
-        }
+        i += 1;
     }
-    false
+    runs[count] = (product, start, i);
+    (runs, count + 1)
+}
+
+/// Whether a prime in [`SMALL_PRIMES`] divides `n`: one multi-limb
+/// remainder per run of [`PRIME_RUNS`], then one word-sized remainder per
+/// prime, since `p` divides `n` exactly when it divides `n mod product`.
+fn has_small_factor(n: &BigUint) -> bool {
+    let (runs, count) = &PRIME_RUNS;
+    runs[..*count].iter().any(|&(product, start, end)| {
+        let residue = n.rem_u64(product);
+        SMALL_PRIMES[start..end]
+            .iter()
+            .any(|&p| residue.is_multiple_of(p))
+    })
 }
 
 /// Probabilistic primality test.
 ///
-/// Runs trial division by [`SMALL_PRIMES`], then `rounds` Miller–Rabin rounds
-/// with random bases, always including the fixed bases 2 and 3. False
-/// positives occur with probability at most `4^-rounds`.
+/// Runs trial division by [`SMALL_PRIMES`], then Miller–Rabin rounds on one
+/// [`MontCtx`] built for `n`: the fixed bases 2 and 3, then `rounds` random
+/// bases drawn from `rng`, stopping at the first witness. False positives
+/// occur with probability at most `4^-rounds`.
+///
+/// `n − 1`, `n − 3` and the odd part `d` of `n − 1` are wiped before
+/// returning: for an accepted prime, each recovers it.
 ///
 /// # Examples
 ///
@@ -61,44 +85,31 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut Rng64) -> bool {
             return true;
         }
     }
-    if n.is_even() {
+    // Divisible by a small prime; only prime if it *is* that prime, which
+    // the to_u64 fast path above already handled.
+    if n.is_even() || has_small_factor(n) {
         return false;
     }
-    for &p in &SMALL_PRIMES {
-        if n.rem_u64(p) == 0 {
-            // Divisible by a small prime; only prime if it *is* that prime,
-            // which the to_u64 fast path above already handled.
-            return false;
-        }
-    }
 
-    // Write n-1 = d * 2^r with d odd.
-    let n_minus_1 = n - &BigUint::one();
-    let mut d = n_minus_1.clone();
-    let mut r = 0usize;
-    while d.is_even() {
-        d = d.shr_bits(1);
-        r += 1;
-    }
-
-    // Fixed bases first (cheap confidence), then random bases.
-    for base in [2u64, 3] {
-        if !miller_rabin_round(n, &n_minus_1, &d, r, &BigUint::from_u64(base)) {
-            return false;
-        }
-    }
-    let n_minus_3 = match n_minus_1.checked_sub(&BigUint::from_u64(2)) {
-        Some(v) if !v.is_zero() => v,
-        _ => return true, // n in {3, 5} already settled above
-    };
-    for _ in 0..rounds {
-        // base uniform in [2, n-2]
-        let base = &random_below(&n_minus_3, rng) + &BigUint::from_u64(2);
-        if !miller_rabin_round(n, &n_minus_1, &d, r, &base) {
-            return false;
-        }
-    }
-    true
+    // Write n − 1 = d·2^r with d odd. Trial division leaves n > 1000.
+    let mut n_minus_1 = n - &BigUint::one();
+    let r = (0..).take_while(|&i| !n_minus_1.bit(i)).count();
+    let mut d = n_minus_1.shr_bits(r);
+    let mut n_minus_3 = &n_minus_1 - &BigUint::from_u64(2);
+    let ctx = MontCtx::new(n);
+    // Fixed bases first (cheap confidence), then random bases uniform in
+    // [2, n − 2]; the first witness ends the test before any later draw.
+    let probable = [2u64, 3]
+        .into_iter()
+        .all(|base| ctx.miller_rabin_round(&BigUint::from_u64(base), &d, r))
+        && (0..rounds).all(|_| {
+            let base = &random_below(&n_minus_3, rng) + &BigUint::from_u64(2);
+            ctx.miller_rabin_round(&base, &d, r)
+        });
+    n_minus_1.zeroize();
+    n_minus_3.zeroize();
+    d.zeroize();
+    probable
 }
 
 /// Uniform random value in `[0, bound)` by rejection sampling.
@@ -131,6 +142,13 @@ fn random_bits(bits: usize, rng: &mut Rng64) -> BigUint {
 /// The two most significant bits are forced to one (so RSA moduli built from
 /// two such primes have full length, as OpenSSL does) and the low bit is
 /// forced to one.
+///
+/// Every candidate is a fresh draw, tested by [`is_probable_prime`] with 16
+/// random bases. Trial division rejects most of them; each survivor gets one
+/// [`MontCtx`](crate::MontCtx), and its rounds run on fixed-width stack
+/// arrays for 128-, 256- and 512-bit primes. Most of the time goes to the
+/// first round of each composite that survives trial division, and to the
+/// 18 rounds of the prime that is returned.
 ///
 /// # Panics
 ///
@@ -167,6 +185,83 @@ mod tests {
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
+    }
+
+    /// Trial division one small prime at a time: the loop the grouped
+    /// residues replaced, kept as their oracle.
+    fn has_small_factor_per_prime(n: &BigUint) -> bool {
+        SMALL_PRIMES.iter().any(|&p| n.rem_u64(p) == 0)
+    }
+
+    #[test]
+    fn prime_runs_cut_the_small_primes_into_maximal_word_products() {
+        let (runs, count) = PRIME_RUNS;
+        let runs = &runs[..count];
+        assert_eq!(runs[0].1, 0);
+        assert_eq!(runs[count - 1].2, SMALL_PRIMES.len());
+        for pair in runs.windows(2) {
+            assert_eq!(pair[0].2, pair[1].1, "runs are contiguous");
+        }
+        for &(product, start, end) in runs {
+            assert!(start < end);
+            assert_eq!(SMALL_PRIMES[start..end].iter().product::<u64>(), product);
+            if let Some(&next) = SMALL_PRIMES.get(end) {
+                assert!(
+                    product.checked_mul(next).is_none(),
+                    "run at {start} stops early"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_trial_division_matches_one_prime_at_a_time() {
+        let mut rng = Rng64::new(8);
+        let mut cases = Vec::new();
+        // Random candidates of 1 to 8 limbs, odd and even.
+        for limbs in 1..=8 {
+            for _ in 0..100 {
+                cases.push(random_bits(64 * limbs, &mut rng));
+            }
+        }
+        // The small primes themselves, their squares, their neighbours, and
+        // each times a random cofactor of 1 to 4 limbs.
+        for &p in &SMALL_PRIMES {
+            cases.extend([n(p), n(p * p), n(p - 1), n(p + 1)]);
+            let cofactor = random_bits(64 * (1 + (p as usize % 4)), &mut rng);
+            cases.push(&cofactor * &n(p));
+        }
+        // Products of two or three small primes (repeats allowed), times a
+        // large prime, and one more or less than a product.
+        let big = n(0xffff_ffff_ffff_ffc5);
+        for _ in 0..300 {
+            let mut product = n(1);
+            for _ in 0..2 + rng.next_u64() % 2 {
+                product = &product * &n(SMALL_PRIMES[rng.next_u64() as usize % SMALL_PRIMES.len()]);
+            }
+            cases.extend([&product * &big, &product + &n(1), &product - &n(1)]);
+            cases.push(product);
+        }
+        // Each run's product, and its multiples and neighbours.
+        let (runs, count) = PRIME_RUNS;
+        for &(product, _, _) in &runs[..count] {
+            let product = n(product);
+            cases.extend([&product * &big, &product + &n(2), &product - &n(2)]);
+            cases.push(product);
+        }
+        // Values below 2^64: every value below 5000, random words, and the
+        // words just below 2^64.
+        cases.extend((0..5000).map(n));
+        cases.extend((0..1000).map(|_| n(rng.next_u64())));
+        cases.extend((0..64).map(|i| n(u64::MAX - i)));
+
+        for c in &cases {
+            assert_eq!(
+                has_small_factor(c),
+                has_small_factor_per_prime(c),
+                "n={c:?}"
+            );
+        }
     }
 
     #[test]

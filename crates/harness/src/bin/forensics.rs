@@ -9,7 +9,6 @@
 
 use harness::cli::Args;
 use harness::ServerKind;
-use keyguard::ProtectionLevel;
 use keyscan::{EntropyScanner, Scanner};
 use memsim::Kernel;
 use servers::{ApacheServer, SecureServer, ServerConfig, SshServer};
@@ -18,14 +17,8 @@ use simrng::Rng64;
 fn main() {
     let args = Args::parse();
     let cfg = args.experiment_config();
-    let kind = args
-        .get("server")
-        .and_then(ServerKind::from_label)
-        .unwrap_or(ServerKind::Ssh);
-    let level = args
-        .get("level")
-        .map(|l| ProtectionLevel::from_label(l).expect("unknown --level"))
-        .unwrap_or(ProtectionLevel::None);
+    let kind = args.server("ssh");
+    let level = args.level("none");
     let context = args.get_usize("context", 16);
     let entropy = args.has("entropy");
     args.reject_unread();

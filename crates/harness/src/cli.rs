@@ -164,9 +164,22 @@ impl Args {
     pub fn servers(&self) -> Vec<ServerKind> {
         match self.get("server").unwrap_or("both") {
             "both" => ServerKind::ALL.to_vec(),
-            s => vec![
-                ServerKind::from_label(s).unwrap_or_else(|| panic!("unknown --server {s:?}"))
-            ],
+            s => vec![one_server(s)],
+        }
+    }
+
+    /// The one server named by `--server ssh|apache`, `default` when
+    /// absent: the single-value form of [`Self::servers`], for a binary
+    /// that runs one server.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown server label and on `both`.
+    #[must_use]
+    pub fn server(&self, default: &str) -> ServerKind {
+        match self.get("server").unwrap_or(default) {
+            "both" => panic!("--server both: this binary runs one server, ssh or apache"),
+            s => one_server(s),
         }
     }
 
@@ -181,9 +194,23 @@ impl Args {
         // the integrated level.
         match self.get("level").unwrap_or(default) {
             "all" => ProtectionLevel::ALL.to_vec(),
-            s => vec![
-                ProtectionLevel::from_label(s).unwrap_or_else(|| panic!("unknown --level {s:?}"))
-            ],
+            s => vec![one_level(s)],
+        }
+    }
+
+    /// The one level named by `--level LABEL`, `default` when absent: the
+    /// single-value form of [`Self::levels`], for a binary that runs one
+    /// level.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown level label and on `all`, which here would
+    /// otherwise parse as the integrated level.
+    #[must_use]
+    pub fn level(&self, default: &str) -> ProtectionLevel {
+        match self.get("level").unwrap_or(default) {
+            "all" => panic!("--level all: this binary runs one level"),
+            s => one_level(s),
         }
     }
 
@@ -201,6 +228,14 @@ impl Args {
             s => panic!("unknown --mode {s:?}: expected fail, kill, or both"),
         }
     }
+}
+
+fn one_server(label: &str) -> ServerKind {
+    ServerKind::from_label(label).unwrap_or_else(|| panic!("unknown --server {label:?}"))
+}
+
+fn one_level(label: &str) -> ProtectionLevel {
+    ProtectionLevel::from_label(label).unwrap_or_else(|| panic!("unknown --level {label:?}"))
 }
 
 /// The verdict tail of the gate binaries (`faultsweep`, `rotsweep`,
@@ -301,6 +336,48 @@ mod tests {
     #[should_panic(expected = "unknown --level \"paranoid\"")]
     fn levels_flag_rejects_unknown_labels() {
         let _ = args(&["--level", "paranoid"]).levels("all");
+    }
+
+    #[test]
+    fn single_server_and_level_flags() {
+        assert_eq!(args(&[]).server("ssh"), ServerKind::Ssh);
+        assert_eq!(
+            args(&["--server", "httpd"]).server("ssh"),
+            ServerKind::Apache
+        );
+        assert_eq!(args(&[]).level("none"), ProtectionLevel::None);
+        assert_eq!(
+            args(&["--level", "kernel"]).level("none"),
+            ProtectionLevel::Kernel
+        );
+        assert_eq!(
+            args(&["--level", "integrated"]).level("none"),
+            ProtectionLevel::Integrated
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --server \"nginx\"")]
+    fn single_server_flag_rejects_unknown_labels() {
+        let _ = args(&["--server", "nginx"]).server("ssh");
+    }
+
+    #[test]
+    #[should_panic(expected = "--server both: this binary runs one server")]
+    fn single_server_flag_rejects_both() {
+        let _ = args(&["--server", "both"]).server("ssh");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown --level \"paranoid\"")]
+    fn single_level_flag_rejects_unknown_labels() {
+        let _ = args(&["--level", "paranoid"]).level("none");
+    }
+
+    #[test]
+    #[should_panic(expected = "--level all: this binary runs one level")]
+    fn single_level_flag_rejects_all() {
+        let _ = args(&["--level", "all"]).level("none");
     }
 
     #[test]

@@ -163,31 +163,38 @@ impl CrtEngine {
             c
         };
 
-        let (m1, m2) = if self.cache_private {
+        let fresh;
+        let (mp, mq) = if self.cache_private {
             if self.mont_p.is_none() {
                 self.mont_p = Some(MontCtx::new(self.key.p()));
                 self.mont_q = Some(MontCtx::new(self.key.q()));
             }
-            let mp = self.mont_p.as_ref().expect("just ensured");
-            let mq = self.mont_q.as_ref().expect("just ensured");
             (
-                mp.pow(&c.rem(self.key.p()), self.key.dp()),
-                mq.pow(&c.rem(self.key.q()), self.key.dq()),
+                self.mont_p.as_ref().expect("just ensured"),
+                self.mont_q.as_ref().expect("just ensured"),
             )
         } else {
-            let mp = MontCtx::new(self.key.p());
-            let mq = MontCtx::new(self.key.q());
-            (
-                mp.pow(&c.rem(self.key.p()), self.key.dp()),
-                mq.pow(&c.rem(self.key.q()), self.key.dq()),
-            )
+            fresh = (MontCtx::new(self.key.p()), MontCtx::new(self.key.q()));
+            (&fresh.0, &fresh.1)
         };
-        let p = self.key.p();
-        let h = self
-            .key
-            .qinv()
-            .mul_mod(&m1.sub_mod(&m2.rem(p), p), p);
-        let m = &m2 + &(&h * self.key.q());
+        let (p, q) = (self.key.p(), self.key.q());
+        // Each of these recovers p or q through a gcd with n (c mod p
+        // through gcd(c − c mod p, n), for one), so all are wiped before
+        // they drop; `BigUint::rem`'s own quotient and scratch are not.
+        let mut c_p = c.rem(p);
+        let mut c_q = c.rem(q);
+        let mut m1 = mp.pow(&c_p, self.key.dp());
+        let mut m2 = mq.pow(&c_q, self.key.dq());
+        let mut m2_p = m2.rem(p);
+        let mut diff = m1.sub_mod(&m2_p, p);
+        let mut h = self.key.qinv().mul_mod(&diff, p);
+        let mut hq = &h * q;
+        let m = &m2 + &hq;
+        for v in [
+            &mut c_p, &mut c_q, &mut m1, &mut m2, &mut m2_p, &mut diff, &mut h, &mut hq,
+        ] {
+            v.zeroize();
+        }
 
         // Unblind: m = m' * r^{-1} mod n.
         if let Some((_, r_inv, n)) = unblind {
